@@ -11,7 +11,7 @@
 // barrier engine; only the wall-clock overlap differs.
 //
 // The protocol is the degenerate (capacity-1) SPSC queue: publish() is a
-// release store + wake, await()/ready() are acquire loads, so everything the
+// seq_cst store + wake, await()/ready() are acquire loads, so everything the
 // producer wrote to the group's buffer before publishing happens-before the
 // consumer's reads after awaiting. reset() must only be called while neither
 // side is active (between steps, on the stepping thread).
@@ -30,7 +30,12 @@ class EffectChannel {
   /// Producer: seals the message. Everything written before this call is
   /// visible to a consumer that observed the seal.
   void publish() {
-    sealed_.store(1, std::memory_order_release);
+    // seq_cst, not release: libstdc++'s notify skips the futex wake when its
+    // waiter-count load reads zero, and after a release store that load may
+    // be satisfied before the store is visible — a consumer that checked
+    // the flag and went to sleep in between would never wake. The seq_cst
+    // store orders the load after it.
+    sealed_.store(1, std::memory_order_seq_cst);
     sealed_.notify_one();
   }
 

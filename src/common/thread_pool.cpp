@@ -69,8 +69,12 @@ void ThreadPool::worker_loop() {
   std::uint64_t seen = 0;
   while (true) {
     gen_.wait(seen, std::memory_order_acquire);
-    if (stop_.load(std::memory_order_acquire)) return;
+    // Read the generation before stop_: the destructor bumps gen_ after
+    // setting stop_, and that bump is no job — end() has already left the
+    // claim cursor at index 0 of the next tag, so claiming it would call a
+    // null fn_. Whoever sees the bump here also sees stop_.
     seen = gen_.load(std::memory_order_acquire);
+    if (stop_.load(std::memory_order_acquire)) return;
     while (try_claim(seen)) {
     }
   }
@@ -89,7 +93,10 @@ void ThreadPool::begin(std::size_t n,
   const std::uint64_t g = gen_.load(std::memory_order_relaxed) + 1;
   claim_.store(g << kIndexBits, std::memory_order_relaxed);
   active_ = true;
-  gen_.store(g, std::memory_order_release);
+  // seq_cst for the same reason as EffectChannel::publish: a release store
+  // lets notify_all's waiter-count load pass it, and a worker that just
+  // went to sleep would miss this job.
+  gen_.store(g, std::memory_order_seq_cst);
   gen_.notify_all();
 }
 

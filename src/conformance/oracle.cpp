@@ -243,8 +243,12 @@ class Oracle {
   Addr effective_addr(const OFlow& f, const isa::Instr& instr,
                       LaneId lane) const {
     const Word base = instr.ra == 0 ? 0 : f.regs[lane][instr.ra];
-    Word ea = base + instr.imm;
-    if (instr.lane_addr()) ea += static_cast<Word>(lane);
+    // Unsigned arithmetic: the sum may wrap (base near INT64_MAX), which
+    // would be undefined in Word; the wrapped value faults as negative.
+    std::uint64_t sum = static_cast<std::uint64_t>(base) +
+                        static_cast<std::uint64_t>(instr.imm);
+    if (instr.lane_addr()) sum += lane;
+    const Word ea = static_cast<Word>(sum);
     if (ea < 0) {
       TCFPN_FAULT("negative effective address ", ea, " in flow ", f.id);
     }

@@ -16,6 +16,16 @@ namespace {
 // and lower lanes win ties deterministically.
 LaneId lane_key(FlowId flow, LaneId lane) { return (flow << 40) | lane; }
 
+// The effective address base + imm (+ lane), computed in wrapping 64-bit
+// arithmetic: signed overflow would be undefined, and a sum that wraps past
+// INT64_MAX comes back negative, which the callers fault on.
+Word effective_word(Word base, const isa::Instr& instr, LaneId lane) {
+  std::uint64_t ea =
+      static_cast<std::uint64_t>(base) + static_cast<std::uint64_t>(instr.imm);
+  if (instr.lane_addr()) ea += lane;
+  return static_cast<Word>(ea);
+}
+
 constexpr std::uint64_t kUnlimited = std::numeric_limits<std::uint64_t>::max();
 constexpr std::uint64_t kLaneOpGuard = 4'000'000;  // runaway-lane guard (XMT)
 
@@ -123,6 +133,7 @@ Machine::Machine(MachineConfig cfg)
   for (auto& ctx : step_ctx_) {
     ctx.port.attach(&shared_);
     ctx.net_loads.assign(shared_.modules(), 0);
+    ctx.run_modules.assign(shared_.modules(), 0);
     bind_lane_counters(ctx.metrics, ctx.lanes);
   }
   net_loads_.assign(shared_.modules(), 0);
@@ -934,7 +945,8 @@ std::uint64_t Machine::run_flow_slice(TcfDescriptor& f,
   TCFPN_CHECK(start < thickness, "resume point beyond thickness");
   const std::uint64_t count = std::min(op_quota, thickness - start);
   std::uint64_t cost = 0;
-  if (exec_alu_lanes(f, instr, start, count)) {
+  if (exec_alu_lanes(f, instr, start, count) ||
+      exec_shared_lanes(f, instr, start, count)) {
     cost = count + operand_penalty_range(start, count);
   } else {
     for (std::uint64_t lane = start; lane < start + count; ++lane) {
@@ -1036,8 +1048,9 @@ bool Machine::exec_alu_lanes(TcfDescriptor& f, const isa::Instr& instr,
     case Opcode::kNop:
       break;
     default:
-      // Memory traffic, multioperations and faulting divides keep the
-      // scalar per-lane path (side effects and fault order must match the
+      // Shared-memory LD/ST have their own sweep (exec_shared_lanes);
+      // multioperations, local memory and faulting divides keep the scalar
+      // per-lane path (side effects and fault order must match the
       // lane-by-lane semantics exactly).
       return false;
   }
@@ -1136,6 +1149,78 @@ bool Machine::exec_alu_lanes(TcfDescriptor& f, const isa::Instr& instr,
   }
 }
 
+bool Machine::exec_shared_lanes(TcfDescriptor& f, const isa::Instr& instr,
+                                std::uint64_t start, std::uint64_t count) {
+  const bool load = instr.op == isa::Opcode::kLd;
+  if (!load && instr.op != isa::Opcode::kSt) return false;
+  auto& ctx = step_ctx_[f.home];
+  LaneFile& lf = f.lane_regs;
+
+  // Pass 1: every effective address of the run. A negative address reads
+  // as >= 2^63 unsigned, so one compare against the memory size catches
+  // both kinds of bad address.
+  if (ctx.lane_addrs.size() < count) ctx.lane_addrs.resize(count);
+  Addr* ea = ctx.lane_addrs.data();
+  const Word* base = lf.bank(instr.ra) + start;
+  const Addr words = shared_.size();
+  bool bad = false;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    ea[i] = static_cast<Addr>(effective_word(base[i], instr, start + i));
+    bad |= ea[i] >= words;
+  }
+  // Lanes before the first bad one execute, exactly as the lane-by-lane
+  // order would have run them before faulting.
+  const std::uint64_t n =
+      bad ? static_cast<std::uint64_t>(
+                std::find_if(ea, ea + count,
+                             [words](Addr a) { return a >= words; }) -
+                ea)
+          : count;
+
+  // Pass 2: the network term and the run's per-module histogram.
+  note_ref_run(ctx, f.home, ea, n);
+  const std::uint64_t* per_module = ctx.run_modules.data();
+  const LaneId lane0 = lane_key(f.id, start);
+  if (load) {
+    Word* dst = instr.rd != 0 ? lf.bank(instr.rd) + start : nullptr;
+    if (f.step_writes.empty()) {
+      ctx.port.read_run(ea, n, lane0, per_module, dst);
+      ctx.lanes.shared_reads->add(n);
+    } else {
+      // Store forwarding: the flow sees its own *completed* writes of this
+      // step; everything else is the pre-step committed state. A forwarded
+      // value still counts as a memory reference for the network term (but
+      // not as shared-memory traffic — the value never left the group).
+      for (std::uint64_t i = 0; i < n; ++i) {
+        Word v;
+        if (const Word* w = f.step_writes.find(ea[i])) {
+          ctx.lanes.store_forwards->add();
+          v = *w;
+        } else {
+          ctx.lanes.shared_reads->add();
+          v = ctx.port.read(ea[i], lane0 + i, shared_.module_of(ea[i]));
+        }
+        if (dst != nullptr) dst[i] = v;
+      }
+    }
+  } else {
+    const Word* value = lf.bank(instr.rb) + start;
+    ctx.port.write_run(ea, value, n, lane0, per_module);
+    f.instr_writes.put_run(ea, value, n);
+    ctx.lanes.shared_writes->add(n);
+  }
+  std::fill(ctx.run_modules.begin(), ctx.run_modules.end(), 0);
+
+  if (n < count) {
+    const Word bad_ea = static_cast<Word>(ea[n]);
+    if (bad_ea < 0) {
+      TCFPN_FAULT("negative effective address ", bad_ea, " in flow ", f.id);
+    }
+    shared_.check_addr(ea[n]);
+  }
+  return true;
+}
+
 std::uint64_t Machine::run_numa_block(TcfDescriptor& f) {
   // NUMA mode (thickness "1/L"): L consecutive instructions of a single
   // sequential stream per step; each instruction is fetched separately —
@@ -1161,7 +1246,7 @@ std::uint64_t Machine::run_numa_block(TcfDescriptor& f) {
       if (!exec_control(f, instr)) break;
       complete_instruction(f, instr);
     } else {
-      exec_data_lane(f, instr, 0);
+      if (!exec_shared_lanes(f, instr, 0, 1)) exec_data_lane(f, instr, 0);
       complete_instruction(f, instr);
       ++f.pc;
     }
@@ -1232,9 +1317,7 @@ Word Machine::alu(const isa::Instr& instr, Word a, Word b) const {
 
 Addr Machine::effective_addr(const TcfDescriptor& f, const isa::Instr& instr,
                              LaneId lane) const {
-  const Word base = f.lane_regs.get(lane, instr.ra);
-  Word ea = base + instr.imm;
-  if (instr.lane_addr()) ea += static_cast<Word>(lane);
+  const Word ea = effective_word(f.lane_regs.get(lane, instr.ra), instr, lane);
   if (ea < 0) {
     TCFPN_FAULT("negative effective address ", ea, " in flow ", f.id);
   }
@@ -1257,20 +1340,28 @@ void Machine::note_ref(GroupCtx& ctx, GroupId src, std::uint32_t module) {
       std::max(ctx.net_max_dist, dist_cache_[src][module % cfg_.groups]);
 }
 
-Word Machine::read_shared(TcfDescriptor& f, Addr a, LaneId lane) {
-  auto& ctx = step_ctx_[f.home];
-  const std::uint32_t m = shared_.module_of(a);
-  note_ref(ctx, f.home, m);
-  // Store forwarding: the flow sees its own *completed* writes of this step;
-  // everything else is the pre-step committed state. A forwarded value still
-  // counts as a memory reference for traffic purposes (but not as
-  // shared-memory traffic — the value never left the group).
-  if (const Word* v = f.step_writes.find(a)) {
-    ctx.lanes.store_forwards->add();
-    return *v;
+void Machine::note_ref_run(GroupCtx& ctx, GroupId src, const Addr* addr,
+                           std::uint64_t n) {
+  std::uint64_t* per_module = ctx.run_modules.data();
+  if (cfg_.detailed_network) {
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const std::uint32_t m = shared_.module_of(addr[i]);
+      ++per_module[m];
+      ctx.refs.emplace_back(src, m);
+    }
+    return;
   }
-  ctx.lanes.shared_reads->add();
-  return ctx.port.read(a, lane_key(f.id, lane), m);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    ++per_module[shared_.module_of(addr[i])];
+  }
+  // The same aggregates note_ref keeps, added once per module.
+  for (std::uint32_t m = 0; m < ctx.run_modules.size(); ++m) {
+    if (per_module[m] == 0) continue;
+    ctx.net_loads[m] += per_module[m];
+    ctx.net_max_dist =
+        std::max(ctx.net_max_dist, dist_cache_[src][m % cfg_.groups]);
+  }
+  ctx.net_refs += n;
 }
 
 void Machine::exec_data_lane(TcfDescriptor& f, const isa::Instr& instr,
@@ -1283,22 +1374,6 @@ void Machine::exec_data_lane(TcfDescriptor& f, const isa::Instr& instr,
     case Opcode::kLdi:
       write_reg(instr.rd, instr.imm);
       return;
-    case Opcode::kLd: {
-      const Addr a = effective_addr(f, instr, lane);
-      write_reg(instr.rd, read_shared(f, a, lane));
-      return;
-    }
-    case Opcode::kSt: {
-      const Addr a = effective_addr(f, instr, lane);
-      const Word v = lf.get(lane, instr.rb);
-      auto& ctx = step_ctx_[f.home];
-      const std::uint32_t m = shared_.module_of(a);
-      note_ref(ctx, f.home, m);
-      ctx.lanes.shared_writes->add();
-      ctx.port.write(a, v, key, m);
-      f.instr_writes.put(a, v);
-      return;
-    }
     case Opcode::kLld: {
       const Addr a = effective_addr(f, instr, lane);
       step_ctx_[f.home].lanes.local_reads->add();
@@ -1538,10 +1613,7 @@ bool Machine::exec_control(TcfDescriptor& f, const isa::Instr& instr) {
 
 void Machine::complete_instruction(TcfDescriptor& f,
                                    const isa::Instr& /*instr*/) {
-  if (!f.instr_writes.empty()) {
-    f.instr_writes.for_each([&](Addr a, Word v) { f.step_writes.put(a, v); });
-    f.instr_writes.clear();
-  }
+  if (!f.instr_writes.empty()) f.step_writes.absorb(f.instr_writes);
 }
 
 Machine::MemTerm Machine::memory_term() {
@@ -1733,9 +1805,7 @@ std::uint64_t Machine::run_lane_to_event(TcfDescriptor& f, LaneId lane,
       TCFPN_FAULT("runaway lane (>", kLaneOpGuard, " ops) in flow ", f.id);
     }
     auto ea = [&]() {
-      const Word base = rget(instr.ra);
-      Word a = base + instr.imm;
-      if (instr.lane_addr()) a += static_cast<Word>(lane);
+      const Word a = effective_word(rget(instr.ra), instr, lane);
       if (a < 0) TCFPN_FAULT("negative effective address in flow ", f.id);
       return static_cast<Addr>(a);
     };

@@ -419,6 +419,11 @@ class Machine {
     std::vector<std::uint64_t> net_loads;
     std::uint64_t net_refs = 0;
     std::uint32_t net_max_dist = 0;
+    /// Scratch of the shared-memory lane sweep (exec_shared_lanes): the
+    /// run's effective addresses and its per-module reference counts (kept
+    /// all-zero between sweeps).
+    std::vector<Addr> lane_addrs;
+    std::vector<std::uint64_t> run_modules;
     std::vector<PrefixRequest> prefix_reqs;
     std::vector<SpawnRequest> spawns;
     std::vector<FlowId> halted;  ///< flows halted this step (join notices)
@@ -478,6 +483,10 @@ class Machine {
   /// Records one shared-memory reference for the network term: ordered log
   /// under cfg.detailed_network, per-module aggregates otherwise.
   void note_ref(GroupCtx& ctx, GroupId src, std::uint32_t module);
+  /// note_ref for the `n` references of a lane run, in lane order; leaves
+  /// the run's per-module counts in ctx.run_modules for the memory port.
+  void note_ref_run(GroupCtx& ctx, GroupId src, const Addr* addr,
+                    std::uint64_t n);
   /// Executes up to `op_quota` operation slots of flow f (a full instruction
   /// when quota covers it). Returns ops consumed.
   std::uint64_t run_flow_slice(TcfDescriptor& f, std::uint64_t op_quota);
@@ -493,17 +502,25 @@ class Machine {
   Word alu(const isa::Instr& instr, Word a, Word b) const;
   Addr effective_addr(const TcfDescriptor& f, const isa::Instr& instr,
                       LaneId lane) const;
-  Word read_shared(TcfDescriptor& f, Addr a, LaneId lane);
   Cycle operand_penalty(LaneId lane) const;
   /// Closed-form sum of operand_penalty(lane) over [start, start + count):
   /// the vectorized ALU path charges a whole instruction at once.
   Cycle operand_penalty_range(LaneId start, std::uint64_t count) const;
   /// Register-to-register fast path: executes `instr` over lanes
   /// [start, start + count) of `f` as contiguous bank sweeps (SoA, inner
-  /// loop vectorizes). Returns false when the opcode needs the scalar
-  /// per-lane path (memory traffic, faulting divides).
+  /// loop vectorizes). Returns false when the opcode needs another path
+  /// (memory traffic, faulting divides).
   bool exec_alu_lanes(TcfDescriptor& f, const isa::Instr& instr,
                       std::uint64_t start, std::uint64_t count);
+  /// The one LD/ST implementation: executes a shared-memory LD or ST over
+  /// lanes [start, start + count) of `f` as one sweep — every effective
+  /// address computed and checked in one pass, traffic and network counts
+  /// added once per instruction, LD copying committed words into bank(rd),
+  /// ST staging the whole run at once. On a bad address the lanes before it
+  /// complete and the fault is the one the lane-by-lane order raises.
+  /// Returns false for any other opcode.
+  bool exec_shared_lanes(TcfDescriptor& f, const isa::Instr& instr,
+                         std::uint64_t start, std::uint64_t count);
   void finish_step(Cycle slot_term_max, const std::vector<Cycle>& group_work);
   /// The two components of the step's memory extension: the injected fault
   /// delay consumed this step and the network latency/bandwidth bound. The

@@ -1,15 +1,19 @@
-// A flat open-addressing map for per-flow store-forwarding buffers.
+// The per-flow store-forwarding buffer: an append-only write log with a
+// lazily built hash index.
 //
-// The step hot path clears and refills these buffers every machine step for
-// every ready flow; std::unordered_map paid a node allocation per staged
-// write and a full rehash-walk per clear. This map keeps its slot array
-// across steps (epoch tagging makes clear() O(1)), records insertion order
-// in a side log so iteration is O(entries) rather than O(capacity), and
-// never allocates on the clear path. Keys are shared-memory addresses.
+// Every thick ST appends its whole lane run to the log; most logs are
+// cleared at the step boundary without ever being searched (a flow whose
+// step ends after its ST never reads its own writes back). The open-addressed
+// index over the log is therefore built only on the first lookup, and later
+// appends join it incrementally on the next lookup. The index keeps its slot
+// array across steps (epoch tagging makes clear() O(1)) and never allocates
+// on the clear path. Keys are shared-memory addresses; the last write to a
+// key wins.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -19,22 +23,48 @@ namespace tcfpn::machine {
 
 class WriteBuffer {
  public:
-  bool empty() const { return keys_.empty(); }
-  std::size_t size() const { return keys_.size(); }
+  bool empty() const { return log_.empty(); }
+  /// Logged writes, rewrites of one key included.
+  std::size_t size() const { return log_.size(); }
 
-  /// Forgets every entry without releasing storage: bumps the epoch so old
-  /// slots read as vacant. O(1) except once per 2^64 clears.
+  /// Forgets every write without releasing storage: bumps the index epoch
+  /// so old slots read as vacant. O(1) except once per 2^64 clears.
   void clear() {
-    keys_.clear();
+    log_.clear();
+    if (indexed_ == 0) return;  // the index holds nothing of this epoch
+    indexed_ = 0;
     if (++epoch_ == 0) {  // epoch wrapped: scrub slots so stale tags die
       for (Slot& s : slots_) s.epoch = 0;
       epoch_ = 1;
     }
   }
 
-  /// Last value staged for `a` this epoch, or nullptr.
-  const Word* find(Addr a) const {
-    if (slots_.empty()) return nullptr;
+  /// Appends one write.
+  void put(Addr a, Word v) { log_.emplace_back(a, v); }
+
+  /// Appends the writes (a[i], v[i]) for i in [0, n), in that order.
+  void put_run(const Addr* a, const Word* v, std::size_t n) {
+    const std::size_t at = log_.size();
+    log_.resize(at + n);
+    for (std::size_t i = 0; i < n; ++i) log_[at + i] = {a[i], v[i]};
+  }
+
+  /// Moves every write of `other` after this buffer's own, leaving `other`
+  /// empty. Takes over other's log wholesale when this one is empty.
+  void absorb(WriteBuffer& other) {
+    if (log_.empty()) {
+      log_.swap(other.log_);
+    } else {
+      log_.insert(log_.end(), other.log_.begin(), other.log_.end());
+    }
+    other.clear();
+  }
+
+  /// Last value written to `a`, or nullptr. Indexes any writes appended
+  /// since the previous lookup first.
+  const Word* find(Addr a) {
+    if (log_.empty()) return nullptr;
+    if (indexed_ < log_.size()) index_log();
     std::size_t i = probe_start(a);
     for (;;) {
       const Slot& s = slots_[i];
@@ -44,39 +74,19 @@ class WriteBuffer {
     }
   }
 
-  /// Inserts or overwrites the value for `a`.
-  void put(Addr a, Word v) {
-    if (keys_.size() + 1 > (slots_.size() >> 1)) grow();
-    std::size_t i = probe_start(a);
-    for (;;) {
-      Slot& s = slots_[i];
-      if (s.epoch != epoch_) {
-        s.key = a;
-        s.value = v;
-        s.epoch = epoch_;
-        keys_.push_back(a);
-        return;
-      }
-      if (s.key == a) {
-        s.value = v;
-        return;
-      }
-      i = (i + 1) & mask_;
-    }
-  }
-
-  /// Visits entries in insertion order (each key once, latest value).
-  template <typename F>
-  void for_each(F&& f) const {
-    for (Addr a : keys_) f(a, *find(a));
-  }
-
-  /// Entries as (addr, value) pairs in insertion order (checkpoint layer;
-  /// the caller sorts for a canonical serialization).
+  /// One (addr, last value) pair per written key, keys in first-write order
+  /// (checkpoint layer; the caller sorts for a canonical serialization).
   std::vector<std::pair<Addr, Word>> items() const {
     std::vector<std::pair<Addr, Word>> out;
-    out.reserve(keys_.size());
-    for_each([&](Addr a, Word v) { out.emplace_back(a, v); });
+    std::unordered_map<Addr, std::size_t> at;
+    for (const auto& [a, v] : log_) {
+      const auto [it, fresh] = at.try_emplace(a, out.size());
+      if (fresh) {
+        out.emplace_back(a, v);
+      } else {
+        out[it->second].second = v;
+      }
+    }
     return out;
   }
 
@@ -92,18 +102,31 @@ class WriteBuffer {
     return static_cast<std::size_t>((a * 0x9e3779b97f4a7c15ull) >> 32) & mask_;
   }
 
-  void grow() {
-    const std::size_t cap = slots_.empty() ? 16 : slots_.size() * 2;
-    std::vector<std::pair<Addr, Word>> live = items();
-    slots_.assign(cap, Slot{});
-    mask_ = cap - 1;
-    keys_.clear();
-    epoch_ = 1;
-    for (const auto& [a, v] : live) put(a, v);
+  /// Brings the index up to date with the log. The table holds at least
+  /// twice as many slots as logged writes, so it is never more than half
+  /// full; outgrowing it re-indexes the whole log into a larger table.
+  void index_log() {
+    if (2 * log_.size() > slots_.size()) {
+      std::size_t cap = slots_.empty() ? 16 : slots_.size();
+      while (cap < 2 * log_.size()) cap *= 2;
+      slots_.assign(cap, Slot{});
+      mask_ = cap - 1;
+      epoch_ = 1;
+      indexed_ = 0;
+    }
+    for (; indexed_ < log_.size(); ++indexed_) {
+      const auto [a, v] = log_[indexed_];
+      std::size_t i = probe_start(a);
+      while (slots_[i].epoch == epoch_ && slots_[i].key != a) {
+        i = (i + 1) & mask_;
+      }
+      slots_[i] = Slot{a, v, epoch_};
+    }
   }
 
+  std::vector<std::pair<Addr, Word>> log_;  ///< every write, in order
+  std::size_t indexed_ = 0;  ///< log_[0, indexed_) is in the index
   std::vector<Slot> slots_;
-  std::vector<Addr> keys_;  ///< insertion log: one entry per live key
   std::size_t mask_ = 0;
   std::uint64_t epoch_ = 1;
 };

@@ -59,12 +59,6 @@ Word MemoryPort::read(Addr a, LaneId lane, std::uint32_t module) {
   return shm_->peek(a);  // committed pre-step state; check_addr included
 }
 
-void MemoryPort::write(Addr a, Word v, LaneId lane, std::uint32_t module) {
-  shm_->check_addr(a);
-  ++mod_writes_[module];
-  writes_.push_back(StagedWrite{a, v, lane});
-}
-
 void MemoryPort::multiop(Addr a, MultiOp op, Word v, LaneId lane,
                          std::uint32_t module) {
   shm_->check_addr(a);
@@ -80,27 +74,77 @@ std::size_t MemoryPort::multiprefix(Addr a, MultiOp op, Word v, LaneId lane,
   return prefixes_++;
 }
 
-void MemoryPort::seal() {
-  std::stable_sort(writes_.begin(), writes_.end(),
-                   [](const StagedWrite& x, const StagedWrite& y) {
-                     return x.addr != y.addr ? x.addr < y.addr
-                                             : x.lane < y.lane;
-                   });
-  // Collapse same-(addr, lane) runs to the last staged value: rewrites by one
-  // lane within a step are program-ordered, so only the final value reaches
-  // the commit and the CRCW policy — exactly the collapse commit_writes used
-  // to do globally, moved onto the worker thread.
+void MemoryPort::read_run(const Addr* addr, std::size_t n, LaneId lane0,
+                          const std::uint64_t* per_module, Word* out) {
+  for (std::size_t m = 0; m < mod_reads_.size(); ++m) {
+    mod_reads_[m] += per_module[m];
+  }
+  n_reads_ += n;
+  if (shm_->policy_ == CrcwPolicy::kErew) {
+    for (std::size_t i = 0; i < n; ++i) reads_.emplace_back(addr[i], lane0 + i);
+  }
+  if (out == nullptr) return;
+  const Word* store = shm_->store_.data();
+  for (std::size_t i = 0; i < n; ++i) out[i] = store[addr[i]];
+}
+
+void MemoryPort::write_run(const Addr* addr, const Word* value, std::size_t n,
+                           LaneId lane0, const std::uint64_t* per_module) {
+  for (std::size_t m = 0; m < mod_writes_.size(); ++m) {
+    mod_writes_[m] += per_module[m];
+  }
+  const std::size_t at = writes_.size();
+  writes_.resize(at + n);
+  for (std::size_t i = 0; i < n; ++i) {
+    writes_[at + i] = StagedWrite{addr[i], value[i], lane0 + i};
+  }
+}
+
+namespace {
+
+bool before(const StagedWrite& x, const StagedWrite& y) {
+  return x.addr != y.addr ? x.addr < y.addr : x.lane < y.lane;
+}
+
+/// True when `w` is in strict (addr, lane) order: sorted, no repeated key.
+bool strictly_ordered(const std::vector<StagedWrite>& w) {
+  for (std::size_t i = 1; i < w.size(); ++i) {
+    if (!before(w[i - 1], w[i])) return false;
+  }
+  return true;
+}
+
+/// Collapses runs of one (addr, lane) key in sorted `w` to the last staged
+/// value: rewrites by one lane within a step are program-ordered, not
+/// concurrent — store forwarding already made the earlier values
+/// flow-private — so only the final one reaches the commit and the CRCW
+/// policy.
+void collapse_rewrites(std::vector<StagedWrite>& w) {
   std::size_t kept = 0;
-  for (std::size_t i = 0; i < writes_.size(); ++i) {
-    if (kept > 0 && writes_[kept - 1].addr == writes_[i].addr &&
-        writes_[kept - 1].lane == writes_[i].lane) {
-      writes_[kept - 1].value = writes_[i].value;
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    if (kept > 0 && w[kept - 1].addr == w[i].addr &&
+        w[kept - 1].lane == w[i].lane) {
+      w[kept - 1].value = w[i].value;
     } else {
-      writes_[kept++] = writes_[i];
+      w[kept++] = w[i];
     }
   }
-  writes_.resize(kept);
+  w.resize(kept);
+}
+
+/// Stable-sorts `w` into (addr, lane) order and collapses rewrites.
+void sort_and_collapse(std::vector<StagedWrite>& w) {
+  std::stable_sort(w.begin(), w.end(), before);
+  collapse_rewrites(w);
+}
+
+}  // namespace
+
+void MemoryPort::seal() {
   sealed_ = true;
+  // A thick ST over ascending addresses stages its run already in order;
+  // that common case costs one compare per write.
+  if (!strictly_ordered(writes_)) sort_and_collapse(writes_);
 }
 
 MemoryPort::Image MemoryPort::save_image() const {
@@ -131,6 +175,9 @@ void MemoryPort::load_image(const Image& img) {
   n_reads_ = img.n_reads;
   prefixes_ = static_cast<std::size_t>(img.prefixes);
   sealed_ = img.sealed;
+  // drain() relies on a sealed run being strictly ordered; an image that
+  // came from another process is checked rather than trusted.
+  if (sealed_ && !strictly_ordered(writes_)) sort_and_collapse(writes_);
 }
 
 void MemoryPort::clear() {
@@ -149,6 +196,7 @@ SharedMemory::SharedMemory(std::size_t words, std::uint32_t modules,
                            CrcwPolicy policy)
     : store_(words, 0),
       modules_(modules),
+      pow2_modules_((modules & (modules - 1)) == 0),
       policy_(policy),
       traffic_(modules),
       last_traffic_(modules) {
@@ -156,14 +204,11 @@ SharedMemory::SharedMemory(std::size_t words, std::uint32_t modules,
   TCFPN_CHECK(modules > 0, "shared memory needs at least one module");
 }
 
-std::uint32_t SharedMemory::module_of(Addr a) const {
-  if (hash_) {
-    const std::uint32_t m = hash_(a);
-    TCFPN_CHECK(m < modules_, "address hash returned module ", m,
-                " out of range ", modules_);
-    return m;
-  }
-  return static_cast<std::uint32_t>(a % modules_);
+std::uint32_t SharedMemory::hashed_module(Addr a) const {
+  const std::uint32_t m = hash_(a);
+  TCFPN_CHECK(m < modules_, "address hash returned module ", m,
+              " out of range ", modules_);
+  return m;
 }
 
 void SharedMemory::set_address_hash(std::function<std::uint32_t(Addr)> hash) {
@@ -195,7 +240,7 @@ void SharedMemory::write(Addr a, Word v, LaneId lane) {
   check_addr(a);
   note_traffic(a, &ModuleTraffic::writes);
   ++total_writes_;
-  pending_writes_.push_back(PendingWrite{a, v, lane});
+  pending_writes_.push_back(StagedWrite{a, v, lane});
   runs_ok_ = false;  // unsorted tail: commit falls back to the full sort
 }
 
@@ -242,45 +287,26 @@ void SharedMemory::commit_writes() {
     runs_ok_ = true;
     return;
   }
-  const auto by_addr_lane = [](const PendingWrite& x, const PendingWrite& y) {
-    return x.addr != y.addr ? x.addr < y.addr : x.lane < y.lane;
-  };
-  if (runs_ok_ && !write_run_ends_.empty() &&
-      write_run_ends_.back() == pending_writes_.size()) {
-    // Port path: every run is already sorted on its worker thread; a stable
-    // left-to-right merge cascade reproduces the stable_sort of the issue
-    // order without touching most elements (disjoint address ranges merge in
-    // O(n) moves).
+  if (!runs_ok_) {
+    sort_and_collapse(pending_writes_);
+  } else if (write_run_ends_.size() > 1) {
+    // Port path: every run is already strictly ordered on its worker thread;
+    // a stable left-to-right merge cascade reproduces the stable_sort of the
+    // issue order without touching most elements.
     const auto it = pending_writes_.begin();
     std::size_t prefix = write_run_ends_.front();
     for (std::size_t r = 1; r < write_run_ends_.size(); ++r) {
       std::inplace_merge(it, it + static_cast<std::ptrdiff_t>(prefix),
                          it + static_cast<std::ptrdiff_t>(write_run_ends_[r]),
-                         by_addr_lane);
+                         before);
       prefix = write_run_ends_[r];
     }
-  } else {
-    std::stable_sort(pending_writes_.begin(), pending_writes_.end(),
-                     by_addr_lane);
+    collapse_rewrites(pending_writes_);
   }
+  // A single port run (drain joins runs that follow each other in order) is
+  // strictly ordered already: nothing to sort, merge or collapse.
   write_run_ends_.clear();
   runs_ok_ = true;
-  // Collapse runs with the same (addr, lane) key to the *last* staged value:
-  // one lane rewriting a cell several times within a step (balanced
-  // multi-instruction steps, NUMA blocks) is program-ordered, not
-  // concurrent — store forwarding already made the earlier values
-  // flow-private, so only the final one reaches the commit and the CRCW
-  // policy.
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < pending_writes_.size(); ++i) {
-    if (kept > 0 && pending_writes_[kept - 1].addr == pending_writes_[i].addr &&
-        pending_writes_[kept - 1].lane == pending_writes_[i].lane) {
-      pending_writes_[kept - 1].value = pending_writes_[i].value;
-    } else {
-      pending_writes_[kept++] = pending_writes_[i];
-    }
-  }
-  pending_writes_.resize(kept);
   for (std::size_t i = 0; i < pending_writes_.size();) {
     std::size_t j = i + 1;
     while (j < pending_writes_.size() &&
@@ -404,16 +430,23 @@ std::size_t SharedMemory::drain(MemoryPort& port) {
     step_reads_.insert(step_reads_.end(), port.reads_.begin(),
                        port.reads_.end());
   }
-  // Append the port's pre-sorted, pre-collapsed write run; commit_writes
-  // merges the runs instead of sorting from scratch. Drain order = group
-  // order, so an equal-key tie between runs resolves exactly as the
-  // sequential issue order would (stable merge keeps the earlier group
-  // first; the last-wins collapse then takes the later one).
-  pending_writes_.reserve(pending_writes_.size() + port.writes_.size());
-  for (const auto& w : port.writes_) {
-    pending_writes_.push_back(PendingWrite{w.addr, w.value, w.lane});
+  // Append the port's strictly ordered write run; commit_writes merges the
+  // runs instead of sorting from scratch. Drain order = group order, so an
+  // equal-key tie between runs resolves exactly as the sequential issue
+  // order would (stable merge keeps the earlier group first; the last-wins
+  // collapse then takes the later one). A run that continues the previous
+  // one in strict order extends it, so groups writing ascending address
+  // windows leave a single run and commit merges nothing.
+  const std::size_t at = pending_writes_.size();
+  pending_writes_.insert(pending_writes_.end(), port.writes_.begin(),
+                         port.writes_.end());
+  if (runs_ok_ && !port.writes_.empty()) {
+    if (at > 0 && before(pending_writes_[at - 1], pending_writes_[at])) {
+      write_run_ends_.back() = pending_writes_.size();
+    } else {
+      write_run_ends_.push_back(pending_writes_.size());
+    }
   }
-  if (runs_ok_) write_run_ends_.push_back(pending_writes_.size());
   // Multioperation contributions replay in issue order (= ticket order).
   const std::size_t base = next_ticket_;
   for (const auto& s : port.multis_) {

@@ -103,8 +103,6 @@ class MemoryPort {
 
   /// Committed-state read (concurrent-safe); accounting lands at drain().
   Word read(Addr a, LaneId lane, std::uint32_t module);
-  /// Stages a write for the next commit (bounds-checked at issue time).
-  void write(Addr a, Word v, LaneId lane, std::uint32_t module);
   /// Stages a multioperation contribution.
   void multiop(Addr a, MultiOp op, Word v, LaneId lane, std::uint32_t module);
   /// Stages a multiprefix contribution; returns a port-local request index.
@@ -112,9 +110,22 @@ class MemoryPort {
   std::size_t multiprefix(Addr a, MultiOp op, Word v, LaneId lane,
                           std::uint32_t module);
 
+  /// Lane-run access for a thick LD/ST: `n` lanes with lane keys lane0,
+  /// lane0 + 1, ..., every address already range-checked by the caller.
+  /// `per_module[m]` counts the run's lanes at module m; it is added to the
+  /// port's traffic once, not lane by lane. read_run copies the committed
+  /// words into `out` (nullptr discards them); write_run stages the run's
+  /// writes for the next commit.
+  void read_run(const Addr* addr, std::size_t n, LaneId lane0,
+                const std::uint64_t* per_module, Word* out);
+  void write_run(const Addr* addr, const Word* value, std::size_t n,
+                 LaneId lane0, const std::uint64_t* per_module);
+
   /// Sorts the staged writes by (addr, lane) and collapses same-key runs to
-  /// the last staged value (program order within the port). Safe to call on
-  /// a worker thread at the end of the group phase; drain() requires it.
+  /// the last staged value (program order within the port); a run already
+  /// in strict (addr, lane) order is left as it is. Afterwards the run is
+  /// strictly ordered. Safe to call on a worker thread at the end of the
+  /// group phase; drain() requires it.
   void seal();
 
   bool empty() const {
@@ -185,11 +196,18 @@ class SharedMemory {
   void set_policy(CrcwPolicy p) { policy_ = p; }
 
   /// Module that owns address `a` under the current placement.
-  std::uint32_t module_of(Addr a) const;
+  std::uint32_t module_of(Addr a) const {
+    if (hash_) return hashed_module(a);
+    return static_cast<std::uint32_t>(pow2_modules_ ? a & (modules_ - 1)
+                                                    : a % modules_);
+  }
 
   /// Installs a custom address->module placement (e.g. a hashed placement to
   /// break hot modules). Must map into [0, modules).
   void set_address_hash(std::function<std::uint32_t(Addr)> hash);
+
+  /// Faults (SimError) when `a` lies outside the memory.
+  void check_addr(Addr a) const;
 
   // ----- step-synchronous access (PRAM mode) -----
 
@@ -259,12 +277,7 @@ class SharedMemory {
   void restore_state(const SharedMemoryState& s);
 
  private:
-  friend class MemoryPort;  // issue-time check_addr and policy peeks
-  struct PendingWrite {
-    Addr addr;
-    Word value;
-    LaneId lane;
-  };
+  friend class MemoryPort;  // policy peeks and lane-run reads of store_
   struct PendingMulti {
     Addr addr;
     MultiOp op;
@@ -276,7 +289,7 @@ class SharedMemory {
     }
   };
 
-  void check_addr(Addr a) const;
+  std::uint32_t hashed_module(Addr a) const;
   void note_traffic(Addr a, std::uint64_t ModuleTraffic::*field);
   void commit_writes();
   /// EREW exclusivity over this step's reads (and read/write overlaps with
@@ -287,13 +300,16 @@ class SharedMemory {
 
   std::vector<Word> store_;
   std::uint32_t modules_;
+  bool pow2_modules_;  ///< modules_ is a power of two: module = a & (M - 1)
   CrcwPolicy policy_;
   std::function<std::uint32_t(Addr)> hash_;
 
-  std::vector<PendingWrite> pending_writes_;
-  /// End offsets into pending_writes_ of each drained port's pre-sorted run;
-  /// valid while runs_ok_ — a direct write() (non-port caller) appends an
-  /// unsorted entry and drops commit back to the full sort.
+  std::vector<StagedWrite> pending_writes_;
+  /// End offsets into pending_writes_ of its strictly (addr, lane) ordered
+  /// runs: a drained port run that continues the previous one in order
+  /// extends it, any other starts a new run. Valid while runs_ok_ — a
+  /// direct write() (non-port caller) appends an unsorted entry and drops
+  /// commit back to the full sort.
   std::vector<std::size_t> write_run_ends_;
   bool runs_ok_ = true;
   std::vector<PendingMulti> pending_multis_;

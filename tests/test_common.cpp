@@ -4,8 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
@@ -389,7 +394,95 @@ TEST(EffectChannel, ResetRearmsForTheNextStep) {
   ch.await();    // already sealed: returns immediately
 }
 
-// ---- WriteBuffer: the store-forwarding flat map ----
+// ---- Lost wake-ups: store-then-notify under a deadline ----
+//
+// EffectChannel::publish() and ThreadPool::begin() store a flag and then
+// notify. If that store does not order the notifier's waiter check after
+// it, a thread that tested the flag and went to sleep in between is never
+// woken, and the handoff hangs. The two ping-pongs below run 500 000 rounds
+// each; a round that makes no progress for the stall deadline ends the
+// process with a message instead of hanging the suite.
+
+constexpr int kHandoffRounds = 500'000;
+constexpr auto kHandoffStall = std::chrono::seconds(30);
+
+/// Ends the process when `round` stops advancing for `stall`.
+class Watchdog {
+ public:
+  Watchdog(const char* what, std::chrono::seconds stall)
+      : thread_([this, what, stall] {
+          std::unique_lock<std::mutex> lock(mu_);
+          int seen = -1;
+          while (!cv_.wait_for(lock, stall, [this] { return done_; })) {
+            const int now = round.load();
+            if (now == seen) {
+              std::fprintf(stderr, "%s: round %d made no progress in %lld s "
+                           "(lost wake-up)\n", what, now,
+                           static_cast<long long>(stall.count()));
+              std::_Exit(1);
+            }
+            seen = now;
+          }
+        }) {}
+  ~Watchdog() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      done_ = true;
+    }
+    cv_.notify_one();
+    thread_.join();
+  }
+  Watchdog(const Watchdog&) = delete;
+  Watchdog& operator=(const Watchdog&) = delete;
+
+  std::atomic<int> round{0};
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool done_ = false;
+  std::thread thread_;
+};
+
+TEST(LostWakeup, ChannelPingPong) {
+  common::EffectChannel ping, pong;
+  Watchdog dog("EffectChannel ping-pong", kHandoffStall);
+  std::thread partner([&] {
+    for (int r = 0; r < kHandoffRounds; ++r) {
+      ping.await();
+      ping.reset();  // the other side publishes ping again only after pong
+      pong.publish();
+    }
+  });
+  for (int r = 0; r < kHandoffRounds; ++r) {
+    dog.round.store(r, std::memory_order_relaxed);
+    ping.publish();
+    pong.await();
+    pong.reset();
+  }
+  partner.join();
+}
+
+// The engine's own handshake: begin() must wake the worker, whose publish()
+// must wake the stepping thread. The stepping thread never steals the job,
+// so a lost wake on either side stalls the round.
+TEST(LostWakeup, PoolAndChannelPingPong) {
+  common::ThreadPool pool(2);
+  common::EffectChannel sealed;
+  const std::function<void(std::size_t)> job = [&](std::size_t) {
+    sealed.publish();
+  };
+  Watchdog dog("ThreadPool/EffectChannel ping-pong", kHandoffStall);
+  for (int r = 0; r < kHandoffRounds; ++r) {
+    dog.round.store(r, std::memory_order_relaxed);
+    sealed.reset();
+    pool.begin(1, job);
+    sealed.await();
+    pool.end();
+  }
+}
+
+// ---- WriteBuffer: the store-forwarding log ----
 
 TEST(WriteBuffer, PutFindLastWins) {
   machine::WriteBuffer wb;
@@ -397,8 +490,8 @@ TEST(WriteBuffer, PutFindLastWins) {
   EXPECT_EQ(wb.find(7), nullptr);
   wb.put(7, 100);
   wb.put(9, 200);
-  wb.put(7, 300);  // overwrite, not a second entry
-  EXPECT_EQ(wb.size(), 2u);
+  wb.put(7, 300);  // a rewrite: the log keeps both, lookups see the last
+  EXPECT_EQ(wb.size(), 3u);
   ASSERT_NE(wb.find(7), nullptr);
   EXPECT_EQ(*wb.find(7), 300);
   ASSERT_NE(wb.find(9), nullptr);
@@ -411,7 +504,7 @@ TEST(WriteBuffer, ItemsKeepInsertionOrder) {
   wb.put(30, 1);
   wb.put(10, 2);
   wb.put(20, 3);
-  wb.put(10, 4);  // overwrite keeps the original position
+  wb.put(10, 4);  // a rewrite keeps the key's first position
   const auto items = wb.items();
   ASSERT_EQ(items.size(), 3u);
   EXPECT_EQ(items[0], (std::pair<Addr, Word>{30, 1}));
@@ -419,11 +512,13 @@ TEST(WriteBuffer, ItemsKeepInsertionOrder) {
   EXPECT_EQ(items[2], (std::pair<Addr, Word>{20, 3}));
 }
 
-// clear() is epoch-based: old entries must be invisible afterwards even
-// though their slots were never scrubbed, and the buffer is fully reusable.
+// clear() is epoch-based: entries the index already holds must be invisible
+// afterwards even though their slots were never scrubbed, and the buffer is
+// fully reusable.
 TEST(WriteBuffer, ClearForgetsWithoutScrubbing) {
   machine::WriteBuffer wb;
   for (Addr a = 0; a < 100; ++a) wb.put(a, static_cast<Word>(a));
+  ASSERT_NE(wb.find(50), nullptr);  // builds the index
   wb.clear();
   EXPECT_TRUE(wb.empty());
   for (Addr a = 0; a < 100; ++a) EXPECT_EQ(wb.find(a), nullptr) << a;
@@ -431,15 +526,19 @@ TEST(WriteBuffer, ClearForgetsWithoutScrubbing) {
   EXPECT_EQ(wb.size(), 1u);
   ASSERT_NE(wb.find(42), nullptr);
   EXPECT_EQ(*wb.find(42), 777);
+  EXPECT_EQ(wb.find(50), nullptr);
 }
 
-// Growth rehashes live entries: every key stays findable across the resize
-// and insertion order survives (the checkpoint layer depends on it).
+// Growth re-indexes the log: every key stays findable across the resize and
+// insertion order survives (the checkpoint layer depends on it).
 TEST(WriteBuffer, GrowthPreservesEntriesAndOrder) {
   machine::WriteBuffer wb;
   constexpr Addr kCount = 10000;  // forces several doublings
   for (Addr a = 0; a < kCount; ++a) {
     wb.put(a * 64, static_cast<Word>(a + 1));  // sparse keys, same hash band
+    if (a % 1000 == 0) {
+      ASSERT_NE(wb.find(a * 64), nullptr);  // index as we go
+    }
   }
   EXPECT_EQ(wb.size(), kCount);
   for (Addr a = 0; a < kCount; ++a) {
@@ -450,6 +549,43 @@ TEST(WriteBuffer, GrowthPreservesEntriesAndOrder) {
   for (Addr a = 0; a < kCount; ++a) {
     EXPECT_EQ(items[a].first, a * 64);
   }
+}
+
+// The index is built lazily: writes appended after a lookup join it on the
+// next one, and a later write to an indexed key replaces its value.
+TEST(WriteBuffer, AppendsAfterALookupJoinTheIndex) {
+  machine::WriteBuffer wb;
+  const Addr a[] = {5, 6, 7};
+  const Word v[] = {50, 60, 70};
+  wb.put_run(a, v, 3);
+  ASSERT_NE(wb.find(6), nullptr);
+  EXPECT_EQ(*wb.find(6), 60);
+  wb.put(6, 61);
+  wb.put(8, 80);
+  EXPECT_EQ(*wb.find(6), 61);
+  EXPECT_EQ(*wb.find(8), 80);
+  EXPECT_EQ(*wb.find(5), 50);
+}
+
+// absorb() appends another buffer's writes after this one's and empties it;
+// the later buffer's writes win.
+TEST(WriteBuffer, AbsorbAppendsAndEmptiesTheSource) {
+  machine::WriteBuffer step, instr;
+  instr.put(1, 10);
+  step.absorb(instr);  // empty target: takes the log over
+  EXPECT_TRUE(instr.empty());
+  ASSERT_NE(step.find(1), nullptr);
+  EXPECT_EQ(*step.find(1), 10);
+  instr.put(1, 11);
+  instr.put(2, 20);
+  step.absorb(instr);  // non-empty target: appends
+  EXPECT_TRUE(instr.empty());
+  EXPECT_EQ(step.size(), 3u);
+  EXPECT_EQ(*step.find(1), 11);
+  EXPECT_EQ(*step.find(2), 20);
+  instr.put(3, 30);  // the source stays usable
+  EXPECT_EQ(instr.size(), 1u);
+  EXPECT_EQ(instr.items(), (std::vector<std::pair<Addr, Word>>{{3, 30}}));
 }
 
 }  // namespace

@@ -2,8 +2,15 @@
 // lockstep memory visibility, spawning/joining, NUMA blocks, counters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "baseline/frontends.hpp"
 #include "common/check.hpp"
+#include "conformance/oracle.hpp"
+#include "debug/recorder.hpp"
 #include "isa/assembler.hpp"
 #include "machine/machine.hpp"
 #include "tcf/kernels.hpp"
@@ -446,6 +453,343 @@ TEST(MachineConfigChecks, BootValidation) {
   EXPECT_THROW(m.boot(0), SimError);
   EXPECT_THROW(m.boot_at(5, 1, 0), SimError);
   EXPECT_THROW(m.boot_at(0, 1, 99), SimError);
+}
+
+// ---- The shared-memory lane sweep against the reference oracle ----
+//
+// A thick LD or ST runs as one sweep over its lanes (exec_shared_lanes).
+// Each case runs a program on the machine at host_threads 1, 2 and 8 and on
+// conformance::run_oracle, and requires the same final shared memory, PRINT
+// stream, completion and fault (message and class), plus the same cycles,
+// steps and traffic counters at every host-thread count. The pinned cycle
+// counts are the ones the lane-by-lane implementation charged.
+
+MachineConfig sweep_cfg() {
+  MachineConfig cfg;
+  cfg.groups = 4;
+  cfg.slots_per_group = 8;
+  cfg.shared_words = 4096;
+  cfg.local_words = 512;
+  return cfg;
+}
+
+/// ".data at, f(0), ..., f(n - 1)" plus a newline.
+template <class F>
+std::string data_line(Addr at, Word n, F f) {
+  std::string s = ".data " + std::to_string(at);
+  for (Word i = 0; i < n; ++i) s += ", " + std::to_string(f(i));
+  return s + "\n";
+}
+
+struct SweepOutcome {
+  bool completed = false;
+  std::string fault;
+  std::vector<Word> shared;
+  std::vector<Word> prints;
+  Cycle cycles = 0;
+  StepId steps = 0;
+  std::uint64_t shared_reads = 0;
+  std::uint64_t shared_writes = 0;
+  std::uint64_t store_forwards = 0;
+};
+
+using MachineSetup = std::function<void(Machine&)>;
+
+SweepOutcome run_sweep_case(const isa::Program& prog, Word thickness,
+                            const MachineConfig& cfg,
+                            const MachineSetup& setup) {
+  Machine m(cfg);
+  if (setup) setup(m);
+  m.load(prog);
+  m.boot(thickness);
+  SweepOutcome o;
+  try {
+    o.completed = m.run(1u << 16).completed;
+  } catch (const SimError& e) {
+    o.fault = e.what();
+  }
+  for (Addr a = 0; a < cfg.shared_words; ++a) {
+    o.shared.push_back(m.shared().peek(a));
+  }
+  o.prints = m.debug_output();
+  o.cycles = m.stats().cycles;
+  o.steps = m.stats().steps;
+  o.shared_reads = m.metrics().counter("mem/shared_reads").value();
+  o.shared_writes = m.metrics().counter("mem/shared_writes").value();
+  o.store_forwards = m.metrics().counter("mem/store_forwards").value();
+  return o;
+}
+
+/// Index of the first differing word, or -1.
+std::int64_t first_difference(const std::vector<Word>& a,
+                              const std::vector<Word>& b) {
+  for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+    if (a[i] != b[i]) return static_cast<std::int64_t>(i);
+  }
+  return a.size() == b.size() ? -1 : static_cast<std::int64_t>(a.size());
+}
+
+/// Runs `src` on the oracle and on the machine at host_threads 1, 2 and 8,
+/// checks them as described above, and returns the host_threads=1 outcome.
+SweepOutcome expect_sweep_matches_oracle(const std::string& src,
+                                         Word thickness, MachineConfig cfg,
+                                         const MachineSetup& setup = {}) {
+  const isa::Program prog = isa::assemble(src);
+  conformance::OracleOptions oo;
+  oo.policy = cfg.crcw;
+  oo.shared_words = cfg.shared_words;
+  oo.local_words = cfg.local_words;
+  const conformance::OracleResult want =
+      conformance::run_oracle(prog, thickness, 0, false, oo);
+  SweepOutcome first;
+  for (const std::uint32_t ht : {1u, 2u, 8u}) {
+    SCOPED_TRACE("host_threads=" + std::to_string(ht));
+    cfg.host_threads = ht;
+    const SweepOutcome got = run_sweep_case(prog, thickness, cfg, setup);
+    EXPECT_EQ(got.fault, want.fault);
+    EXPECT_EQ(debug::classify_fault(got.fault),
+              debug::classify_fault(want.fault));
+    EXPECT_EQ(got.completed, want.completed);
+    EXPECT_EQ(first_difference(got.shared, want.shared), -1)
+        << "shared memory differs from the oracle";
+    EXPECT_EQ(got.prints, want.debug);
+    if (ht == 1) {
+      first = got;
+      continue;
+    }
+    EXPECT_EQ(got.cycles, first.cycles);
+    EXPECT_EQ(got.steps, first.steps);
+    EXPECT_EQ(got.shared_reads, first.shared_reads);
+    EXPECT_EQ(got.shared_writes, first.shared_writes);
+    EXPECT_EQ(got.store_forwards, first.store_forwards);
+  }
+  return first;
+}
+
+TEST(MachineSweep, LaneAndPlainAddressingAndR0MatchOracle) {
+  const Word t = 40;
+  const std::string src =
+      data_line(100, t, [](Word i) { return 3 * i + 1; }) +
+      data_line(200, t, [](Word i) { return 1000 - i; }) +
+      data_line(600, t, [](Word) { return 77; }) + R"(
+      TID r1
+      LD  r2, [r0+100+@]
+      LD  r3, [r1+200]
+      LD  r0, [r1+100]
+      ADD r4, r2, r3
+      ST  r4, [r0+400+@]
+      ST  r2, [r1+500]
+      ST  r0, [r1+600]
+      LD  r5, [r1+400]
+      ST  r5, [r1+700]
+      HALT
+  )";
+  const SweepOutcome out = expect_sweep_matches_oracle(src, t, sweep_cfg());
+  EXPECT_TRUE(out.completed);
+  // LD into r0 discards the words but is still shared-memory traffic; the
+  // zeros ST r0 wrote over the 77s show r0 stayed zero.
+  EXPECT_EQ(out.shared_reads, 4u * t);
+  EXPECT_EQ(out.shared_writes, 4u * t);
+  EXPECT_EQ(out.shared[600], 0);
+  EXPECT_EQ(out.shared[700 + 39], 3 * 39 + 1 + 1000 - 39);
+  EXPECT_EQ(out.cycles, 445u);
+}
+
+// Lanes past the register cache pay the spill penalty on LD and ST exactly
+// as on an ALU op: the sweep charges the per-lane sum in closed form.
+TEST(MachineSweep, ThicknessPastRegisterCacheChargesEveryLane) {
+  const Word t = 100;
+  MachineConfig cfg = sweep_cfg();
+  cfg.register_spill_penalty = 3;
+  const std::uint64_t cached =
+      cfg.register_cache_words / cfg.registers_per_context;
+  ASSERT_LT(cached, static_cast<std::uint64_t>(t));
+  const std::string src = data_line(1000, t, [](Word i) { return i * i; }) +
+                          R"(
+      TID r1
+      LD  r2, [r1+1000]
+      ADD r2, r2, 1
+      ST  r2, [r1+2000]
+      HALT
+  )";
+  const SweepOutcome out = expect_sweep_matches_oracle(src, t, cfg);
+  EXPECT_TRUE(out.completed);
+  EXPECT_EQ(out.cycles, 853u);
+
+  Machine m(cfg);
+  m.load(isa::assemble(src));
+  m.boot(t);
+  const metrics::Counter& slot =
+      m.metrics().counter("machine/slot_term_cycles");
+  std::vector<std::uint64_t> per_step;
+  std::uint64_t before = 0;
+  while (m.step()) {
+    per_step.push_back(slot.value() - before);
+    before = slot.value();
+  }
+  std::uint64_t per_instruction = 0;
+  for (Word lane = 0; lane < t; ++lane) {
+    per_instruction += 1 + (static_cast<std::uint64_t>(lane) >= cached
+                                ? cfg.register_spill_penalty
+                                : 0);
+  }
+  ASSERT_EQ(per_step.size(), 5u);
+  for (std::size_t s = 0; s < 4; ++s) {
+    EXPECT_EQ(per_step[s], per_instruction) << "step " << s;
+  }
+  EXPECT_EQ(per_step[4], 1u);  // HALT: one activation slot
+}
+
+// Balanced bound 16 over thickness 12: the ST is cut after 8 lanes, and the
+// step that finishes it runs the LD of the same cells. Lanes 8..11 of that
+// LD must see the ST's still-uncommitted words through store forwarding.
+TEST(MachineSweep, BalancedInterruptedStoreForwardsToSameStepLoad) {
+  const Word t = 12;
+  MachineConfig cfg = sweep_cfg();
+  cfg.variant = Variant::kBalanced;
+  cfg.balanced_bound = 16;
+  const std::string src = data_line(300, t, [](Word) { return 7; }) + R"(
+      TID r1
+      ADD r2, r1, 1000
+      ST  r2, [r1+300]
+      LD  r3, [r1+300]
+      ST  r3, [r1+600]
+      HALT
+  )";
+  const SweepOutcome out = expect_sweep_matches_oracle(src, t, cfg);
+  EXPECT_TRUE(out.completed);
+  EXPECT_EQ(out.store_forwards, static_cast<std::uint64_t>(t));
+  EXPECT_EQ(out.shared_reads, 0u);
+  for (Word i = 0; i < t; ++i) EXPECT_EQ(out.shared[600 + i], 1000 + i);
+  EXPECT_EQ(out.cycles, 80u);
+}
+
+TEST(MachineSweep, ErewReadLoggingAndViolation) {
+  MachineConfig cfg = sweep_cfg();
+  cfg.crcw = mem::CrcwPolicy::kErew;
+  const std::string legal = data_line(100, 16, [](Word i) { return i; }) + R"(
+      TID r1
+      LD  r2, [r1+100]
+      ST  r2, [r1+300]
+      LD  r3, [r0+300+@]
+      ADD r3, r3, r2
+      ST  r3, [r0+300+@]
+      HALT
+  )";
+  const SweepOutcome ok = expect_sweep_matches_oracle(legal, 16, cfg);
+  EXPECT_TRUE(ok.completed);
+  EXPECT_EQ(ok.shared[300 + 5], 10);
+  EXPECT_EQ(ok.cycles, 125u);
+
+  const SweepOutcome bad = expect_sweep_matches_oracle(R"(
+      TID r1
+      LD  r2, [r0+100]
+      HALT
+  )", 4, cfg);
+  EXPECT_EQ(bad.fault,
+            "EREW violation: concurrent reads of address 100 in step 1");
+}
+
+// The detailed router replays references in issue order and a custom
+// address hash moves modules; neither may change results, and the cycles
+// must be the ones the per-lane reference stream produced. Four functional
+// units shrink the slot term so the memory term decides the step length.
+TEST(MachineSweep, DetailedNetworkAndAddressHash) {
+  const Word t = 64;
+  const std::string src = data_line(100, 5 * t, [](Word i) { return i; }) +
+                          R"(
+      TID r1
+      MUL r2, r1, 5
+      LD  r3, [r2+100]
+      ST  r3, [r2+1000]
+      LD  r4, [r0+1000+@]
+      ST  r4, [r1+3000]
+      HALT
+  )";
+  const MachineSetup hashed = [](Machine& m) {
+    m.shared().set_address_hash(
+        [](Addr a) { return static_cast<std::uint32_t>((a * a) % 4); });
+  };
+  const Cycle want[2][2] = {{125u, 189u}, {197u, 193u}};  // [detailed][hash]
+  for (const bool detailed : {false, true}) {
+    for (const bool hash : {false, true}) {
+      SCOPED_TRACE(std::string(detailed ? "detailed" : "analytic") +
+                   (hash ? " hashed" : " interleaved"));
+      MachineConfig cfg = sweep_cfg();
+      cfg.functional_units = 4;
+      cfg.detailed_network = detailed;
+      const SweepOutcome out = expect_sweep_matches_oracle(
+          src, t, cfg, hash ? hashed : MachineSetup{});
+      EXPECT_TRUE(out.completed);
+      EXPECT_EQ(out.cycles, want[detailed][hash]);
+    }
+  }
+}
+
+// A thick LD or ST whose first bad address is at lane k > 0 runs lanes
+// 0..k-1 and raises the lane-k fault, as the lane-by-lane order did.
+TEST(MachineSweep, FirstBadLaneFaultsLikeTheOracle) {
+  struct Case {
+    const char* what;
+    const char* body;
+  };
+  const Case cases[] = {
+      {"LD negative", "MUL r2, r1, -1\n LD r3, [r2+2]"},
+      {"LD out of range", "LD r3, [r1+4091]"},
+      {"LD @ out of range", "LD r3, [r0+4093+@]"},
+      {"ST negative", "MUL r2, r1, -1\n ST r1, [r2+2]"},
+      {"ST out of range", "ST r1, [r1+4091]"},
+      {"ST @ out of range", "ST r1, [r0+4093+@]"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    const std::string src = data_line(4080, 16, [](Word i) { return i + 1; }) +
+                            data_line(0, 4, [](Word i) { return 50 + i; }) +
+                            "TID r1\n" + c.body + "\nHALT\n";
+    const SweepOutcome out = expect_sweep_matches_oracle(src, 8, sweep_cfg());
+    EXPECT_FALSE(out.completed);
+    EXPECT_EQ(debug::classify_fault(out.fault), "addr");
+  }
+
+  // The lanes before the bad one did execute: LD wrote their registers.
+  Machine m(sweep_cfg());
+  m.load(isa::assemble(data_line(4090, 6, [](Word i) { return 60 + i; }) +
+                       "TID r1\nLD r3, [r1+4090]\nHALT\n"));
+  const FlowId f = m.boot(8);
+  EXPECT_THROW(m.run(), SimError);
+  for (LaneId lane = 0; lane < 8; ++lane) {
+    const Word want = lane < 6 ? 60 + static_cast<Word>(lane) : 0;
+    EXPECT_EQ(m.peek_reg(f, lane, 3), want) << "lane " << lane;
+  }
+}
+
+// base + imm overflowing INT64_MAX wraps to a negative address (computed
+// in unsigned arithmetic, so the sum is defined) and faults the same way on
+// the LD sweep, on local memory, in the multi-instruction variant and in the
+// oracle. The sanitizer CI job runs this.
+TEST(MachineSweep, EffectiveAddressWrapFaultsLikeTheOracle) {
+  const char* const prologue = R"(
+      SUB r1, r0, 1
+      SHR r1, r1, 1
+  )";
+  for (const char* access : {"LD r2, [r1+5]", "LD r2, [r1+0+@]",
+                             "LLD r2, [r1+5]", "ST r0, [r1+7]"}) {
+    SCOPED_TRACE(access);
+    const std::string src = std::string(prologue) + access + "\nHALT\n";
+    const SweepOutcome out = expect_sweep_matches_oracle(src, 4, sweep_cfg());
+    EXPECT_EQ(debug::classify_fault(out.fault), "addr");
+  }
+  const SweepOutcome out = expect_sweep_matches_oracle(
+      std::string(prologue) + "LD r2, [r1+5]\nHALT\n", 4, sweep_cfg());
+  EXPECT_EQ(out.fault,
+            "negative effective address -9223372036854775804 in flow 0");
+
+  MachineConfig xmt = sweep_cfg();
+  xmt.variant = Variant::kMultiInstruction;
+  const SweepOutcome x = run_sweep_case(
+      isa::assemble(std::string(prologue) + "LD r2, [r1+5]\nHALT\n"), 4, xmt,
+      {});
+  EXPECT_EQ(debug::classify_fault(x.fault), "addr");
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 // policies, multioperations and multiprefix, traffic accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <utility>
+#include <vector>
 
 #include "common/check.hpp"
 #include "mem/shared_memory.hpp"
@@ -302,6 +304,99 @@ TEST(Traffic, StepCounterAdvances) {
   m.commit_step();
   m.commit_step();
   EXPECT_EQ(m.step(), 2u);
+}
+
+// ---- memory ports: lane runs, presorted runs, images ----
+
+std::vector<Word> image_of(const SharedMemory& m) {
+  std::vector<Word> out;
+  for (Addr a = 0; a < m.size(); ++a) out.push_back(m.peek(a));
+  return out;
+}
+
+// read_run/write_run through a port account, read and commit exactly what
+// the direct SharedMemory read()/write() calls do lane by lane.
+TEST(MemoryPort, LaneRunsMatchDirectAccess) {
+  SharedMemory direct(64, 4, CrcwPolicy::kErew);
+  SharedMemory ported(64, 4, CrcwPolicy::kErew);
+  for (Addr a = 0; a < 64; ++a) {
+    direct.poke(a, static_cast<Word>(100 + a));
+    ported.poke(a, static_cast<Word>(100 + a));
+  }
+  const Addr rd[] = {3, 9, 10, 17};
+  const Addr wr[] = {40, 41, 47, 50};
+  const Word val[] = {-1, -2, -3, -4};
+  Word want[4], got[4];
+  std::uint64_t rd_mod[4] = {}, wr_mod[4] = {};
+  for (std::size_t i = 0; i < 4; ++i) {
+    want[i] = direct.read(rd[i], 8 + i);
+    direct.write(wr[i], val[i], 8 + i);
+    ++rd_mod[ported.module_of(rd[i])];
+    ++wr_mod[ported.module_of(wr[i])];
+  }
+  MemoryPort port(&ported);
+  port.read_run(rd, 4, 8, rd_mod, got);
+  port.write_run(wr, val, 4, 8, wr_mod);
+  EXPECT_TRUE(std::equal(want, want + 4, got));
+  port.seal();
+  ported.drain(port);
+  direct.commit_step();
+  ported.commit_step();
+  EXPECT_EQ(image_of(direct), image_of(ported));
+  EXPECT_EQ(direct.total_reads(), ported.total_reads());
+  EXPECT_EQ(direct.total_writes(), ported.total_writes());
+  for (std::uint32_t m = 0; m < 4; ++m) {
+    EXPECT_EQ(direct.last_step_traffic()[m].reads,
+              ported.last_step_traffic()[m].reads);
+    EXPECT_EQ(direct.last_step_traffic()[m].writes,
+              ported.last_step_traffic()[m].writes);
+  }
+}
+
+// Port runs drained in group order commit exactly as the same writes
+// staged directly in issue order — whether the runs arrive presorted and
+// ascending (one run, nothing merged), interleaved (merged), unsorted with
+// same-key rewrites (sorted and collapsed by seal), or as an unsorted
+// sealed image from another process (re-checked by load_image).
+TEST(MemoryPort, RunsCommitLikeDirectWrites) {
+  struct W {
+    Addr addr;
+    Word value;
+    LaneId lane;
+  };
+  const std::vector<std::vector<W>> cases[] = {
+      {{{1, 10, 0}, {2, 20, 1}}, {{5, 50, 8}, {6, 60, 9}}},
+      {{{1, 10, 0}, {5, 11, 1}}, {{1, 12, 8}, {3, 13, 9}}, {{0, 14, 16}}},
+      {{{7, 1, 3}, {2, 2, 1}, {7, 3, 3}}, {{2, 4, 0}, {7, 5, 9}}},
+  };
+  for (const bool via_image : {false, true}) {
+    for (const auto& groups : cases) {
+      SharedMemory direct(16, 4, CrcwPolicy::kPriority);
+      SharedMemory ported(16, 4, CrcwPolicy::kPriority);
+      MemoryPort staging(&ported), port(&ported);
+      for (const auto& g : groups) {
+        for (const W& w : g) {
+          direct.write(w.addr, w.value, w.lane);
+          std::uint64_t per_module[4] = {};
+          ++per_module[ported.module_of(w.addr)];
+          staging.write_run(&w.addr, &w.value, 1, w.lane, per_module);
+        }
+        MemoryPort::Image img = staging.save_image();
+        staging.clear();
+        if (via_image) {
+          img.sealed = true;  // a peer's image, unsorted as received
+          port.load_image(img);
+        } else {
+          port.load_image(img);
+          port.seal();
+        }
+        ported.drain(port);
+      }
+      direct.commit_step();
+      ported.commit_step();
+      EXPECT_EQ(image_of(direct), image_of(ported));
+    }
+  }
 }
 
 TEST(MultiOpsHelper, ApplyMultiop) {
