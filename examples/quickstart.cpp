@@ -1,54 +1,50 @@
 // Quickstart: the extended PRAM-NUMA model in five minutes.
 //
-// Shows the two ways to use tcfpn:
-//   1. the TCF runtime (tcf::Runtime) — write thick-control-flow programs
-//      as C++ lambdas and get PRAM-exact results plus machine-cost
-//      estimates;
-//   2. the machine simulator (machine::Machine) — run real ISA programs
-//      (hand-written assembly or builder-generated) cycle-by-cycle on any
-//      of the paper's six execution variants.
+// Shows the two ways to program the machine simulator (machine::Machine),
+// which runs ISA programs cycle-by-cycle on any of the paper's six
+// execution variants:
+//   1. the TCF language (lang::compile_source) — Section 4's thick
+//      statements, compiled to the ISA;
+//   2. hand-written assembly (isa::assemble).
 //
 // Build & run:  ./example_quickstart
 #include <cstdio>
-#include <numeric>
 
 #include "isa/assembler.hpp"
+#include "lang/codegen.hpp"
 #include "machine/machine.hpp"
-#include "tcf/runtime.hpp"
 
 using namespace tcfpn;
 
 int main() {
   // ---------------------------------------------------------------- 1 ----
-  std::printf("== 1. TCF runtime: #n; c. = a. + b.; ==\n");
+  std::printf("== 1. TCF language: #n; c. = a. + b.; ==\n");
   machine::MachineConfig cfg;
   cfg.groups = 4;           // P processor groups
   cfg.slots_per_group = 16; // T_p TCF buffer slots per group
 
-  tcf::Runtime rt(cfg);
   const std::size_t n = 1000;
-  std::vector<Word> av(n), bv(n);
-  std::iota(av.begin(), av.end(), 0);
-  std::iota(bv.begin(), bv.end(), 1);
-  const tcf::Buffer a = rt.array(av);
-  const tcf::Buffer b = rt.array(bv);
-  const tcf::Buffer c = rt.array(n);
-
-  const auto stats = rt.run([&](tcf::Flow& f) {
-    f.thick(n);  // the `#n;` thickness statement
-    f.apply([&](tcf::Lane& l) {  // one thick instruction, n lanes
-      l.write(c, l.id(), l.read(a, l.id()) + l.read(b, l.id()));
-    });
-  });
-
-  const auto out = rt.fetch(c);
+  const lang::Compiled vecadd = lang::compile_source(R"TCF(
+      array a[1000];
+      array b[1000];
+      array c[1000];
+      #1000;          // the thickness statement: 1000 lanes
+      a. = id;
+      b. = id + 1;
+      c. = a. + b.;   // one thick instruction per operation, n lanes each
+  )TCF");
+  machine::Machine vm(cfg);
+  vm.load(vecadd.program);
+  vm.boot(1);
+  const auto vrun = vm.run();
+  const Word c0 = vm.shared().peek(vecadd.buffer("c").at(0));
+  const Word clast = vm.shared().peek(vecadd.buffer("c").at(n - 1));
   std::printf("c[0]=%lld  c[999]=%lld  (expect 1 and 1999)\n",
-              static_cast<long long>(out[0]),
-              static_cast<long long>(out[n - 1]));
-  std::printf("statements=%llu  lane-ops=%llu  makespan=%llu cycles\n\n",
-              static_cast<unsigned long long>(stats.statements),
-              static_cast<unsigned long long>(stats.operations),
-              static_cast<unsigned long long>(stats.makespan));
+              static_cast<long long>(c0), static_cast<long long>(clast));
+  std::printf("fetches=%llu  lane-ops=%llu  cycles=%llu\n\n",
+              static_cast<unsigned long long>(vm.stats().instruction_fetches),
+              static_cast<unsigned long long>(vm.stats().operations),
+              static_cast<unsigned long long>(vrun.cycles));
 
   // ---------------------------------------------------------------- 2 ----
   std::printf("== 2. machine simulator: assembly on the TCF machine ==\n");
@@ -74,5 +70,8 @@ int main() {
               static_cast<unsigned long long>(m.stats().instruction_fetches));
   std::printf("(note: 5 fetches for 16-wide execution — one per thick "
               "instruction)\n");
-  return m.shared().peek(0) == 1240 && out[n - 1] == 1999 ? 0 : 1;
+  return vrun.completed && c0 == 1 && clast == 1999 &&
+                 m.shared().peek(0) == 1240
+             ? 0
+             : 1;
 }

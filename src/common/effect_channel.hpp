@@ -1,14 +1,15 @@
 // A single-slot, lock-free seal channel between one producer and one
 // consumer.
 //
-// The parallel stepping engine gives every processor group an effect buffer
+// The machine's step driver gives every processor group an effect buffer
 // (Machine::GroupCtx) that only its executing host thread writes during the
-// group phase. An EffectChannel per group turns the step's hard barrier into
-// a stream: the worker publishes exactly one message per step — "this
-// group's buffer is sealed" — and the stepping thread awaits the channels in
-// group order, merging group g's effects while higher groups are still
-// executing. Merge order is unchanged, so results stay bit-identical to the
-// barrier engine; only the wall-clock overlap differs.
+// group phase. With a worker pool, an EffectChannel per group turns the
+// step's barrier into a stream: the worker publishes exactly one message per
+// step — "this group's buffer is sealed" — and the stepping thread awaits
+// the channels in group order, merging group g's effects while higher groups
+// are still executing. Merge order is group order, as without a pool, so
+// results are bit-identical for every host-thread count; only the
+// wall-clock overlap differs.
 //
 // The protocol is the degenerate (capacity-1) SPSC queue: publish() is a
 // seq_cst store + wake, await()/ready() are acquire loads, so everything the

@@ -129,19 +129,4 @@ void ThreadPool::end() {
   if (error) std::rethrow_exception(error);
 }
 
-void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  if (workers_.empty() || n == 1) {
-    // Inline fast path: a 1-thread pool or a 1-item job never pays the
-    // publish/wake/complete handshake (exceptions propagate directly).
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  begin(n, fn);
-  while (try_run_one()) {
-  }
-  end();
-}
-
 }  // namespace tcfpn::common

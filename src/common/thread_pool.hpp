@@ -1,4 +1,4 @@
-// A persistent host-side worker pool for the parallel stepping engine.
+// A persistent host-side worker pool for the machine's step driver.
 //
 // The machine layer commits shared-memory effects at step boundaries
 // (DESIGN.md §4), which makes the per-group work inside one machine step
@@ -6,16 +6,12 @@
 // memory and effect buffers, and everything cross-group merges in a fixed
 // order. ThreadPool provides the fan-out half of that contract.
 //
-// Two entry points:
-//  - parallel_for(n, fn): classic fork-join — runs fn(0..n-1) across the
-//    pool (the calling thread participates) and blocks until every index
-//    completed.
-//  - begin(n, fn) / try_run_one() / end(): the streaming form. begin()
-//    publishes the job and wakes the workers but returns immediately; the
-//    caller may then interleave its own work (e.g. consuming per-group seal
-//    channels in merge order) with try_run_one() calls that steal one index
-//    at a time, and finally end() waits for the stragglers and rethrows the
-//    lowest faulting index's exception.
+// One job at a time, in three calls: begin(n, fn) publishes the job and
+// wakes the workers but returns immediately; the caller may then interleave
+// its own work (the step driver consumes per-group seal channels in merge
+// order) with try_run_one() calls that steal one index at a time; end()
+// waits for the stragglers and rethrows the lowest faulting index's
+// exception.
 //
 // The dispatch path is lock-free: job claims and completion counts are
 // packed atomics (claims generation-tagged so a straggler from job N can
@@ -43,7 +39,7 @@ namespace tcfpn::common {
 class ThreadPool {
  public:
   /// A pool that runs work on `threads` host threads total: `threads - 1`
-  /// persistent workers plus the thread that calls parallel_for.
+  /// persistent workers plus the thread that calls begin() and end().
   explicit ThreadPool(std::uint32_t threads);
   ~ThreadPool();
 
@@ -51,15 +47,6 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   std::uint32_t threads() const { return threads_; }
-
-  /// Runs fn(i) for every i in [0, n), distributing indices over the pool;
-  /// blocks until all n calls returned. If one or more fn(i) calls throw,
-  /// the exception of the *lowest* faulting index is rethrown here at the
-  /// barrier (deterministic across index->thread assignments); the others
-  /// are dropped. fn must not call parallel_for reentrantly. With no
-  /// workers (threads == 1) or n == 1 the indices run inline on the calling
-  /// thread — no atomics, no wake-up.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// Publishes a job of n indices and wakes the workers; returns
   /// immediately. `fn` must stay alive until end() returns. Not reentrant.
@@ -69,8 +56,9 @@ class ThreadPool {
   /// running on workers). Callable between begin() and end().
   bool try_run_one();
   /// Drains remaining indices on the calling thread, waits for every index
-  /// to complete, then rethrows the lowest faulting index's exception (if
-  /// any).
+  /// to complete, then rethrows the exception of the *lowest* faulting
+  /// index, if any (deterministic across index->thread assignments); the
+  /// others are dropped. Every non-faulting index still runs.
   void end();
 
   /// Host threads the hardware supports (>= 1 even when unknown).

@@ -123,7 +123,7 @@ std::string read_file(const std::string& path) {
 
 // ---------------------------------------------------------------------------
 // Lane execution. Mirrors the differential harness' runner, but with a
-// machine shape applied and the stepping engine / placement hook swept.
+// machine shape applied and the host-thread count / placement hook swept.
 
 struct RunImage {
   bool completed = false;
@@ -308,42 +308,20 @@ ScenarioVerdict run_scenario(const Scenario& s, const ScenarioOptions& opt) {
         machine::is_step_synchronous(lane.variant)
             ? opt.host_threads
             : std::vector<std::uint32_t>{1};
-    const std::vector<bool> engines =
-        opt.sweep_engines ? std::vector<bool>{true, false}
-                          : std::vector<bool>{cfg.effect_channels};
-
-    for (bool channels : engines) {
-      std::optional<RunImage> first;
-      for (std::uint32_t ht : hts) {
-        machine::MachineConfig run_cfg = baseline::with_host_threads(cfg, ht);
-        run_cfg.effect_channels = channels;
-        const std::string tag = lname +
-                                (channels ? " engine=channels" : " engine=barrier") +
-                                " ht=" + std::to_string(ht);
-        const RunImage got =
-            run_lane(s, run_cfg, opt.max_steps, /*lpt_hook=*/false,
-                     /*fault_seed=*/0);
-        if (auto d = against_oracle(want, got)) return fail(tag, *d);
-        if (!first) {
-          first = got;
-        } else if (auto d = identical(*first, got)) {
-          return fail(tag + " vs ht=" + std::to_string(hts.front()), *d);
-        }
-      }
-    }
-
-    // Fault-injection lane: the default schedule for the seed, recovered
-    // by rollback, must still land exactly on the fault-free oracle, and
-    // stay host-thread invariant.
-    if (opt.fault_seed != 0) {
+    // The fault-free lane, then, with opt.fault_seed, the default fault
+    // schedule for that seed recovered by rollback: each must land exactly
+    // on the fault-free oracle and stay host-thread invariant.
+    std::vector<std::uint64_t> fault_seeds{0};
+    if (opt.fault_seed != 0) fault_seeds.push_back(opt.fault_seed);
+    for (const std::uint64_t fault_seed : fault_seeds) {
       std::optional<RunImage> first;
       for (std::uint32_t ht : hts) {
         const machine::MachineConfig run_cfg =
             baseline::with_host_threads(cfg, ht);
-        const std::string tag =
-            lname + "+faults ht=" + std::to_string(ht);
+        const std::string tag = lname + (fault_seed != 0 ? "+faults" : "") +
+                                " ht=" + std::to_string(ht);
         const RunImage got = run_lane(s, run_cfg, opt.max_steps,
-                                      /*lpt_hook=*/false, opt.fault_seed);
+                                      /*lpt_hook=*/false, fault_seed);
         if (auto d = against_oracle(want, got)) return fail(tag, *d);
         if (!first) {
           first = got;

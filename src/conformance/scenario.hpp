@@ -37,9 +37,6 @@ struct ScenarioOptions {
   /// "gpu", or an explicit `COUNT*key=val,...` list).
   std::string shape = "uniform";
   std::vector<std::uint32_t> host_threads = {1, 2, 8};
-  /// Run each lane under both stepping engines (streamed effect channels
-  /// and barrier merge), not just the default.
-  bool sweep_engines = true;
   /// When nonzero, adds a fault-injection lane per variant: the default
   /// fault schedule for this seed, recovered by checkpoint rollback, must
   /// still land exactly on the fault-free oracle.

@@ -113,20 +113,6 @@ struct MachineConfig {
   /// to --shards 1 by contract, so checkpoints move across shard counts.
   std::uint32_t shards = 1;
 
-  /// Stream each group's effect merge as soon as that group's seal channel
-  /// publishes (overlapping the merge of lower groups with the execution of
-  /// higher ones) instead of waiting for the full step barrier. Merge order
-  /// is group order either way, so results stay bit-identical; off falls
-  /// back to the barrier merge. Only meaningful with host_threads > 1.
-  bool effect_channels = true;
-
-  /// Short-circuit the merge of groups whose step produced no cross-group
-  /// effects (no memory traffic, spawns, halts, prints, events): only the
-  /// integer stat deltas are added. Observable results are bit-identical
-  /// with the fast path on or off; the knob exists for the differential
-  /// determinism tests.
-  bool merge_skip = true;
-
   // ---- instrumentation ----
   bool record_trace = false;  ///< keep the per-step Gantt trace
 

@@ -161,9 +161,7 @@ Machine::Machine(MachineConfig cfg)
   net_->bind_metrics(&metrics_);
   if (cfg_.host_threads > 1 && is_step_synchronous(cfg_.variant)) {
     pool_ = std::make_unique<common::ThreadPool>(cfg_.host_threads);
-    if (cfg_.effect_channels) {
-      channels_ = std::make_unique<common::EffectChannel[]>(cfg_.groups);
-    }
+    channels_ = std::make_unique<common::EffectChannel[]>(cfg_.groups);
   }
   trace_.set_enabled(cfg_.record_trace);
 }
@@ -369,18 +367,11 @@ Word Machine::retire_group(GroupId g) {
       }
       // Migrating off a dead group is a non-resident reload (Section 3.3
       // task-switch cost): the survivor must fetch the TCF's state anew.
-      const Cycle c = task_switch_cost(cfg_, f.thickness,
-                                       /*resident_in_buffer=*/false,
-                                       cfg_.group_slots(target));
-      stats_.task_switch_cycles += c;
-      stats_.cycles += c;
-      if (cfg_.profile) {
-        profile_.add({static_cast<std::int64_t>(f.home),
-                      static_cast<std::int64_t>(f.id), prof::kNoIndex,
-                      prof::Term::kSwitch},
-                     c);
-      }
-      metrics_.counter("sched/swap_in_cycles").add(c);
+      charge_switch(f,
+                    task_switch_cost(cfg_, f.thickness,
+                                     /*resident_in_buffer=*/false,
+                                     cfg_.group_slots(target)),
+                    "sched/swap_in_cycles");
       metrics_.counter("sched/fault_migrations").add();
       total_thickness += f.thickness;
       ++moved;
@@ -465,18 +456,11 @@ void Machine::promote_overflow(GroupId g) {
     metrics_.counter("sched/overflow_promotions").add();
     if (f.evicted_once) {
       // Reloading a previously displaced TCF pays the swap-in.
-      const Cycle c = task_switch_cost(cfg_, f.thickness,
-                                       /*resident_in_buffer=*/false,
-                                       cfg_.group_slots(g));
-      stats_.task_switch_cycles += c;
-      stats_.cycles += c;
-      if (cfg_.profile) {
-        profile_.add({static_cast<std::int64_t>(g),
-                      static_cast<std::int64_t>(id), prof::kNoIndex,
-                      prof::Term::kSwitch},
-                     c);
-      }
-      metrics_.counter("sched/swap_in_cycles").add(c);
+      charge_switch(f,
+                    task_switch_cost(cfg_, f.thickness,
+                                     /*resident_in_buffer=*/false,
+                                     cfg_.group_slots(g)),
+                    "sched/swap_in_cycles");
     }
     grp.resident.push_back(id);
   }
@@ -552,6 +536,13 @@ bool Machine::step() {
 // --------------------------------------------------------------------------
 
 bool Machine::step_synchronous() {
+  if (!begin_step()) return false;
+  dispatch_groups();
+  merge_step();
+  return true;
+}
+
+bool Machine::begin_step() {
   bool any_ready = false;
   for (GroupId g = 0; g < cfg_.groups; ++g) {
     promote_overflow(g);
@@ -564,98 +555,106 @@ bool Machine::step_synchronous() {
   // A fault may have aborted the previous step after some groups streamed
   // their profiler bins; never let them leak into this step's apportionment.
   step_bins_.clear();
+  step_base_ = stats_.cycles + step_fill_;
+  return true;
+}
 
-  const Cycle step_base = stats_.cycles + step_fill_;
+void Machine::run_group(GroupId g) {
+  auto& ctx = step_ctx_[g];
+  ctx.reset();
+  if (shard_mode_) {
+    // Non-owned contexts stay clean for shard_install. step_ops is normally
+    // zeroed by execute_group; a non-owned group takes the owner's value
+    // from the batch, so zero it here and a missing batch is a loud
+    // divergence rather than a stale carry-over.
+    groups_[g].step_ops = 0;
+    shard_local_writes_[g].clear();
+    if (!shard_owned_[g]) return;
+    locals_[g].set_write_log(&shard_local_writes_[g]);
+  }
+  try {
+    execute_group(g, step_base_);
+  } catch (...) {
+    ctx.error = std::current_exception();
+  }
+  if (shard_mode_) locals_[g].set_write_log(nullptr);
+}
 
-  // Per-group phase. Each group executes against its own effect buffer
-  // (GroupCtx): it reads only committed shared memory and its own flows, so
-  // the groups are independent and may run on separate host threads. Faults
-  // are captured per group and rethrown deterministically below.
-  auto run_group = [&](std::size_t g) {
-    auto& ctx = step_ctx_[g];
-    ctx.reset();
-    try {
-      execute_group(static_cast<GroupId>(g), step_base);
-    } catch (...) {
-      ctx.error = std::current_exception();
-    }
+void Machine::dispatch_groups() {
+  // Each group executes against its own effect buffer (GroupCtx): it reads
+  // only committed shared memory and its own flows, so the groups are
+  // independent and may run on separate host threads. Faults are captured
+  // per group and surface in the merge loop.
+  phase_t0_ = cfg_.profile_host ? host_clock_us() : 0;
+  if (!pool_) {
+    for (GroupId g = 0; g < cfg_.groups; ++g) run_group(g);
+    if (cfg_.profile_host) host_span("machine/group_phase", phase_t0_);
+    return;
+  }
+  for (GroupId g = 0; g < cfg_.groups; ++g) channels_[g].reset();
+  // A member, not a temporary: the pool calls through a pointer to it
+  // until end().
+  group_job_ = [this](std::size_t g) {
+    run_group(static_cast<GroupId>(g));
+    channels_[g].publish();
   };
-  double t0 = cfg_.profile_host ? host_clock_us() : 0;
-  if (channels_) {
-    // Streaming engine: instead of a hard barrier, each group owns a seal
-    // channel. A worker publishes after execute_group sealed the GroupCtx;
-    // the stepping thread consumes the channels in group order 0..P-1,
-    // stream-merging group g's effects while higher groups are still
-    // executing. The merge order — and therefore every committed byte — is
-    // identical to the barrier engine; only the wall-clock overlap differs.
-    for (GroupId g = 0; g < cfg_.groups; ++g) channels_[g].reset();
-    // Named std::function, not a lambda passed inline: the pool stores a
-    // pointer to it and the workers call through it until end().
-    const std::function<void(std::size_t)> run_and_publish =
-        [&](std::size_t g) {
-          run_group(g);
-          channels_[g].publish();
-        };
-    pool_->begin(cfg_.groups, run_and_publish);
-    std::exception_ptr error;
-    for (GroupId g = 0; g < cfg_.groups; ++g) {
-      // Never sleep while unclaimed groups remain — steal one instead, so
-      // the engine stays live even if every worker is preempted.
+  pool_->begin(cfg_.groups, group_job_);
+  job_open_ = true;
+}
+
+void Machine::end_group_job() {
+  job_open_ = false;
+  // run_group captures every fault into its context, so end() only waits.
+  pool_->end();
+  if (cfg_.profile_host) host_span("machine/group_phase", phase_t0_);
+}
+
+void Machine::merge_step() {
+  if (!job_open_ && cfg_.profile_host) phase_t0_ = host_clock_us();
+  // Merge in group order 0..P-1, the order a sequential run produces the
+  // effects in, so the committed state is bit-identical for every
+  // host_threads value. While a pool job is open, group g merges as soon as
+  // its seal publishes, overlapping higher groups' execution. The lowest
+  // faulting group wins: lower groups merge, the step never reaches the
+  // deferred pass. Groups above it may still be executing, and their
+  // errors lose to this one.
+  std::exception_ptr error;
+  for (GroupId g = 0; g < cfg_.groups; ++g) {
+    if (job_open_) {
+      // Never sleep while unclaimed groups remain: steal one instead, so
+      // the step stays live even if every worker is preempted.
       while (!channels_[g].ready() && pool_->try_run_one()) {
       }
       channels_[g].await();
-      if (step_ctx_[g].error) {
-        // Same contract as merge_group_effects: the lowest faulting group
-        // wins (lower groups streamed, the step never reaches the deferred
-        // pass). Groups above g may not have published yet, but their
-        // errors lose to this one in either engine.
-        error = step_ctx_[g].error;
-        break;
-      }
-      try {
-        stream_merge_group(g);
-      } catch (...) {
-        // A merge-side fault (commit-policy checks fire at drain) must not
-        // leave the pool job open — the workers would outlive this frame.
-        error = std::current_exception();
-        break;
-      }
     }
-    // All groups must finish executing before the machine mutates further
-    // state (or unwinds a fault) — stragglers still write their GroupCtx.
-    pool_->end();
-    if (cfg_.profile_host) {
-      host_span("machine/group_phase", t0);
-      t0 = host_clock_us();
+    if (step_ctx_[g].error) {
+      error = step_ctx_[g].error;
+      break;
     }
-    if (error) std::rethrow_exception(error);
-    for (GroupId g = 0; g < cfg_.groups; ++g) deferred_merge_group(g);
-    if (cfg_.profile_host) host_span("machine/merge_effects", t0);
-  } else {
-    if (pool_) {
-      pool_->parallel_for(cfg_.groups, run_group);
-    } else {
-      for (GroupId g = 0; g < cfg_.groups; ++g) run_group(g);
+    try {
+      stream_merge_group(g);
+    } catch (...) {
+      // A merge-side fault (commit-policy checks fire at drain) must not
+      // leave the pool job open: the workers would outlive this frame.
+      error = std::current_exception();
+      break;
     }
-    if (cfg_.profile_host) {
-      host_span("machine/group_phase", t0);
-      t0 = host_clock_us();
-    }
-
-    // Step barrier: merge every group's effects in group order — the same
-    // order the sequential engine produced them in, so the machine state
-    // after the merge is bit-identical for every host_threads value.
-    merge_group_effects();
-    if (cfg_.profile_host) host_span("machine/merge_effects", t0);
   }
+  // Every group finishes executing before the machine mutates further
+  // state or unwinds a fault: stragglers still write their GroupCtx.
+  if (job_open_) {
+    end_group_job();
+    if (cfg_.profile_host) phase_t0_ = host_clock_us();
+  }
+  if (error) std::rethrow_exception(error);
+  for (GroupId g = 0; g < cfg_.groups; ++g) deferred_merge_group(g);
+  if (cfg_.profile_host) host_span("machine/merge_effects", phase_t0_);
 
   group_work_.assign(cfg_.groups, 0);
   for (GroupId g = 0; g < cfg_.groups; ++g) {
     group_work_[g] = groups_[g].step_ops;
   }
-
   finish_step(synchronous_slot_term(), group_work_);
-  return true;
 }
 
 Cycle Machine::synchronous_slot_term() const {
@@ -747,27 +746,6 @@ void Machine::execute_group(GroupId g, Cycle step_base) {
   ctx.port.seal();
 }
 
-void Machine::merge_group_effects() {
-  // A fault anywhere in the phase aborts the step like the sequential
-  // engine would; the lowest-numbered faulting group wins so the surfaced
-  // error does not depend on host-thread timing. Groups below the faulting
-  // one are streamed first — the same prefix the streaming engine has
-  // already consumed by the time it reaches the faulting group — and the
-  // deferred pass is skipped entirely (the step never reaches the barrier).
-  GroupId limit = cfg_.groups;
-  std::exception_ptr error;
-  for (GroupId g = 0; g < cfg_.groups; ++g) {
-    if (step_ctx_[g].error) {
-      limit = g;
-      error = step_ctx_[g].error;
-      break;
-    }
-  }
-  for (GroupId g = 0; g < limit; ++g) stream_merge_group(g);
-  if (error) std::rethrow_exception(error);
-  for (GroupId g = 0; g < cfg_.groups; ++g) deferred_merge_group(g);
-}
-
 bool Machine::group_quiet(const GroupCtx& ctx) const {
   const LaneCounters& lc = ctx.lanes;
   return ctx.events.empty() && ctx.refs.empty() && ctx.net_refs == 0 &&
@@ -798,7 +776,7 @@ void Machine::stream_merge_group(GroupId g) {
                       ctx.prof_bins.end());
   }
 
-  if (cfg_.merge_skip && group_quiet(ctx)) {
+  if (group_quiet(ctx)) {
     // Register-only group step: besides the stat deltas just added there is
     // nothing to merge — every buffer is empty and every group-local
     // instrument zero, so the registry walk, port drain and ref transfer
@@ -1575,7 +1553,7 @@ bool Machine::exec_control(TcfDescriptor& f, const isa::Instr& instr) {
           TCFPN_CHECK(total == t, "spawn splitter fragments sum to ", total,
                       ", expected ", t);
         }
-        // The children are created at the step barrier (merge_group_effects)
+        // The children are created at the step barrier (deferred_merge_group)
         // so that flow ids and group placement are independent of host-thread
         // interleaving; the parent's live-children counter rises now so a
         // same-step JOINALL already sees them.
@@ -1645,34 +1623,13 @@ Machine::MemTerm Machine::memory_term() {
 
 void Machine::profile_step(Cycle slot_term_max, MemTerm mt, Cycle body,
                            const std::vector<Cycle>& group_work) {
-  using prof::Key;
   using prof::kNoIndex;
   using prof::Term;
   // Pipeline fill is a per-step machine cost, attributable to nobody.
   profile_.add({kNoIndex, kNoIndex, kNoIndex, Term::kFill}, step_fill_);
-  // The slot term distributes over the bins the groups recorded this step.
-  // Three regimes: no recorded work (pure idle), slot capacity at or above
-  // the recorded work (bins charge at face value, remainder is barrier
-  // wait), or recorded work exceeding the slot term (balanced/interleaved
-  // variants execute more ops than the fixed term — apportion by largest
-  // remainder so the shares still sum exactly).
-  Cycle work = 0;
-  for (const auto& [k, w] : step_bins_) work += w;
-  if (work == 0) {
-    profile_.add({kNoIndex, kNoIndex, kNoIndex, Term::kIdle}, slot_term_max);
-  } else if (slot_term_max >= work) {
-    for (const auto& [k, w] : step_bins_) profile_.add(k, w);
-    profile_.add({kNoIndex, kNoIndex, kNoIndex, Term::kIdle},
-                 slot_term_max - work);
-  } else if (slot_term_max > 0) {
-    std::vector<Cycle> weights;
-    weights.reserve(step_bins_.size());
-    for (const auto& [k, w] : step_bins_) weights.push_back(w);
-    const std::vector<Cycle> shares = prof::apportion(slot_term_max, weights);
-    for (std::size_t i = 0; i < step_bins_.size(); ++i) {
-      profile_.add(step_bins_[i].first, shares[i]);
-    }
-  }
+  // The slot term distributes over the bins the groups recorded this step;
+  // the idle remainder is barrier wait.
+  const Cycle work = profile_.add_over_bins(slot_term_max, step_bins_);
   // Memory extension beyond the slot term: network first, then whatever the
   // injected fault delay added on top. c1/body reproduce finish_step's
   // max() exactly, so fill + slot + net + fault == the cycles just charged.
@@ -1769,13 +1726,16 @@ void Machine::finish_step(Cycle slot_term_max,
   admit_pending_spawns();
   maybe_sample_step();
   if (cfg_.profile_host) host_span("sched/step_housekeeping", t0);
-  if (observer_ != nullptr) {
-    // stats_.steps already advanced; the event names the step just committed.
-    observer_->on_event(DebugEvent{DebugEventKind::kStepCommitted,
-                                   stats_.steps - 1, kNoFlow, 0,
-                                   static_cast<Word>(stats_.cycles), 0});
-    observer_->on_step(*this);
-  }
+  notify_step_committed();
+}
+
+void Machine::notify_step_committed() {
+  if (observer_ == nullptr) return;
+  // stats_.steps already advanced; the event names the step just committed.
+  observer_->on_event(DebugEvent{DebugEventKind::kStepCommitted,
+                                 stats_.steps - 1, kNoFlow, 0,
+                                 static_cast<Word>(stats_.cycles), 0});
+  observer_->on_step(*this);
 }
 
 // --------------------------------------------------------------------------
@@ -2053,27 +2013,11 @@ bool Machine::step_multi_instruction() {
   ++stats_.steps;
   metrics_.counter("machine/phase_cycles").add(phase);
   if (cfg_.profile) {
-    using prof::Key;
-    using prof::kNoIndex;
-    using prof::Term;
-    // Apportion the phase cycles over the per-flow bins: with one alive
-    // group phase == total_ops (face value); with more the pipelines
-    // co-execute and each flow gets its proportional share.
-    if (total_ops == 0) {
-      profile_.add({kNoIndex, kNoIndex, kNoIndex, Term::kIdle}, phase);
-    } else if (phase >= total_ops) {
-      for (const auto& [k, w] : xbins) profile_.add(k, w);
-      profile_.add({kNoIndex, kNoIndex, kNoIndex, Term::kIdle},
-                   phase - total_ops);
-    } else if (phase > 0) {
-      std::vector<Cycle> weights;
-      weights.reserve(xbins.size());
-      for (const auto& [k, w] : xbins) weights.push_back(w);
-      const std::vector<Cycle> shares = prof::apportion(phase, weights);
-      for (std::size_t i = 0; i < xbins.size(); ++i) {
-        profile_.add(xbins[i].first, shares[i]);
-      }
-    }
+    // Apportion the phase cycles over the per-flow bins (their weights sum
+    // to total_ops): with one alive group phase == total_ops (face value);
+    // with more the pipelines co-execute and each flow gets its
+    // proportional share.
+    profile_.add_over_bins(phase, xbins);
     profile_.record_step({stats_.steps - 1, limit_group, /*fill=*/0, phase,
                           /*net=*/0, /*fault=*/0, total_ops});
   }
@@ -2105,12 +2049,7 @@ bool Machine::step_multi_instruction() {
   }
   maybe_sample_step();
   if (cfg_.profile_host) host_span("machine/xmt_phase", t0);
-  if (observer_ != nullptr) {
-    observer_->on_event(DebugEvent{DebugEventKind::kStepCommitted,
-                                   stats_.steps - 1, kNoFlow, 0,
-                                   static_cast<Word>(stats_.cycles), 0});
-    observer_->on_step(*this);
-  }
+  notify_step_committed();
   return true;
 }
 
@@ -2135,16 +2074,8 @@ Cycle Machine::suspend_flow(FlowId id) {
                 id) != groups_[f.home].resident.end();
   const Cycle c = task_switch_cost(cfg_, f.thickness, resident,
                                    cfg_.group_slots(f.home));
-  stats_.task_switch_cycles += c;
-  stats_.cycles += c;
-  if (cfg_.profile) {
-    profile_.add({static_cast<std::int64_t>(f.home),
-                  static_cast<std::int64_t>(f.id), prof::kNoIndex,
-                  prof::Term::kSwitch},
-                 c);
-  }
+  charge_switch(f, c, "sched/swap_out_cycles");
   metrics_.counter("sched/suspends").add();
-  metrics_.counter("sched/swap_out_cycles").add(c);
   emit_now(DebugEventKind::kSuspend, id, f.home, static_cast<Word>(c));
   return c;
 }
@@ -2184,6 +2115,14 @@ Cycle Machine::resume_flow(FlowId id) {
     c += task_switch_cost(cfg_, f.thickness, /*resident_in_buffer=*/true,
                           cfg_.group_slots(f.home));
   }
+  charge_switch(f, c, "sched/swap_in_cycles");
+  metrics_.counter("sched/resumes").add();
+  emit_now(DebugEventKind::kResume, id, f.home, static_cast<Word>(c));
+  return c;
+}
+
+void Machine::charge_switch(const TcfDescriptor& f, Cycle c,
+                            const char* swap_counter) {
   stats_.task_switch_cycles += c;
   stats_.cycles += c;
   if (cfg_.profile) {
@@ -2192,10 +2131,7 @@ Cycle Machine::resume_flow(FlowId id) {
                   prof::Term::kSwitch},
                  c);
   }
-  metrics_.counter("sched/resumes").add();
-  metrics_.counter("sched/swap_in_cycles").add(c);
-  emit_now(DebugEventKind::kResume, id, f.home, static_cast<Word>(c));
-  return c;
+  metrics_.counter(swap_counter).add(c);
 }
 
 Cycle Machine::evict_flow(FlowId id) {

@@ -16,11 +16,12 @@
 //    term, extended by the memory term (serialisation at the hottest module
 //    vs wire distance — or a measured drain of the detailed router), so a
 //    step only hides memory latency when it carries enough parallel slack;
-//  - host parallelism: with cfg.host_threads > 1 the per-group phase of each
-//    step fans out over a persistent worker pool; every group's effects are
-//    buffered (GroupCtx) and merged at the step barrier in group order, so
-//    cycle counts, MachineStats and memory images are bit-identical to the
-//    sequential engine (the determinism differential test asserts this).
+//  - host parallelism: one step driver (DESIGN.md §10.2). Every group's
+//    effects are buffered (GroupCtx) and merged in group order; with
+//    cfg.host_threads > 1 the groups run on a persistent worker pool and
+//    group g merges as soon as it seals, so cycle counts, MachineStats and
+//    memory images are bit-identical for every host_threads value (the
+//    determinism tests assert this).
 //
 // The instruction semantics (src/isa) are interpreted per lane; control
 // instructions execute once per flow — that asymmetry is the TCF model's
@@ -323,9 +324,10 @@ class Machine {
   /// without an observer — the owning replica may not be the one journaling.
   void set_shard_mode(std::vector<std::uint8_t> owned);
   bool shard_mode() const { return shard_mode_; }
-  /// Promotes overflow, resets every group context and executes the owned
-  /// groups' share of the step. Returns false (and executes nothing) when no
-  /// flow anywhere is ready — the replicated end-of-run decision.
+  /// The step's prologue and dispatch: promotes overflow, resets every
+  /// group context and executes the owned groups' share of the step.
+  /// Returns false (and executes nothing) when no flow anywhere is ready —
+  /// the replicated end-of-run decision.
   bool shard_begin_step();
   /// Exports the sealed effect batch of owned group `g` (legal after
   /// shard_begin_step returned true, before shard_finish_step).
@@ -334,9 +336,9 @@ class Machine {
   /// group context, overwrites the group's flow states with the owner's
   /// post-phase images and replays its local-memory delta.
   void shard_install(const ShardGroupBatch& b);
-  /// Barrier half of the sharded step: merges every group context in group
-  /// order, computes the variant slot term and commits the step — the exact
-  /// tail of step_synchronous().
+  /// Barrier half of the sharded step: the merge loop of step_synchronous()
+  /// — every group context merged in group order, the variant slot term and
+  /// the commit.
   void shard_finish_step();
 
  private:
@@ -457,21 +459,35 @@ class Machine {
   /// at the step barrier (deterministic under host parallelism).
   void halt_in_step(TcfDescriptor& f);
 
-  // step-synchronous execution
+  // step-synchronous execution: one driver, shared with the sharded step
+  // (prologue, dispatch, merge loop; DESIGN.md §10.2)
   bool step_synchronous();
+  /// Prologue: promotes overflow, clears the profiler bins and fixes the
+  /// step base. Returns false when no resident flow is ready (run over).
+  bool begin_step();
+  /// Dispatch: runs every group's share of the step, inline without a pool,
+  /// else as a pool job whose groups publish on their seal channels and
+  /// which stays open for the merge loop.
+  void dispatch_groups();
+  /// One group's share of the step into step_ctx_[g], its fault captured in
+  /// the context. A shard replica executes only the groups it owns.
+  void run_group(GroupId g);
+  /// Waits for the open pool job to finish.
+  void end_group_job();
+  /// Merge loop: merges groups in order 0..P-1 (awaiting each seal while a
+  /// pool job is open), stops at the lowest faulting group after every
+  /// group finished executing, then runs the deferred pass, the slot term
+  /// and finish_step.
+  void merge_step();
   /// The variant slot term over the merged per-group work (the max over
-  /// alive groups of the heterogeneous-clock ceiling division). Shared by
-  /// step_synchronous and shard_finish_step so the cost model cannot drift.
+  /// alive groups of the heterogeneous-clock ceiling division).
   Cycle synchronous_slot_term() const;
   /// Runs one group's share of the current step into step_ctx_[g].
   void execute_group(GroupId g, Cycle step_base);
-  /// Merges every group's effect buffer, in group order, into the machine.
-  void merge_group_effects();
   /// First merge pass for one group: observer events, stats deltas, metric
   /// counters, network aggregates, port drain + prefix ticket mapping,
   /// prints and trace. Touches no flow state, so the stepping thread may run
-  /// it for group g while higher groups are still executing (the streaming
-  /// effect-channel engine relies on this).
+  /// it for group g while higher groups are still executing.
   void stream_merge_group(GroupId g);
   /// Second merge pass for one group, after every group finished: join
   /// notices (decrement other groups' parents) and spawn creation/placement
@@ -522,6 +538,13 @@ class Machine {
   bool exec_shared_lanes(TcfDescriptor& f, const isa::Instr& instr,
                          std::uint64_t start, std::uint64_t count);
   void finish_step(Cycle slot_term_max, const std::vector<Cycle>& group_work);
+  /// Ends every committed step, in either step path: the kStepCommitted
+  /// event and on_step for the observer, if any.
+  void notify_step_committed();
+  /// Charges a task switch of `c` cycles for flow f: the run clock, the
+  /// task-switch total, f's kSwitch profile cell and the `swap_counter`
+  /// metric.
+  void charge_switch(const TcfDescriptor& f, Cycle c, const char* swap_counter);
   /// The two components of the step's memory extension: the injected fault
   /// delay consumed this step and the network latency/bandwidth bound. The
   /// step body is max(slot term, fault + bound); keeping the parts separate
@@ -567,11 +590,15 @@ class Machine {
   /// Per-step local-memory write journals, one per owned group, captured
   /// during shard_begin_step and shipped in the group's batch.
   std::vector<std::vector<std::pair<Addr, Word>>> shard_local_writes_;
-  std::unique_ptr<common::ThreadPool> pool_;  ///< nullptr => sequential
-  /// One seal channel per group for the streaming engine (effect_channels):
-  /// the worker publishes after sealing its GroupCtx; the stepping thread
-  /// consumes them in group order while higher groups still execute.
+  std::unique_ptr<common::ThreadPool> pool_;  ///< nullptr => inline groups
+  /// One seal channel per group (with pool_): the worker publishes after
+  /// sealing its GroupCtx; the merge loop consumes them in group order while
+  /// higher groups still execute.
   std::unique_ptr<common::EffectChannel[]> channels_;
+  std::function<void(std::size_t)> group_job_;  ///< the pool job of a step
+  bool job_open_ = false;  ///< a step's pool job is running
+  Cycle step_base_ = 0;    ///< cycle the current step's slots start at
+  double phase_t0_ = 0;    ///< host-span start of the current step phase
 
   /// dist_cache_[g][m] = topology distance from group g to module-owner
   /// group m % P, precomputed so the per-reference hot path is a table load.
@@ -583,8 +610,7 @@ class Machine {
   std::uint32_t net_max_dist_ = 0;
   std::vector<Cycle> group_work_;  ///< per-step scratch, reused across steps
   std::uint64_t merge_skips_ = 0;  ///< quiet-group merges taken (plain member,
-                                   ///< not a metric, so telemetry is identical
-                                   ///< with the fast path on or off)
+                                   ///< not a metric: a host-side count)
 
  public:
   /// Group merges short-circuited by the quiet-group fast path (perf

@@ -10,7 +10,6 @@
 #include <stdexcept>
 
 #include "common/check.hpp"
-#include "common/thread_pool.hpp"
 #include "machine/config.hpp"
 
 namespace tcfpn::machine {
@@ -39,43 +38,12 @@ bool Machine::shard_begin_step() {
   TCFPN_CHECK(shard_mode_, "shard_begin_step outside shard mode");
   // Replicated end-of-run decision: identical resident lists and statuses on
   // every replica yield the same answer everywhere.
-  bool any_ready = false;
-  for (GroupId g = 0; g < cfg_.groups; ++g) {
-    promote_overflow(g);
-    for (FlowId id : groups_[g].resident) {
-      if (flows_[id]->status == FlowStatus::kReady) any_ready = true;
-    }
-  }
-  if (!any_ready) return false;
-
-  step_bins_.clear();
-  const Cycle step_base = stats_.cycles + step_fill_;
-
-  // Every context resets — non-owned ones must be clean for shard_install.
-  // step_ops is normally zeroed by execute_group; non-owned groups take the
-  // owner's value from the batch, but zero it here so a missing batch is a
-  // loud divergence rather than a stale carry-over.
-  for (GroupId g = 0; g < cfg_.groups; ++g) {
-    step_ctx_[g].reset();
-    groups_[g].step_ops = 0;
-    shard_local_writes_[g].clear();
-  }
-
-  auto run_group = [&](std::size_t g) {
-    if (!shard_owned_[g]) return;
-    locals_[g].set_write_log(&shard_local_writes_[g]);
-    try {
-      execute_group(static_cast<GroupId>(g), step_base);
-    } catch (...) {
-      step_ctx_[g].error = std::current_exception();
-    }
-    locals_[g].set_write_log(nullptr);
-  };
-  if (pool_) {
-    pool_->parallel_for(cfg_.groups, run_group);
-  } else {
-    for (GroupId g = 0; g < cfg_.groups; ++g) run_group(g);
-  }
+  if (!begin_step()) return false;
+  // Every context resets; only the owned groups execute (run_group).
+  dispatch_groups();
+  // The owned groups' batches are extracted next: every group must have
+  // sealed, so the job closes here and the merge loop finds none open.
+  if (job_open_) end_group_job();
   return true;
 }
 
@@ -196,14 +164,7 @@ void Machine::shard_install(const ShardGroupBatch& b) {
 void Machine::shard_finish_step() {
   TCFPN_CHECK(shard_mode_, "shard_finish_step outside shard mode");
   try {
-    // The exact tail of step_synchronous(): merge in group order (lowest
-    // faulting group wins, same as one process), then slot term + commit.
-    merge_group_effects();
-    group_work_.assign(cfg_.groups, 0);
-    for (GroupId g = 0; g < cfg_.groups; ++g) {
-      group_work_[g] = groups_[g].step_ops;
-    }
-    finish_step(synchronous_slot_term(), group_work_);
+    merge_step();
   } catch (const SimError& e) {
     // Same post-mortem hook as Machine::step().
     if (observer_ != nullptr) observer_->on_fault(e.what(), *this);

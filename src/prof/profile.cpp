@@ -56,6 +56,26 @@ Cycle step_cost(const StepRecord& r) {
   return r.fill + std::max(r.slot, r.net + r.fault);
 }
 
+Cycle Profile::add_over_bins(Cycle term,
+                             const std::vector<std::pair<Key, Cycle>>& bins) {
+  const Key idle{kNoIndex, kNoIndex, kNoIndex, Term::kIdle};
+  Cycle work = 0;
+  for (const auto& [k, w] : bins) work += w;
+  if (work == 0) {
+    add(idle, term);
+  } else if (term >= work) {
+    for (const auto& [k, w] : bins) add(k, w);
+    add(idle, term - work);
+  } else if (term > 0) {
+    std::vector<Cycle> weights;
+    weights.reserve(bins.size());
+    for (const auto& [k, w] : bins) weights.push_back(w);
+    const std::vector<Cycle> shares = apportion(term, weights);
+    for (std::size_t i = 0; i < bins.size(); ++i) add(bins[i].first, shares[i]);
+  }
+  return work;
+}
+
 Cycle Profile::attributed() const {
   Cycle total = 0;
   for (const auto& [k, c] : cells) total += c;

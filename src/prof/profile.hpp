@@ -6,8 +6,7 @@
 // the per-key totals sum *exactly* to MachineStats::cycles — the "cycles
 // conserve" invariant the profiler tests assert. Cells accumulate per
 // GroupCtx during the parallel phase and merge at the step barrier in group
-// order, so a profile is bit-identical for every --host-threads value and
-// under both the barrier and effect-channel engines.
+// order, so a profile is bit-identical for every --host-threads value.
 //
 // On top of the raw cells, a bounded per-step record tape (slot / network /
 // fault-delay components of each step) drives the critical-path analyzer
@@ -18,6 +17,7 @@
 #include <cstdint>
 #include <map>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -115,6 +115,15 @@ struct Profile {
     }
     steps.push_back(r);
   }
+
+  /// Charges a step term of `term` cycles over the bins its work was
+  /// recorded in and returns the bins' total weight. Three regimes: no
+  /// recorded work (the whole term is idle), a term at or above the work
+  /// (bins at face value, the remainder idle), or a term below it (variants
+  /// that execute more ops than the term — shared out by apportion(), so
+  /// the shares still sum exactly to the term).
+  Cycle add_over_bins(Cycle term,
+                      const std::vector<std::pair<Key, Cycle>>& bins);
 
   /// Sum of every cell: equals MachineStats::cycles when profiling was on
   /// from machine construction (the conservation invariant).

@@ -232,21 +232,29 @@ TEST(Trace, BackwardsSpanThrows) {
   EXPECT_THROW(tr.add(0, 5, 3, 'A', "bad"), SimError);
 }
 
-// A worker exception must be captured and rethrown at the parallel_for
-// barrier on the calling thread — before the hardening it unwound a worker
-// thread and std::terminate'd the whole process.
+// ---- ThreadPool: begin / try_run_one / end ----
+
+/// One whole job: begin, then end() as the completion barrier.
+void run_job(common::ThreadPool& pool, std::size_t n,
+             const std::function<void(std::size_t)>& fn) {
+  pool.begin(n, fn);
+  pool.end();
+}
+
+// A worker exception must be captured and rethrown by end() on the calling
+// thread — before the hardening it unwound a worker thread and
+// std::terminate'd the whole process.
 TEST(ThreadPool, WorkerExceptionRethrownAtBarrier) {
   common::ThreadPool pool(4);
   std::atomic<int> completed{0};
-  EXPECT_THROW(
-      pool.parallel_for(64,
-                        [&](std::size_t i) {
-                          if (i >= 5) TCFPN_FAULT("index ", i, " exploded");
-                          completed.fetch_add(1, std::memory_order_relaxed);
-                        }),
-      SimError);
-  // Every non-throwing index still ran: the job drains fully before the
-  // barrier rethrows.
+  EXPECT_THROW(run_job(pool, 64,
+                       [&](std::size_t i) {
+                         if (i >= 5) TCFPN_FAULT("index ", i, " exploded");
+                         completed.fetch_add(1, std::memory_order_relaxed);
+                       }),
+               SimError);
+  // Every non-throwing index still ran: the job drains fully before end()
+  // rethrows.
   EXPECT_EQ(completed.load(), 5);
 }
 
@@ -256,10 +264,10 @@ TEST(ThreadPool, LowestFaultingIndexWins) {
   common::ThreadPool pool(8);
   for (int round = 0; round < 20; ++round) {
     try {
-      pool.parallel_for(128, [&](std::size_t i) {
+      run_job(pool, 128, [&](std::size_t i) {
         if (i % 2 == 1) TCFPN_FAULT("index ", i, " exploded");
       });
-      FAIL() << "parallel_for did not throw";
+      FAIL() << "end() did not throw";
     } catch (const SimError& e) {
       EXPECT_NE(std::string(e.what()).find("index 1 exploded"),
                 std::string::npos)
@@ -268,15 +276,14 @@ TEST(ThreadPool, LowestFaultingIndexWins) {
   }
 }
 
-// The pool stays usable after a throwing job: the error state is cleared at
-// the barrier, later jobs run normally.
+// The pool stays usable after a throwing job: end() clears the error state,
+// later jobs run normally.
 TEST(ThreadPool, ReusableAfterException) {
   common::ThreadPool pool(4);
-  EXPECT_THROW(pool.parallel_for(
-                   8, [](std::size_t) { TCFPN_FAULT("boom"); }),
+  EXPECT_THROW(run_job(pool, 8, [](std::size_t) { TCFPN_FAULT("boom"); }),
                SimError);
   std::atomic<int> sum{0};
-  pool.parallel_for(100, [&](std::size_t i) {
+  run_job(pool, 100, [&](std::size_t i) {
     sum.fetch_add(static_cast<int>(i), std::memory_order_relaxed);
   });
   EXPECT_EQ(sum.load(), 4950);
@@ -285,14 +292,12 @@ TEST(ThreadPool, ReusableAfterException) {
 // Exceptions on the calling thread's own share take the same path.
 TEST(ThreadPool, SingleThreadPoolStillThrows) {
   common::ThreadPool pool(1);
-  EXPECT_THROW(pool.parallel_for(
-                   4, [](std::size_t i) {
-                     if (i == 2) TCFPN_FAULT("index ", i, " exploded");
-                   }),
+  EXPECT_THROW(run_job(pool, 4,
+                       [](std::size_t i) {
+                         if (i == 2) TCFPN_FAULT("index ", i, " exploded");
+                       }),
                SimError);
 }
-
-// ---- streaming API: begin / try_run_one / end ----
 
 // The caller may do unrelated work between begin() and end(); every index
 // still runs exactly once, and end() is the completion barrier.
@@ -324,8 +329,8 @@ TEST(ThreadPool, CallerDrainsStreamingJobAlone) {
   EXPECT_EQ(sum.load(), 4950);
 }
 
-// end() carries the same deterministic-error contract as parallel_for: the
-// lowest faulting index wins, and the pool is reusable afterwards.
+// The lowest faulting index wins on every round of a reused pool, and the
+// pool still runs a clean job afterwards.
 TEST(ThreadPool, StreamingEndRethrowsLowestIndex) {
   common::ThreadPool pool(8);
   const std::function<void(std::size_t)> fn = [](std::size_t i) {
@@ -343,7 +348,7 @@ TEST(ThreadPool, StreamingEndRethrowsLowestIndex) {
     }
   }
   std::atomic<int> ran{0};
-  pool.parallel_for(32, [&](std::size_t) {
+  run_job(pool, 32, [&](std::size_t) {
     ran.fetch_add(1, std::memory_order_relaxed);
   });
   EXPECT_EQ(ran.load(), 32);

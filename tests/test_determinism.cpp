@@ -9,13 +9,13 @@
 // here as a diff (and under TSan in CI as a race).
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "debug/recorder.hpp"
+#include "isa/assembler.hpp"
 #include "machine/cost_model.hpp"
 #include "machine/machine.hpp"
 #include "machine/telemetry.hpp"
@@ -106,13 +106,8 @@ MachineConfig base_cfg(Variant v, std::uint32_t host_threads) {
 }
 
 /// Configures, boots and runs one variant; returns everything observable.
-/// `tweak` (optional) adjusts the config before the machine is built —
-/// used to select the barrier engine or toggle the merge-skip fast path.
-Snapshot run_variant(Variant v, std::uint32_t host_threads, bool spawn_heavy,
-                     const std::function<void(MachineConfig&)>& tweak = {}) {
-  MachineConfig cfg = base_cfg(v, host_threads);
-  if (tweak) tweak(cfg);
-  Machine m(cfg);
+Snapshot run_variant(Variant v, std::uint32_t host_threads, bool spawn_heavy) {
+  Machine m(base_cfg(v, host_threads));
   switch (v) {
     case Variant::kSingleInstruction:
     case Variant::kBalanced:
@@ -199,101 +194,79 @@ TEST(DeterminismTest, HostThreadsBeyondGroupsIsFine) {
   EXPECT_TRUE(one == many);
 }
 
-// ---- Engine differential: streaming channels vs. plain barrier ----
-//
-// Two engines implement the step merge (DESIGN.md §10.2): the default
-// streaming engine (per-group seal channels, merges overlap execution) and
-// the barrier engine (effect_channels = false). They must be mutually
-// bit-identical at every host-thread count — memory image, PRINT output,
-// trace, and every metric instrument.
-
-class EngineDifferentialTest : public ::testing::TestWithParam<Variant> {};
-
-TEST_P(EngineDifferentialTest, ChannelVsBufferBitIdentical) {
-  const Variant v = GetParam();
-  const auto barrier = [](MachineConfig& c) { c.effect_channels = false; };
-  const bool heavy =
-      v == Variant::kSingleInstruction || v == Variant::kBalanced;
-  const Snapshot ref = run_variant(v, 1, heavy);
-  ASSERT_TRUE(ref.completed);
-  for (std::uint32_t ht : {1u, 2u, 8u}) {
-    EXPECT_TRUE(ref == run_variant(v, ht, heavy))
-        << to_string(v) << " streaming @" << ht;
-    EXPECT_TRUE(ref == run_variant(v, ht, heavy, barrier))
-        << to_string(v) << " barrier @" << ht;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllVariants, EngineDifferentialTest,
-    ::testing::Values(Variant::kSingleInstruction, Variant::kBalanced,
-                      Variant::kMultiInstruction, Variant::kSingleOperation,
-                      Variant::kConfigSingleOperation,
-                      Variant::kFixedThickness),
-    [](const ::testing::TestParamInfo<Variant>& info) {
-      std::string name = to_string(info.param);
-      for (char& c : name) {
-        if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
-      }
-      return name;
-    });
-
 /// Runs the spawn/join/prefix program with a flight recorder attached and
 /// returns the full journal tape (the observer-visible event sequence).
-std::vector<DebugEvent> journal_for(
-    std::uint32_t host_threads,
-    const std::function<void(MachineConfig&)>& tweak,
-    std::uint64_t* merge_skips = nullptr) {
-  MachineConfig cfg = base_cfg(Variant::kSingleInstruction, host_threads);
-  if (tweak) tweak(cfg);
+std::vector<DebugEvent> journal_for(std::uint32_t host_threads,
+                                    std::uint64_t* merge_skips) {
   debug::FlightRecorder rec(
       debug::RecorderConfig{/*journal_capacity=*/1 << 16,
                             /*checkpoint_every=*/0, /*max_checkpoints=*/1});
-  Machine m(cfg);
+  Machine m(base_cfg(Variant::kSingleInstruction, host_threads));
   rec.attach(m);
   m.load(with_arrays(spawn_prefix_program()));
   m.boot(1);
   const RunResult run = m.run();
   EXPECT_TRUE(run.completed);
-  if (merge_skips != nullptr) *merge_skips = m.merge_skips();
+  *merge_skips = m.merge_skips();
   std::vector<DebugEvent> tape;
   for (const auto& e : rec.journal().entries()) tape.push_back(e.event);
   return tape;
 }
 
-TEST(EngineDifferentialTest, JournalTapeIdenticalAcrossEngines) {
-  const std::vector<DebugEvent> ref = journal_for(1, {});
-  ASSERT_FALSE(ref.empty());
-  const auto barrier = [](MachineConfig& c) { c.effect_channels = false; };
-  for (std::uint32_t ht : {1u, 2u, 8u}) {
-    EXPECT_EQ(ref, journal_for(ht, {})) << "streaming @" << ht;
-    EXPECT_EQ(ref, journal_for(ht, barrier)) << "barrier @" << ht;
-  }
-}
-
-// ---- Merge-skip fast path: pure engine shortcut, zero observable effect ---
-
-TEST(MergeSkipTest, FastPathChangesNothingObservable) {
-  const auto no_skip = [](MachineConfig& c) { c.merge_skip = false; };
-  for (std::uint32_t ht : {1u, 2u, 8u}) {
-    const Snapshot with = run_variant(Variant::kSingleInstruction, ht, true);
-    const Snapshot without =
-        run_variant(Variant::kSingleInstruction, ht, true, no_skip);
-    EXPECT_TRUE(with == without) << "merge_skip differs @" << ht;
-  }
-}
+// ---- Quiet-group fast path: taken, and invisible to the journal ----
 
 TEST(MergeSkipTest, FastPathTakenAndTapeUnchanged) {
   // boot(1) places one flow on one group; the other groups are quiet every
   // step, so the fast path must actually fire — and the flight-recorder
-  // tape (telemetry the skip could plausibly eat) must not change.
-  std::uint64_t skips_on = 0, skips_off = 0;
-  const std::vector<DebugEvent> tape_on = journal_for(2, {}, &skips_on);
-  const std::vector<DebugEvent> tape_off = journal_for(
-      2, [](MachineConfig& c) { c.merge_skip = false; }, &skips_off);
-  EXPECT_GT(skips_on, 0u);
-  EXPECT_EQ(skips_off, 0u);
-  EXPECT_EQ(tape_on, tape_off);
+  // tape (telemetry the skip could plausibly eat) must be the same at every
+  // host-thread count.
+  std::uint64_t ref_skips = 0;
+  const std::vector<DebugEvent> ref = journal_for(1, &ref_skips);
+  ASSERT_FALSE(ref.empty());
+  EXPECT_GT(ref_skips, 0u);
+  for (std::uint32_t ht : {2u, 8u}) {
+    std::uint64_t skips = 0;
+    EXPECT_EQ(ref, journal_for(ht, &skips)) << "@" << ht;
+    EXPECT_EQ(skips, ref_skips) << "@" << ht;
+  }
+}
+
+// ---- The fault rule of the merge loop ----
+//
+// A group-phase fault stops the merge at the lowest faulting group, but
+// every group still finishes executing its share of the faulting step, at
+// any host-thread count. Group 1's flow therefore ran its instruction of
+// step 2 when group 0's divide faulted, and the surfaced error and group
+// 1's post-fault flow state are the same at 1, 2 and 8 host threads.
+
+TEST(FaultRuleTest, EveryGroupExecutesTheFaultingStep) {
+  const isa::Program prog = isa::assemble(R"(
+      a: LDI r1, 6
+         DIV r2, r1, r0   ; step 2: r0 is zero
+         HALT
+      b: ADD r1, r1, 2
+         ADD r1, r1, 2
+         ADD r1, r1, 2
+         HALT
+  )");
+  for (std::uint32_t ht : {1u, 2u, 8u}) {
+    MachineConfig cfg = base_cfg(Variant::kSingleInstruction, ht);
+    cfg.groups = 2;
+    Machine m(cfg);
+    m.load(prog);
+    m.boot_at(prog.label("a"), 1, 0);
+    const FlowId b = m.boot_at(prog.label("b"), 1, 1);
+    try {
+      m.run();
+      ADD_FAILURE() << "no fault @" << ht;
+    } catch (const SimError& e) {
+      EXPECT_NE(std::string(e.what()).find("division by zero"),
+                std::string::npos)
+          << e.what() << " @" << ht;
+    }
+    EXPECT_EQ(m.find_flow(b)->pc, prog.label("b") + 2) << "@" << ht;
+    EXPECT_EQ(m.peek_reg(b, 0, 1), 4) << "@" << ht;
+  }
 }
 
 // ---- Telemetry documents: valid JSON, deterministic, subsystem coverage ---

@@ -3,8 +3,7 @@
 // the Bus end-to-end against a file destination, and the backpressure
 // contract — a tiny ring under a held sink MUST drop records, MUST count
 // them, and MUST NOT perturb the simulated run: the machine ends
-// bit-identical to a no-stream run at every host-thread count, under both
-// the barrier and the effect-channel merge engines.
+// bit-identical to a no-stream run at every host-thread count.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -259,7 +258,7 @@ constexpr Word kN = 48;
 constexpr Addr kA = 100, kC = 700, kSum = 900;
 
 /// SPAWN/JOINALL/PPADD/PRINT program: cross-group traffic plus debug events,
-/// so the stream carries every record kind while the engines sweat.
+/// so the stream carries every record kind while the host threads sweat.
 isa::Program stream_workload() {
   tcf::AsmBuilder s;
   using namespace tcf;
@@ -296,8 +295,7 @@ struct RunFingerprint {
   bool operator==(const RunFingerprint&) const = default;
 };
 
-machine::MachineConfig stream_cfg(std::uint32_t host_threads,
-                                  bool effect_channels) {
+machine::MachineConfig stream_cfg(std::uint32_t host_threads) {
   machine::MachineConfig cfg;
   cfg.variant = machine::Variant::kSingleInstruction;
   cfg.groups = 4;
@@ -305,7 +303,6 @@ machine::MachineConfig stream_cfg(std::uint32_t host_threads,
   cfg.shared_words = 1 << 12;
   cfg.local_words = 1 << 10;
   cfg.host_threads = host_threads;
-  cfg.effect_channels = effect_channels;
   return cfg;
 }
 
@@ -313,11 +310,11 @@ machine::MachineConfig stream_cfg(std::uint32_t host_threads,
 /// is attached (cadence 1 so every step emits). `ring_capacity` 0 means the
 /// default; `hold_sink` pauses the sink for the whole run, so a tiny ring
 /// must overflow and the never-block policy must drop.
-RunFingerprint run_workload(std::uint32_t host_threads, bool effect_channels,
+RunFingerprint run_workload(std::uint32_t host_threads,
                             const std::string& stream_path,
                             std::size_t ring_capacity, bool hold_sink,
                             BusStats* bus_stats = nullptr) {
-  machine::Machine m(stream_cfg(host_threads, effect_channels));
+  machine::Machine m(stream_cfg(host_threads));
   m.load(stream_workload());
   m.boot(1);
 
@@ -358,39 +355,32 @@ RunFingerprint run_workload(std::uint32_t host_threads, bool effect_channels,
 }
 
 TEST(StreamBackpressureTest, TinyRingDropsButRunStaysBitIdentical) {
-  const RunFingerprint baseline =
-      run_workload(1, /*effect_channels=*/false, "", 0, false);
+  const RunFingerprint baseline = run_workload(1, "", 0, false);
   ASSERT_TRUE(baseline.completed);
 
-  int variant = 0;
   for (const std::uint32_t ht : {1u, 2u, 8u}) {
-    for (const bool channels : {false, true}) {
-      const std::string path = testing::TempDir() + "/backpressure_" +
-                               std::to_string(variant++) + ".stream";
-      BusStats stats;
-      const RunFingerprint streamed = run_workload(
-          ht, channels, path, /*ring_capacity=*/2, /*hold_sink=*/true, &stats);
-      // The never-block contract, both halves: records were lost…
-      EXPECT_GT(stats.dropped_records, 0u)
-          << "ht=" << ht << " channels=" << channels;
-      EXPECT_EQ(stats.pushed,
-                stats.dropped_records +
-                    (stats.written - 2 /* header + run_end */))
-          << "ht=" << ht << " channels=" << channels;
-      // …and the simulated run never noticed.
-      EXPECT_TRUE(streamed == baseline)
-          << "streamed run diverged at ht=" << ht
-          << " channels=" << channels;
-      // The truncated stream is still a valid one: header first, run_end
-      // last, contiguous seq, and the run_end cumulative metrics intact.
-      const std::vector<std::string> lines = split_lines(read_file(path));
-      ASSERT_GE(lines.size(), 2u);
-      JsonValue last;
-      ASSERT_TRUE(parse_json(lines.back(), &last));
-      EXPECT_EQ(last.get_string("type"), "run_end");
-      EXPECT_EQ(last.get("obs")->get_number("dropped_records"),
-                static_cast<double>(stats.dropped_records));
-    }
+    const std::string path = testing::TempDir() + "/backpressure_" +
+                             std::to_string(ht) + ".stream";
+    BusStats stats;
+    const RunFingerprint streamed = run_workload(
+        ht, path, /*ring_capacity=*/2, /*hold_sink=*/true, &stats);
+    // The never-block contract, both halves: records were lost…
+    EXPECT_GT(stats.dropped_records, 0u) << "ht=" << ht;
+    EXPECT_EQ(stats.pushed,
+              stats.dropped_records +
+                  (stats.written - 2 /* header + run_end */))
+        << "ht=" << ht;
+    // …and the simulated run never noticed.
+    EXPECT_TRUE(streamed == baseline) << "streamed run diverged at ht=" << ht;
+    // The truncated stream is still a valid one: header first, run_end
+    // last, contiguous seq, and the run_end cumulative metrics intact.
+    const std::vector<std::string> lines = split_lines(read_file(path));
+    ASSERT_GE(lines.size(), 2u);
+    JsonValue last;
+    ASSERT_TRUE(parse_json(lines.back(), &last));
+    EXPECT_EQ(last.get_string("type"), "run_end");
+    EXPECT_EQ(last.get("obs")->get_number("dropped_records"),
+              static_cast<double>(stats.dropped_records));
   }
 }
 
@@ -398,7 +388,7 @@ TEST(StreamObserverTest, FullStreamHasMonotoneStepsAndMatchesRun) {
   const std::string path = testing::TempDir() + "/full.stream";
   BusStats stats;
   const RunFingerprint fp =
-      run_workload(2, true, path, /*ring_capacity=*/1 << 14,
+      run_workload(2, path, /*ring_capacity=*/1 << 14,
                    /*hold_sink=*/false, &stats);
   ASSERT_TRUE(fp.completed);
   EXPECT_EQ(stats.dropped_records, 0u);

@@ -1,6 +1,5 @@
 // Oracle-backed TCF scenario workloads (scenarios/*.tcf) run differentially
-// across machine variants, stepping engines, host-thread counts and machine
-// shapes. The acceptance bar everywhere is bit-identity: full shared memory
+// across machine variants, host-thread counts and machine shapes. The acceptance bar everywhere is bit-identity: full shared memory
 // and the PRINT stream must match the sequential oracle exactly, and runs
 // within a lane must agree down to the cycle count across host threads.
 #include <gtest/gtest.h>
@@ -36,8 +35,7 @@ TEST(Scenarios, SuiteLoadsAllFiveWorkloads) {
 // ---- full sweeps per machine shape ----
 //
 // Each sweep covers: single-instruction + balanced:16 + balanced:4096
-// lanes, both stepping engines (streamed effect channels and barrier
-// merge), host threads {1, 2, 8}, and the placement-aware LPT lane. The
+// lanes, host threads {1, 2, 8}, and the placement-aware LPT lane. The
 // fault_seed additionally runs every variant lane under an injected fault
 // schedule recovered by checkpoint rollback — on heterogeneous shapes this
 // also exercises the per-group-config checkpoint fingerprint.
@@ -68,7 +66,6 @@ TEST(Scenarios, ExplicitHeterogeneousSpecWithNumaRows) {
   ScenarioOptions opt;
   opt.shape =
       "2*slots=48,clock=3,fill=6,dist=1:1:5:5+2*slots=8,fill=3,dist=5:5:1:1";
-  opt.sweep_engines = false;  // engine coverage lives in the shape sweeps
   opt.fault_seed = 7;
   expect_all_pass(opt);
 }
