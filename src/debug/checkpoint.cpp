@@ -393,8 +393,9 @@ machine::MachineState deserialize(const std::vector<std::uint8_t>& bytes) {
       const Cycle c = r.u64();
       s.profile.cells.emplace(k, c);
     }
-    s.profile.steps.resize(r.count("profile-step"));
-    for (auto& rec : s.profile.steps) {
+    const std::size_t n_steps = r.count("profile-step");
+    for (std::size_t i = 0; i < n_steps; ++i) {
+      prof::StepRecord rec;
       rec.step = r.u64();
       rec.limit_group = r.i64();
       rec.fill = r.u64();
@@ -402,6 +403,7 @@ machine::MachineState deserialize(const std::vector<std::uint8_t>& bytes) {
       rec.net = r.u64();
       rec.fault = r.u64();
       rec.work = r.u64();
+      s.profile.steps.push_back(rec);
     }
     s.profile.steps_truncated = r.b();
   }

@@ -110,12 +110,8 @@ void DebugSession::run_to(StepId target, std::ostream& out) {
       out << "no checkpoint at or before step " << target << "\n";
       return;
     }
-    // Copy out of the recorder first: rewind_to edits the checkpoint vector
-    // the pointer aims into.
-    machine::MachineState snap = c->state;
-    recorder_.rewind_to(c);
+    recorder_.rewind_to(c, machine_);
     post_mortem_doc_.reset();
-    machine_.restore_state(snap);
   }
   std::uint64_t travelled = 0;
   while (current_step() < target) {

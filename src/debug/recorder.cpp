@@ -34,12 +34,13 @@ const FlightRecorder::Checkpoint* FlightRecorder::nearest(StepId step) const {
   return best;
 }
 
-void FlightRecorder::rewind_to(const Checkpoint* c) {
+void FlightRecorder::rewind_to(const Checkpoint* c, machine::Machine& m) {
   TCFPN_CHECK(c != nullptr, "rewind needs a checkpoint");
+  m.restore_state(c->state);
+  journal_.truncate_from(c->journal_seq);
+  // Drop strictly later checkpoints. They all sit after `c` (the vector is
+  // ascending by step), so `c` itself neither moves nor dies.
   const StepId step = c->step;
-  const std::uint64_t seq = c->journal_seq;
-  journal_.truncate_from(seq);
-  // Drop strictly later checkpoints; `c` itself survives.
   std::erase_if(checkpoints_,
                 [&](const Checkpoint& k) { return k.step > step; });
   steps_since_checkpoint_ = 0;

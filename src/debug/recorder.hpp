@@ -15,6 +15,7 @@
 
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "debug/journal.hpp"
@@ -57,6 +58,9 @@ class FlightRecorder final : public machine::StepObserver {
     std::uint64_t journal_seq;  ///< journal next_seq at capture time
     machine::MachineState state;
   };
+  // The checkpoint vector's growth and the ladder's thinning pass move
+  // checkpoints; without a noexcept move they silently deep-copy instead.
+  static_assert(std::is_nothrow_move_constructible_v<Checkpoint>);
 
   /// Takes a checkpoint of `m`'s current state unconditionally.
   void checkpoint_now(machine::Machine& m);
@@ -65,11 +69,12 @@ class FlightRecorder final : public machine::StepObserver {
   const Checkpoint* nearest(StepId step) const;
   const std::vector<Checkpoint>& checkpoints() const { return checkpoints_; }
 
-  /// Rewinds the recorder to checkpoint `c`: truncates the journal at the
-  /// checkpoint's sequence, drops every later checkpoint and clears any
-  /// captured fault. `c` must point into checkpoints(). The caller restores
-  /// the machine from its own copy of c->state — rewinding invalidates `c`.
-  void rewind_to(const Checkpoint* c);
+  /// Rewinds `m` and the recorder to checkpoint `c`: restores `m` straight
+  /// from c->state, then truncates the journal at the checkpoint's
+  /// sequence, drops every later checkpoint and clears any captured fault.
+  /// `c` must point into checkpoints(); it survives the rewind (only later
+  /// checkpoints are dropped), so nothing is copied.
+  void rewind_to(const Checkpoint* c, machine::Machine& m);
 
   const Journal& journal() const { return journal_; }
   const std::optional<FaultRecord>& fault() const { return fault_; }

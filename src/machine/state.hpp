@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -80,6 +81,9 @@ struct MachineState {
   /// tests assert. Empty when profiling is off (or for pre-profiler images).
   prof::Profile profile;
 };
+// Checkpoint vectors move states around (growth, ladder thinning); a member
+// that loses its noexcept move would turn every such move into a deep copy.
+static_assert(std::is_nothrow_move_constructible_v<MachineState>);
 
 /// Flattens one flow descriptor into a FlowState. `require_boundary`
 /// asserts the store-forwarding buffer is empty — the checkpoint contract.

@@ -56,6 +56,25 @@ Cycle step_cost(const StepRecord& r) {
   return r.fill + std::max(r.slot, r.net + r.fault);
 }
 
+void StepTape::push_back(const StepRecord& r) {
+  tail_.push_back(r);
+  if (tail_.size() < kChunk) return;
+  auto chunk = std::make_shared<Chunk>();
+  std::copy(tail_.begin(), tail_.end(), chunk->begin());
+  chunks_.push_back(std::move(chunk));
+  tail_.clear();
+}
+
+bool StepTape::operator==(const StepTape& o) const {
+  if (chunks_.size() != o.chunks_.size() || tail_ != o.tail_) return false;
+  for (std::size_t i = 0; i < chunks_.size(); ++i) {
+    if (chunks_[i] != o.chunks_[i] && *chunks_[i] != *o.chunks_[i]) {
+      return false;
+    }
+  }
+  return true;
+}
+
 Cycle Profile::add_over_bins(Cycle term,
                              const std::vector<std::pair<Key, Cycle>>& bins) {
   const Key idle{kNoIndex, kNoIndex, kNoIndex, Term::kIdle};

@@ -13,9 +13,13 @@
 // and the Amdahl-style what-if re-costing in prof/report.
 #pragma once
 
+#include <array>
 #include <compare>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <map>
+#include <memory>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -99,10 +103,67 @@ Cycle step_cost(const StepRecord& r);
 /// host-span buffer does — with an explicit flag, never silently.
 inline constexpr std::size_t kMaxStepRecords = 1u << 20;
 
+/// The per-step record tape: append-only, stored as fixed chunks of kChunk
+/// records. A full chunk is frozen and shared by every copy of the tape,
+/// so copying a profile — every save_state, restore_state and checkpoint
+/// does — costs one pointer per frozen chunk plus the open tail, not the
+/// run's whole history. Equal records compare equal however the tapes
+/// were built: chunk boundaries sit at fixed multiples of kChunk.
+class StepTape {
+ public:
+  static constexpr std::size_t kChunk = 128;
+
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = StepRecord;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const StepRecord*;
+    using reference = const StepRecord&;
+
+    const_iterator() = default;
+    const_iterator(const StepTape* tape, std::size_t i) : tape_(tape), i_(i) {}
+    reference operator*() const { return (*tape_)[i_]; }
+    pointer operator->() const { return &(*tape_)[i_]; }
+    const_iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator old = *this;
+      ++i_;
+      return old;
+    }
+    bool operator==(const const_iterator& o) const { return i_ == o.i_; }
+
+   private:
+    const StepTape* tape_ = nullptr;
+    std::size_t i_ = 0;
+  };
+
+  void push_back(const StepRecord& r);
+  std::size_t size() const { return frozen() + tail_.size(); }
+  const StepRecord& operator[](std::size_t i) const {
+    return i < frozen() ? (*chunks_[i / kChunk])[i % kChunk]
+                        : tail_[i - frozen()];
+  }
+  const_iterator begin() const { return {this, 0}; }
+  const_iterator end() const { return {this, size()}; }
+
+  bool operator==(const StepTape& o) const;
+
+ private:
+  using Chunk = std::array<StepRecord, kChunk>;
+  std::size_t frozen() const { return chunks_.size() * kChunk; }
+
+  std::vector<std::shared_ptr<const Chunk>> chunks_;
+  std::vector<StepRecord> tail_;  ///< the open chunk, < kChunk records
+};
+
 /// The attribution table of one run.
 struct Profile {
   std::map<Key, Cycle> cells;
-  std::vector<StepRecord> steps;
+  StepTape steps;
   bool steps_truncated = false;
 
   void add(const Key& k, Cycle c) {

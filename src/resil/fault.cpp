@@ -235,7 +235,7 @@ FaultInjector::FaultInjector(FaultSpec spec, std::uint32_t groups,
   TCFPN_CHECK(shared_words_ >= 1, "fault injector needs shared memory");
 }
 
-std::vector<FaultEvent> FaultInjector::pending(StepId step) const {
+std::vector<FaultEvent> FaultInjector::pending(StepId step) {
   std::vector<FaultEvent> out;
 
   auto finish = [&](FaultEvent& ev, Rng& r) {
@@ -278,6 +278,11 @@ std::vector<FaultEvent> FaultInjector::pending(StepId step) const {
     out.push_back(ev);
   }
 
+  // The random draws depend on nothing but (seed, step): a step whose
+  // draws all came out empty once does so on every replay.
+  if (step < quiet_.size() && quiet_[step]) return out;
+  bool drawn = false;
+
   // Random occurrences: one Bernoulli draw per (group, kind), both in
   // ascending order.
   for (GroupId g = 0; g < groups_; ++g) {
@@ -286,6 +291,7 @@ std::vector<FaultEvent> FaultInjector::pending(StepId step) const {
       if (rate <= 0) continue;
       Rng r(occurrence_seed(spec_.seed, step, g, kind));
       if (!r.chance(rate)) continue;
+      drawn = true;
       FaultEvent ev;
       ev.kind = kind;
       ev.step = step;
@@ -309,6 +315,7 @@ std::vector<FaultEvent> FaultInjector::pending(StepId step) const {
       if (rate <= 0) continue;
       Rng r(occurrence_seed(spec_.seed, step, s, kind));
       if (!r.chance(rate)) continue;
+      drawn = true;
       FaultEvent ev;
       ev.kind = kind;
       ev.step = step;
@@ -319,6 +326,7 @@ std::vector<FaultEvent> FaultInjector::pending(StepId step) const {
       out.push_back(ev);
     }
   }
+  if (step == quiet_.size()) quiet_.push_back(!drawn);
   return out;
 }
 

@@ -135,8 +135,9 @@ class FaultInjector {
   /// in deterministic order: scripted first (spec order), then random ones
   /// by (group, kind). Pure in (seed, step, group) apart from the fired
   /// filter, so replays after a rollback regenerate the suppressed tail of
-  /// the schedule exactly.
-  std::vector<FaultEvent> pending(StepId step) const;
+  /// the schedule exactly. Non-const only for the draw memo: a step whose
+  /// random draws all came out empty skips them when it is asked again.
+  std::vector<FaultEvent> pending(StepId step);
 
   /// Marks an occurrence handled. The executor calls this *before* acting
   /// on the event — in particular before a rollback — so replayed steps
@@ -151,6 +152,10 @@ class FaultInjector {
   std::size_t shared_words_;
   std::uint32_t shards_;
   std::unordered_set<std::uint64_t> fired_;
+  /// quiet_[s]: every random draw at step s came out empty. Filled in step
+  /// order only (a step past the end is drawn but not memoized), so it
+  /// holds one bit per step the run has reached.
+  std::vector<bool> quiet_;
 };
 
 }  // namespace tcfpn::resil

@@ -5,7 +5,6 @@
 
 #include "common/check.hpp"
 #include "common/log.hpp"
-#include "machine/state.hpp"
 #include "mem/shared_memory.hpp"
 #include "net/network.hpp"
 
@@ -79,11 +78,7 @@ void ResilientExecutor::do_rollback(const FaultEvent& ev) {
               cur);
   const StepId ck_step = c->step;
   const std::uint64_t lost = cur - ck_step;
-  // rewind_to invalidates `c` (it truncates the checkpoint vector), so the
-  // state must be copied out first.
-  machine::MachineState state = c->state;
-  rec_.rewind_to(c);
-  m_.restore_state(state);
+  rec_.rewind_to(c, m_);
   // Re-journal the fault after the rewind (the pre-rollback record was just
   // truncated away with the rest of the undone tape), then the recovery.
   journal(machine::DebugEventKind::kFaultInjected, ev.group,

@@ -380,6 +380,162 @@ TEST(ProfTimeTravel, BackAndReplayReproducesTheProfile) {
             session.machine().stats().cycles);
 }
 
+// ---- the step tape: frozen chunks shared between copies ----
+
+prof::StepRecord tape_record(std::uint64_t i) {
+  prof::StepRecord r;
+  r.step = i;
+  r.limit_group = static_cast<std::int64_t>(i % 5) - 1;
+  r.fill = i % 3;
+  r.slot = 2 * i + 1;
+  r.net = i % 7;
+  r.fault = i % 11 == 0 ? i : 0;
+  r.work = i / 2;
+  return r;
+}
+
+prof::StepTape tape_of(std::size_t n) {
+  prof::StepTape t;
+  for (std::size_t i = 0; i < n; ++i) t.push_back(tape_record(i));
+  return t;
+}
+
+void expect_tape_prefix(const prof::StepTape& t, std::size_t n) {
+  ASSERT_EQ(t.size(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(t[i], tape_record(i)) << "record " << i << " of " << n;
+  }
+  std::size_t i = 0;
+  for (const prof::StepRecord& r : t) EXPECT_EQ(r, tape_record(i++));
+  EXPECT_EQ(i, n);
+}
+
+TEST(StepTape, CopiesKeepTheirRecordsWhileTheOriginalGrows) {
+  constexpr std::size_t kChunk = prof::StepTape::kChunk;
+  const std::size_t marks[] = {0, kChunk - 1, kChunk, kChunk + 1,
+                               3 * kChunk + 5};
+  prof::StepTape tape;
+  std::vector<prof::StepTape> copies;
+  const std::size_t total = 6 * kChunk + 3;
+  for (std::size_t i = 0; i < total; ++i) {
+    for (std::size_t m : marks) {
+      if (i == m) copies.push_back(tape);
+    }
+    tape.push_back(tape_record(i));
+  }
+  ASSERT_EQ(copies.size(), std::size(marks));
+  for (std::size_t k = 0; k < copies.size(); ++k) {
+    SCOPED_TRACE(marks[k]);
+    expect_tape_prefix(copies[k], marks[k]);
+  }
+  expect_tape_prefix(tape, total);
+
+  // A copy that grows on its own leaves the original (and its shared
+  // frozen chunks) untouched.
+  prof::StepTape fork = copies[3];
+  for (std::size_t i = 0; i < 2 * kChunk; ++i) {
+    prof::StepRecord r = tape_record(fork.size());
+    r.work += 1000;
+    fork.push_back(r);
+  }
+  EXPECT_EQ(fork[kChunk + 1].work, tape_record(kChunk + 1).work + 1000);
+  expect_tape_prefix(tape, total);
+  expect_tape_prefix(copies[3], kChunk + 1);
+}
+
+TEST(StepTape, EqualRecordsCompareEqualHoweverBuilt) {
+  constexpr std::size_t kChunk = prof::StepTape::kChunk;
+  const std::size_t n = 2 * kChunk + 44;
+  // Two tapes grown from copies of one prefix share its frozen chunk and
+  // freeze their later chunks apart; a third is built in one go.
+  const prof::StepTape prefix = tape_of(kChunk + 2);
+  prof::StepTape a = prefix;
+  prof::StepTape b = prefix;
+  for (std::size_t i = prefix.size(); i < n; ++i) {
+    a.push_back(tape_record(i));
+    b.push_back(tape_record(i));
+  }
+  const prof::StepTape straight = tape_of(n);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a, straight);
+  EXPECT_EQ(straight, b);
+  EXPECT_EQ(prof::StepTape{}, tape_of(0));
+
+  // Differences are seen in a frozen chunk, in the tail and in the length.
+  prof::StepTape early;
+  prof::StepTape late;
+  for (std::size_t i = 0; i < n; ++i) {
+    prof::StepRecord r = tape_record(i);
+    early.push_back(i == 5 ? prof::StepRecord{} : r);
+    late.push_back(i == n - 1 ? prof::StepRecord{} : r);
+  }
+  EXPECT_NE(straight, early);
+  EXPECT_NE(straight, late);
+  EXPECT_NE(straight, tape_of(n - 1));
+  EXPECT_NE(straight, tape_of(n + 1));
+}
+
+TEST(StepTape, RoundTripsThroughTheCheckpointFormat) {
+  MachineState s;
+  s.profile.steps = tape_of(2 * prof::StepTape::kChunk + 17);
+  s.profile.steps_truncated = true;
+  const auto bytes = debug::serialize(s);
+  const MachineState back = debug::deserialize(bytes);
+  EXPECT_EQ(back.profile, s.profile);
+  EXPECT_EQ(debug::serialize(back), bytes);
+}
+
+// ---- rollback recovery replays to the straight-line profile ----
+
+/// A 300-iteration LD/ADD/ST loop over a per-lane window: long enough for
+/// the step tape to span many chunks and for a sparse schedule to roll
+/// back several times.
+isa::Program ld_add_st_loop() {
+  tcf::AsmBuilder s;
+  using namespace tcf;
+  auto loop = s.make_label("loop");
+  s.ldi(r1, 300);
+  s.ldi(r2, static_cast<Word>(kA));
+  s.bind(loop);
+  s.ld(r3, r2, 0, /*lane=*/true);
+  s.add(r3, r3, Word{1});
+  s.st(r3, r2, 0, /*lane=*/true);
+  s.sub(r1, r1, Word{1});
+  s.bnez(r1, loop);
+  s.halt();
+  return s.build();
+}
+
+TEST(ProfRollback, RollbackOnlyScheduleKeepsTheStraightLineProfile) {
+  for (Variant v : {Variant::kSingleInstruction, Variant::kBalanced}) {
+    SCOPED_TRACE(to_string(v));
+    const MachineConfig cfg = base_cfg(v, 1);
+    Machine ref(cfg);
+    ref.load(with_arrays(ld_add_st_loop()));
+    ref.boot(kN);
+    ASSERT_TRUE(ref.run().completed);
+    ASSERT_GT(ref.profile().steps.size(), 2 * prof::StepTape::kChunk);
+
+    Machine m(cfg);
+    m.load(with_arrays(ld_add_st_loop()));
+    m.boot(kN);
+    resil::ResilConfig rc;
+    // Only kinds that roll back: no transient charges, so the replayed
+    // run must end with exactly the fault-free profile.
+    rc.spec =
+        resil::parse_fault_spec("seed=3,flip=0.004,kill=0.004,memfail=0.002");
+    rc.mode = resil::RecoverMode::kRollback;
+    resil::ResilientExecutor ex(m, rc);
+    const resil::ResilResult r = ex.run();
+    ASSERT_FALSE(r.faulted) << r.fault_message;
+    ASSERT_TRUE(r.run.completed);
+    EXPECT_GE(r.resil.rollbacks, 3u);
+    EXPECT_EQ(m.profile().cells, ref.profile().cells);
+    EXPECT_EQ(m.profile().steps, ref.profile().steps);
+    EXPECT_EQ(m.profile().steps.size(), m.stats().steps);
+  }
+}
+
 // ---- profile document plumbing ----
 
 TEST(ProfTelemetry, DocumentCarriesRunMetadata) {

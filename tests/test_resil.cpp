@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.hpp"
@@ -469,9 +470,60 @@ TEST(FaultInjector, ScheduleIsPureInSeedStepGroup) {
       EXPECT_EQ(ea[i].magnitude, eb[i].magnitude);
       EXPECT_EQ(ea[i].key, eb[i].key);
     }
-    // pending() is const: asking twice gives the same answer.
+    // Asking twice gives the same answer, the second time from the memo
+    // when the step's random draws were all empty.
     EXPECT_EQ(a.pending(step).size(), ea.size());
   }
+}
+
+TEST(FaultInjector, ReplayedStepsRepeatTheirSchedule) {
+  FaultSpec spec = default_spec_for_seed(42);
+  // Script a fault onto a step whose random draws are all empty, inside
+  // the window every pass below revisits.
+  StepId quiet = 0;
+  {
+    FaultInjector probe(spec, 4, 1 << 12);
+    for (StepId step = 30; step < 60 && quiet == 0; ++step) {
+      if (probe.pending(step).empty()) quiet = step;
+    }
+  }
+  ASSERT_NE(quiet, 0u) << "no quiet step in [30, 60)";
+  spec.scripted.push_back({quiet, FaultKind::kGroupKill, 1});
+
+  // Rollback-like visiting order: forward, back to 20, back to 0.
+  FaultInjector replayed(spec, 4, 1 << 12);
+  std::size_t random_events = 0;
+  const std::pair<StepId, StepId> passes[] = {{0, 60}, {20, 90}, {0, 120}};
+  for (const auto& [lo, hi] : passes) {
+    for (StepId step = lo; step < hi; ++step) {
+      const auto got = replayed.pending(step);
+      const auto want = FaultInjector(spec, 4, 1 << 12).pending(step);
+      ASSERT_EQ(got.size(), want.size()) << "step " << step;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].kind, want[i].kind) << "step " << step;
+        EXPECT_EQ(got[i].step, want[i].step) << "step " << step;
+        EXPECT_EQ(got[i].group, want[i].group) << "step " << step;
+        EXPECT_EQ(got[i].addr, want[i].addr) << "step " << step;
+        EXPECT_EQ(got[i].bit, want[i].bit) << "step " << step;
+        EXPECT_EQ(got[i].magnitude, want[i].magnitude) << "step " << step;
+        EXPECT_EQ(got[i].key, want[i].key) << "step " << step;
+      }
+      if (step == quiet) {
+        ASSERT_EQ(got.size(), 1u);
+        EXPECT_EQ(got[0].kind, FaultKind::kGroupKill);
+        EXPECT_EQ(got[0].group, 1u);
+      } else {
+        random_events += got.size();
+      }
+    }
+  }
+  EXPECT_GT(random_events, 0u) << "the schedule drew no random faults";
+
+  // The scripted fault still fires once and then stays handled.
+  const auto again = replayed.pending(quiet);
+  ASSERT_EQ(again.size(), 1u);
+  replayed.mark_fired(again[0]);
+  EXPECT_TRUE(replayed.pending(quiet).empty());
 }
 
 TEST(FaultInjector, FiredEventsDoNotReArise) {

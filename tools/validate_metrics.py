@@ -512,6 +512,11 @@ def check_profile(path):
         fail(f"{path}: steps.recorded must be a non-negative integer")
     if not isinstance(steps.get("truncated"), bool):
         fail(f"{path}: steps.truncated must be a boolean")
+    # One record per committed step until the tape's cap: a rollback that
+    # rewinds the clock but not the tape (or vice versa) breaks this.
+    if not steps["truncated"] and steps["recorded"] != run["steps"]:
+        fail(f"{path}: steps.recorded {steps['recorded']} != run steps "
+             f"{run['steps']} on an untruncated tape")
     limited = steps.get("limited_by")
     if not isinstance(limited, dict) or not set(limited) <= STEP_LIMITS:
         fail(f"{path}: steps.limited_by keys must be within {STEP_LIMITS}")
