@@ -215,17 +215,6 @@ void MetricsRegistry::merge(const MetricsRegistry& other) {
   }
 }
 
-void MetricsRegistry::reset() {
-  for (auto& [path, e] : entries_) {
-    switch (e.kind) {
-      case InstrumentKind::kCounter: e.counter->reset(); break;
-      case InstrumentKind::kGauge: e.gauge->reset(); break;
-      case InstrumentKind::kAccumulator: e.accumulator->reset(); break;
-      case InstrumentKind::kHistogram: e.histogram->reset(); break;
-    }
-  }
-}
-
 // --------------------------------------------------------------------------
 // Snapshot
 // --------------------------------------------------------------------------

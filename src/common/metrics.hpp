@@ -12,10 +12,12 @@
 //  - Histogram    fixed-bucket distribution
 //
 // Determinism contract (DESIGN.md §4): registries support merge() in a
-// caller-chosen order. The machine layer gives every processor group its own
-// registry inside the per-step effect buffer (Machine::GroupCtx) and merges
-// them at the step barrier in group order, so metric values — including
-// floating-point accumulators, whose merge order matters bit-wise — are
+// caller-chosen order, because floating-point accumulator merges are
+// order-sensitive bit-wise. The machine layer keeps its registry off the
+// parallel group phase entirely: groups count lane operations as plain
+// integers in their per-step effect buffers (Machine::GroupCtx), added into
+// the registry at the step barrier in group order, and every accumulator
+// and histogram is fed on the barrier side only — so metric values are
 // identical for every --host-threads value.
 //
 // snapshot() freezes all instruments into plain values; diff() subtracts the
@@ -38,7 +40,6 @@ class Counter {
  public:
   void add(std::uint64_t d = 1) { v_ += d; }
   std::uint64_t value() const { return v_; }
-  void reset() { v_ = 0; }
   void restore(std::uint64_t v) { v_ = v; }  ///< checkpoint restore only
 
  private:
@@ -54,10 +55,6 @@ class Gauge {
   }
   double value() const { return v_; }
   bool is_set() const { return set_; }
-  void reset() {
-    v_ = 0;
-    set_ = false;
-  }
   void restore(double v, bool set) {  ///< checkpoint restore only
     v_ = v;
     set_ = set;
@@ -159,7 +156,7 @@ class MetricsRegistry {
 
   /// Restores a save_raw() image **in place**: instruments present in `raw`
   /// keep their heap addresses, so Counter*/Histogram* pointers cached by
-  /// the machine layer (LaneCounters, bound memory/network instruments) stay
+  /// the machine layer (lane counters, bound memory/network instruments) stay
   /// valid across a restore. Instruments absent from `raw` are erased — they
   /// did not exist at save time, and a backward restore must not keep them.
   void restore_raw(const RawMetrics& raw);
@@ -170,10 +167,6 @@ class MetricsRegistry {
   /// gauges take `other`'s value when it was set. Instruments missing here
   /// are created; kind mismatches fault.
   void merge(const MetricsRegistry& other);
-
-  /// Zeroes every instrument, keeping the structure (and therefore every
-  /// reference handed out) intact.
-  void reset();
 
  private:
   struct Entry {

@@ -33,6 +33,25 @@ constexpr std::uint64_t kLaneOpGuard = 4'000'000;  // runaway-lane guard (XMT)
 // a few tens of MB even for million-step runs.
 constexpr std::size_t kMaxHostSpans = 1u << 20;
 
+// Sorts one group's profiler bins into canonical key order and folds equal
+// keys into one bin, summing their cycles. The fold is not cosmetic: the
+// apportionment of a slot term below the step's work shares remainders per
+// bin, so eight unit bins of one key would not get what one bin of eight
+// gets.
+void fold_bins(std::vector<std::pair<prof::Key, Cycle>>& bins) {
+  std::sort(bins.begin(), bins.end(),
+            [](const auto& x, const auto& y) { return x.first < y.first; });
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < bins.size(); ++i) {
+    if (kept > 0 && bins[kept - 1].first == bins[i].first) {
+      bins[kept - 1].second += bins[i].second;
+    } else {
+      bins[kept++] = bins[i];
+    }
+  }
+  bins.resize(kept);
+}
+
 }  // namespace
 
 const char* to_string(DebugEventKind k) {
@@ -72,17 +91,6 @@ void Machine::emit_now(DebugEventKind kind, FlowId flow, GroupId group, Word a,
                        Word b) {
   if (observer_ == nullptr) return;
   observer_->on_event(DebugEvent{kind, stats_.steps, flow, group, a, b});
-}
-
-void Machine::bind_lane_counters(metrics::MetricsRegistry& reg,
-                                 LaneCounters& lc) {
-  lc.shared_reads = &reg.counter("mem/shared_reads");
-  lc.shared_writes = &reg.counter("mem/shared_writes");
-  lc.local_reads = &reg.counter("mem/local_reads");
-  lc.local_writes = &reg.counter("mem/local_writes");
-  lc.multiop_contributions = &reg.counter("mem/multiop_contributions");
-  lc.prefix_contributions = &reg.counter("mem/prefix_contributions");
-  lc.store_forwards = &reg.counter("mem/store_forwards");
 }
 
 namespace {
@@ -134,7 +142,6 @@ Machine::Machine(MachineConfig cfg)
     ctx.port.attach(&shared_);
     ctx.net_loads.assign(shared_.modules(), 0);
     ctx.run_modules.assign(shared_.modules(), 0);
-    bind_lane_counters(ctx.metrics, ctx.lanes);
   }
   net_loads_.assign(shared_.modules(), 0);
   dist_cache_.resize(cfg_.groups);
@@ -145,10 +152,12 @@ Machine::Machine(MachineConfig cfg)
     }
   }
   // The machine-level registry also carries the lane counters (fed directly
-  // by the single-threaded XMT path, and by the group registries' merges)
-  // plus the commit-side memory and router instruments — all of which are
-  // only touched at the step barrier.
-  bind_lane_counters(metrics_, gm_);
+  // by the single-threaded XMT path, and by the groups' lane counts at the
+  // barrier) plus the commit-side memory and router instruments — all of
+  // which are only touched at the step barrier.
+  for (std::size_t k = 0; k < kLaneKinds; ++k) {
+    gm_[k] = &metrics_.counter(kLaneCounterPaths[k]);
+  }
   sc_.pipeline_fill_cycles = &metrics_.counter("machine/pipeline_fill_cycles");
   sc_.slot_term_cycles = &metrics_.counter("machine/slot_term_cycles");
   sc_.memory_term_cycles = &metrics_.counter("machine/memory_term_cycles");
@@ -181,7 +190,7 @@ void Machine::GroupCtx::reset() {
   prints.clear();
   trace.clear();
   error = nullptr;
-  metrics.reset();  // zeroes values, keeps instruments: lane pointers survive
+  lanes = {};
   events.clear();
   prof_bins.clear();
 }
@@ -649,46 +658,7 @@ void Machine::merge_step() {
   if (error) std::rethrow_exception(error);
   for (GroupId g = 0; g < cfg_.groups; ++g) deferred_merge_group(g);
   if (cfg_.profile_host) host_span("machine/merge_effects", phase_t0_);
-
-  group_work_.assign(cfg_.groups, 0);
-  for (GroupId g = 0; g < cfg_.groups; ++g) {
-    group_work_[g] = groups_[g].step_ops;
-  }
-  finish_step(synchronous_slot_term(), group_work_);
-}
-
-Cycle Machine::synchronous_slot_term() const {
-  // Slot term per variant (DESIGN.md §4 item 3). ILP co-execution issues
-  // `functional_units` operations per group per cycle; on a heterogeneous
-  // shape each group additionally divides by its clock multiplier — a 3x
-  // group retires 3 operations per base-clock cycle — with one exact
-  // ceiling division: ceil(term * den / (num * fu)). num = den = 1 reduces
-  // to the uniform ceil(term / fu) bit-for-bit.
-  const Cycle fu = std::max<std::uint32_t>(cfg_.functional_units, 1);
-  Cycle slot_max = 0;
-  for (GroupId g = 0; g < cfg_.groups; ++g) {
-    if (!group_alive(g)) continue;  // retired groups carry no slot term
-    Cycle term = 0;
-    switch (cfg_.variant) {
-      case Variant::kSingleInstruction:
-      case Variant::kFixedThickness:
-        term = group_work_[g];
-        break;
-      case Variant::kBalanced:
-        term = cfg_.balanced_bound;
-        break;
-      case Variant::kSingleOperation:
-      case Variant::kConfigSingleOperation:
-        term = cfg_.group_slots(g);  // fixed interleaved pipeline
-        break;
-      case Variant::kMultiInstruction:
-        TCFPN_FAULT("multi-instruction variant in synchronous stepper");
-    }
-    const Cycle num = cfg_.group_clock_num(g);
-    const Cycle den = cfg_.group_clock_den(g);
-    slot_max = std::max(slot_max, (term * den + num * fu - 1) / (num * fu));
-  }
-  return slot_max;
+  finish_step();
 }
 
 void Machine::execute_group(GroupId g, Cycle step_base) {
@@ -741,21 +711,20 @@ void Machine::execute_group(GroupId g, Cycle step_base) {
       record(f, ops);
     }
   }
-  // Pre-sort the staged writes on this worker thread so the barrier-side
-  // commit only merges per-group runs.
+  // Pre-sort the staged writes (and the profiler bins) on this worker
+  // thread so the barrier-side commit only merges per-group runs.
   ctx.port.seal();
+  fold_bins(ctx.prof_bins);
 }
 
 bool Machine::group_quiet(const GroupCtx& ctx) const {
-  const LaneCounters& lc = ctx.lanes;
   return ctx.events.empty() && ctx.refs.empty() && ctx.net_refs == 0 &&
          ctx.port.empty() && ctx.prefix_reqs.empty() && ctx.spawns.empty() &&
          ctx.halted.empty() && ctx.prints.empty() && ctx.trace.empty() &&
-         lc.shared_reads->value() == 0 && lc.shared_writes->value() == 0 &&
-         lc.local_reads->value() == 0 && lc.local_writes->value() == 0 &&
-         lc.multiop_contributions->value() == 0 &&
-         lc.prefix_contributions->value() == 0 &&
-         lc.store_forwards->value() == 0;
+         // Tested inline: std::array's == compiles to a memcmp call here,
+         // which measurably slowed the step loop.
+         std::all_of(ctx.lanes.begin(), ctx.lanes.end(),
+                     [](std::uint64_t n) { return n == 0; });
 }
 
 void Machine::stream_merge_group(GroupId g) {
@@ -778,9 +747,9 @@ void Machine::stream_merge_group(GroupId g) {
 
   if (group_quiet(ctx)) {
     // Register-only group step: besides the stat deltas just added there is
-    // nothing to merge — every buffer is empty and every group-local
-    // instrument zero, so the registry walk, port drain and ref transfer
-    // are all no-ops and can be skipped wholesale.
+    // nothing to merge — every buffer is empty and every lane count zero,
+    // so the counter adds, port drain and ref transfer are all no-ops and
+    // can be skipped wholesale.
     ++merge_skips_;
     return;
   }
@@ -791,9 +760,9 @@ void Machine::stream_merge_group(GroupId g) {
     for (const DebugEvent& ev : ctx.events) observer_->on_event(ev);
   }
 
-  // Per-group metric instruments land in the machine registry here, in
-  // group order, so snapshots are bit-identical across host_threads.
-  metrics_.merge(ctx.metrics);
+  // The group's lane counts land in the machine registry's bound counters.
+  // Integer adds: the merge order cannot move a bit.
+  for (std::size_t k = 0; k < kLaneKinds; ++k) gm_[k]->add(ctx.lanes[k]);
 
   // Memory-term references: the detailed router is injection-order
   // sensitive, so it gets the full per-reference sequence (group by group,
@@ -896,15 +865,13 @@ std::uint64_t Machine::run_flow_slice(TcfDescriptor& f,
       // Bin before exec_control mutates f.pc: one activation slot of
       // compute, plus the SPAWN branch/dispatch surcharge if any.
       auto& bins = step_ctx_[f.home].prof_bins;
-      const prof::Key at{static_cast<std::int64_t>(f.home),
-                         static_cast<std::int64_t>(f.id),
-                         static_cast<std::int64_t>(f.pc),
-                         prof::Term::kCompute};
-      bins[at] += 1;
+      prof::Key at{static_cast<std::int64_t>(f.home),
+                   static_cast<std::int64_t>(f.id),
+                   static_cast<std::int64_t>(f.pc), prof::Term::kCompute};
+      bins.emplace_back(at, 1);
       if (ops > 1) {
-        prof::Key br = at;
-        br.term = prof::Term::kBranch;
-        bins[br] += ops - 1;
+        at.term = prof::Term::kBranch;
+        bins.emplace_back(at, ops - 1);
       }
     }
     const bool still_ready = exec_control(f, instr);
@@ -940,10 +907,10 @@ std::uint64_t Machine::run_flow_slice(TcfDescriptor& f,
     prof::Key at{static_cast<std::int64_t>(f.home),
                  static_cast<std::int64_t>(f.id),
                  static_cast<std::int64_t>(f.pc), prof::Term::kCompute};
-    bins[at] += count;
+    bins.emplace_back(at, count);
     if (cost > count) {
       at.term = operand_penalty_term(cfg_.operand_storage);
-      bins[at] += cost - count;
+      bins.emplace_back(at, cost - count);
     }
   }
   delta.operations += count;
@@ -1163,7 +1130,7 @@ bool Machine::exec_shared_lanes(TcfDescriptor& f, const isa::Instr& instr,
     Word* dst = instr.rd != 0 ? lf.bank(instr.rd) + start : nullptr;
     if (f.step_writes.empty()) {
       ctx.port.read_run(ea, n, lane0, per_module, dst);
-      ctx.lanes.shared_reads->add(n);
+      ctx.lanes[kSharedReads] += n;
     } else {
       // Store forwarding: the flow sees its own *completed* writes of this
       // step; everything else is the pre-step committed state. A forwarded
@@ -1172,10 +1139,10 @@ bool Machine::exec_shared_lanes(TcfDescriptor& f, const isa::Instr& instr,
       for (std::uint64_t i = 0; i < n; ++i) {
         Word v;
         if (const Word* w = f.step_writes.find(ea[i])) {
-          ctx.lanes.store_forwards->add();
+          ++ctx.lanes[kStoreForwards];
           v = *w;
         } else {
-          ctx.lanes.shared_reads->add();
+          ++ctx.lanes[kSharedReads];
           v = ctx.port.read(ea[i], lane0 + i, shared_.module_of(ea[i]));
         }
         if (dst != nullptr) dst[i] = v;
@@ -1185,7 +1152,7 @@ bool Machine::exec_shared_lanes(TcfDescriptor& f, const isa::Instr& instr,
     const Word* value = lf.bank(instr.rb) + start;
     ctx.port.write_run(ea, value, n, lane0, per_module);
     f.instr_writes.put_run(ea, value, n);
-    ctx.lanes.shared_writes->add(n);
+    ctx.lanes[kSharedWrites] += n;
   }
   std::fill(ctx.run_modules.begin(), ctx.run_modules.end(), 0);
 
@@ -1231,14 +1198,14 @@ std::uint64_t Machine::run_numa_block(TcfDescriptor& f) {
   }
   if (cfg_.profile && executed > 0) {
     // The whole block bins at its start pc — a NUMA bunch is one scheduling
-    // unit, and per-instruction binning would cost a map op per instruction.
+    // unit, and per-instruction binning would cost a bin per instruction.
     auto& bins = step_ctx_[f.home].prof_bins;
     prof::Key at{static_cast<std::int64_t>(f.home),
                  static_cast<std::int64_t>(f.id), pc0, prof::Term::kCompute};
-    bins[at] += executed - branch_ops;
+    bins.emplace_back(at, executed - branch_ops);
     if (branch_ops > 0) {
       at.term = prof::Term::kBranch;
-      bins[at] += branch_ops;
+      bins.emplace_back(at, branch_ops);
     }
   }
   return executed;
@@ -1354,13 +1321,13 @@ void Machine::exec_data_lane(TcfDescriptor& f, const isa::Instr& instr,
       return;
     case Opcode::kLld: {
       const Addr a = effective_addr(f, instr, lane);
-      step_ctx_[f.home].lanes.local_reads->add();
+      ++step_ctx_[f.home].lanes[kLocalReads];
       write_reg(instr.rd, locals_[f.home].read(a));
       return;
     }
     case Opcode::kLst: {
       const Addr a = effective_addr(f, instr, lane);
-      step_ctx_[f.home].lanes.local_writes->add();
+      ++step_ctx_[f.home].lanes[kLocalWrites];
       locals_[f.home].write(a, lf.get(lane, instr.rb));
       return;
     }
@@ -1376,7 +1343,7 @@ void Machine::exec_data_lane(TcfDescriptor& f, const isa::Instr& instr,
       auto& ctx = step_ctx_[f.home];
       const std::uint32_t m = shared_.module_of(a);
       note_ref(ctx, f.home, m);
-      ctx.lanes.multiop_contributions->add();
+      ++ctx.lanes[kMultiopContributions];
       ctx.port.multiop(a, op, v, key, m);
       f.multiop_blocked = true;
       return;
@@ -1393,7 +1360,7 @@ void Machine::exec_data_lane(TcfDescriptor& f, const isa::Instr& instr,
       auto& ctx = step_ctx_[f.home];
       const std::uint32_t m = shared_.module_of(a);
       note_ref(ctx, f.home, m);
-      ctx.lanes.prefix_contributions->add();
+      ++ctx.lanes[kPrefixContributions];
       const std::size_t local = ctx.port.multiprefix(a, op, v, key, m);
       ctx.prefix_reqs.push_back(PrefixRequest{f.id, lane, instr.rd, local});
       f.multiop_blocked = true;
@@ -1594,64 +1561,52 @@ void Machine::complete_instruction(TcfDescriptor& f,
   if (!f.instr_writes.empty()) f.step_writes.absorb(f.instr_writes);
 }
 
-Machine::MemTerm Machine::memory_term() {
+void Machine::memory_term(prof::StepRecord& r) {
   // Injected link faults (retried drops, delayed replies) extend this
   // step's memory term even when the step itself issued no references —
   // the stalled reply still has to arrive before the next step. Kept
   // separate from the network bound so the profiler can itemize kFault.
-  const Cycle fault_extra = net_->consume_fault_delay();
+  r.fault = net_->consume_fault_delay();
   if (cfg_.detailed_network) {
-    if (step_refs_.empty()) return {fault_extra, 0};
+    if (step_refs_.empty()) return;
     for (const auto& [src, module] : step_refs_) {
       net_->inject(src, module % cfg_.groups);
     }
-    return {fault_extra, net_->drain()};
+    r.net = net_->drain();
+    return;
   }
   // Analytic bound from the aggregates the groups summed in the parallel
   // phase (merged in stream_merge_group) — no per-reference walk here.
-  if (net_refs_ == 0) return {fault_extra, 0};
+  if (net_refs_ == 0) return;
   std::uint64_t hottest = 0;
   for (std::uint64_t l : net_loads_) hottest = std::max(hottest, l);
   sc_.hot_module_load->add(static_cast<double>(hottest));
   sc_.wire_distance->add(net_max_dist_);
-  const Cycle bound = net_->latency_bound(net_loads_, net_max_dist_);
+  r.net = net_->latency_bound(net_loads_, net_max_dist_);
   std::fill(net_loads_.begin(), net_loads_.end(), 0);
   net_refs_ = 0;
   net_max_dist_ = 0;
-  return {fault_extra, bound};
 }
 
-void Machine::profile_step(Cycle slot_term_max, MemTerm mt, Cycle body,
-                           const std::vector<Cycle>& group_work) {
+void Machine::profile_step(const prof::StepRecord& r) {
   using prof::kNoIndex;
   using prof::Term;
   // Pipeline fill is a per-step machine cost, attributable to nobody.
-  profile_.add({kNoIndex, kNoIndex, kNoIndex, Term::kFill}, step_fill_);
+  profile_.add({kNoIndex, kNoIndex, kNoIndex, Term::kFill}, r.fill);
   // The slot term distributes over the bins the groups recorded this step;
   // the idle remainder is barrier wait.
-  const Cycle work = profile_.add_over_bins(slot_term_max, step_bins_);
+  profile_.add_over_bins(r.slot, step_bins_);
   // Memory extension beyond the slot term: network first, then whatever the
-  // injected fault delay added on top. c1/body reproduce finish_step's
-  // max() exactly, so fill + slot + net + fault == the cycles just charged.
-  const Cycle c1 = std::max(slot_term_max, mt.bound);
-  profile_.add({kNoIndex, kNoIndex, kNoIndex, Term::kNet}, c1 - slot_term_max);
-  profile_.add({kNoIndex, kNoIndex, kNoIndex, Term::kFault}, body - c1);
-
-  std::int64_t limit_group = kNoIndex;
-  Cycle best = 0;
-  for (GroupId g = 0; g < cfg_.groups; ++g) {
-    if (!group_alive(g)) continue;
-    if (limit_group == kNoIndex || group_work[g] > best) {
-      limit_group = static_cast<std::int64_t>(g);
-      best = group_work[g];
-    }
-  }
-  profile_.record_step({stats_.steps - 1, limit_group, step_fill_,
-                        slot_term_max, mt.bound, mt.fault, work});
+  // injected fault delay added on top, so fill + slot + net + fault ==
+  // step_cost(r), the cycles just charged.
+  const Cycle c1 = std::max(r.slot, r.net);
+  profile_.add({kNoIndex, kNoIndex, kNoIndex, Term::kNet}, c1 - r.slot);
+  profile_.add({kNoIndex, kNoIndex, kNoIndex, Term::kFault},
+               prof::step_cost(r) - r.fill - c1);
+  profile_.record_step(r);
 }
 
-void Machine::finish_step(Cycle slot_term_max,
-                          const std::vector<Cycle>& group_work) {
+void Machine::finish_step() {
   double t0 = cfg_.profile_host ? host_clock_us() : 0;
   shared_.commit_step();
   // Multiprefix results materialise at commit; deliver them to lanes.
@@ -1667,37 +1622,76 @@ void Machine::finish_step(Cycle slot_term_max,
     t0 = host_clock_us();
   }
 
-  const MemTerm mt = memory_term();
-  const Cycle mem = mt.fault + mt.bound;
+  prof::StepRecord r{stats_.steps, prof::kNoIndex, step_fill_};
+  memory_term(r);
   if (cfg_.profile_host) {
     host_span("net/memory_term", t0);
     t0 = host_clock_us();
   }
   step_refs_.clear();
-  const Cycle body = std::max(slot_term_max, mem);
-  stats_.memory_wait_cycles += mem > slot_term_max ? mem - slot_term_max : 0;
-  stats_.cycles += step_fill_ + body;
-  ++stats_.steps;
-  if (cfg_.profile) profile_step(slot_term_max, mt, body, group_work);
-  step_bins_.clear();
-  for (GroupId g = 0; g < cfg_.groups; ++g) {
-    if (!group_alive(g)) continue;  // degraded P-1 capacity (DESIGN.md §9)
-    stats_.busy_slots += group_work[g];
-    stats_.idle_slots += body - std::min<Cycle>(body, group_work[g]);
-  }
 
-  // Cost-category accounting: where the step's cycles went (the cost model
-  // of DESIGN.md §4 item 3, one counter per term) and how full the TCF
-  // buffers ran. All barrier-side, so plain registry lookups are fine.
-  sc_.pipeline_fill_cycles->add(step_fill_);
-  sc_.slot_term_cycles->add(slot_term_max);
-  sc_.memory_term_cycles->add(mem);
-  sc_.memory_wait_cycles->add(mem > slot_term_max ? mem - slot_term_max : 0);
+  // One pass over the alive groups (retired ones carry no slot term and no
+  // capacity, DESIGN.md §9): the variant slot term (DESIGN.md §4 item 3),
+  // the step's work, the limiting group (the most work, ties to the lowest
+  // group) and how full the TCF buffers ran. ILP co-execution issues
+  // `functional_units` operations per group per cycle; on a heterogeneous
+  // shape each group also divides by its clock multiplier — a 3x group
+  // retires 3 operations per base-clock cycle — in one exact ceiling
+  // division ceil(term * den / (num * fu)). num = den = 1 reduces to the
+  // uniform ceil(term / fu) bit-for-bit.
+  const Cycle fu = std::max<std::uint32_t>(cfg_.functional_units, 1);
+  Cycle most = 0;
   for (GroupId g = 0; g < cfg_.groups; ++g) {
     if (!group_alive(g)) continue;
-    sc_.slot_occupancy->add(static_cast<double>(groups_[g].resident.size()));
-    sc_.overflow_depth->add(static_cast<double>(groups_[g].overflow.size()));
+    const auto& grp = groups_[g];
+    const Cycle work = grp.step_ops;
+    Cycle term = 0;
+    switch (cfg_.variant) {
+      case Variant::kSingleInstruction:
+      case Variant::kFixedThickness:
+        term = work;
+        break;
+      case Variant::kBalanced:
+        term = cfg_.balanced_bound;
+        break;
+      case Variant::kSingleOperation:
+      case Variant::kConfigSingleOperation:
+        term = cfg_.group_slots(g);  // fixed interleaved pipeline
+        break;
+      case Variant::kMultiInstruction:
+        TCFPN_FAULT("multi-instruction variant in synchronous stepper");
+    }
+    const Cycle num = cfg_.group_clock_num(g);
+    const Cycle den = cfg_.group_clock_den(g);
+    r.slot = std::max(r.slot, (term * den + num * fu - 1) / (num * fu));
+    r.work += work;
+    if (r.limit_group == prof::kNoIndex || work > most) {
+      r.limit_group = static_cast<std::int64_t>(g);
+      most = work;
+    }
+    sc_.slot_occupancy->add(static_cast<double>(grp.resident.size()));
+    sc_.overflow_depth->add(static_cast<double>(grp.overflow.size()));
   }
+
+  const Cycle cost = prof::step_cost(r);
+  const Cycle body = cost - r.fill;
+  const Cycle wait = body - r.slot;  // the memory term's extension, if any
+  stats_.cycles += cost;
+  ++stats_.steps;
+  stats_.memory_wait_cycles += wait;
+  stats_.busy_slots += r.work;
+  for (GroupId g = 0; g < cfg_.groups; ++g) {
+    if (!group_alive(g)) continue;  // degraded P-1 capacity (DESIGN.md §9)
+    stats_.idle_slots += body - std::min<Cycle>(body, groups_[g].step_ops);
+  }
+  // Cost-category accounting: where the step's cycles went, one counter per
+  // term of the cost model.
+  sc_.pipeline_fill_cycles->add(r.fill);
+  sc_.slot_term_cycles->add(r.slot);
+  sc_.memory_term_cycles->add(r.net + r.fault);
+  sc_.memory_wait_cycles->add(wait);
+  if (cfg_.profile) profile_step(r);
+  step_bins_.clear();
 
   // Step-boundary housekeeping: forwarding buffers, multiop blocks, wakes,
   // buffer cleanup, freshly spawned flows. Walks the group lists instead of
@@ -1821,22 +1815,22 @@ std::uint64_t Machine::run_lane_to_event(TcfDescriptor& f, LaneId lane,
       case Opcode::kNumaSet:
         TCFPN_FAULT("multi-instruction variant drops NUMA support");
       case Opcode::kLd:
-        gm_.shared_reads->add();
+        gm_[kSharedReads]->add();
         write_reg(instr.rd, shared_.peek(ea()));
         ++lane_pc;
         continue;
       case Opcode::kSt:
-        gm_.shared_writes->add();
+        gm_[kSharedWrites]->add();
         shared_.poke(ea(), rget(instr.rb));
         ++lane_pc;
         continue;
       case Opcode::kLld:
-        gm_.local_reads->add();
+        gm_[kLocalReads]->add();
         write_reg(instr.rd, locals_[f.home].read(ea()));
         ++lane_pc;
         continue;
       case Opcode::kLst:
-        gm_.local_writes->add();
+        gm_[kLocalWrites]->add();
         locals_[f.home].write(ea(), rget(instr.rb));
         ++lane_pc;
         continue;
@@ -1847,7 +1841,7 @@ std::uint64_t Machine::run_lane_to_event(TcfDescriptor& f, LaneId lane,
       case Opcode::kMpOr: {
         // Immediate fetch-and-op (XMT-style atomic): one legal asynchronous
         // interleaving, serialised by simulation order.
-        gm_.multiop_contributions->add();
+        gm_[kMultiopContributions]->add();
         const Addr a = ea();
         const auto op = static_cast<mem::MultiOp>(
             static_cast<int>(instr.op) - static_cast<int>(Opcode::kMpAdd));
@@ -1861,7 +1855,7 @@ std::uint64_t Machine::run_lane_to_event(TcfDescriptor& f, LaneId lane,
       case Opcode::kPpMin:
       case Opcode::kPpAnd:
       case Opcode::kPpOr: {
-        gm_.prefix_contributions->add();
+        gm_[kPrefixContributions]->add();
         const Addr a = ea();
         const auto op = static_cast<mem::MultiOp>(
             static_cast<int>(instr.op) - static_cast<int>(Opcode::kPpAdd));
@@ -2004,7 +1998,10 @@ bool Machine::step_multi_instruction() {
     if (weight_fp == 0) weight_fp = 1u << 16;
     phase = ((total_ops << 16) + weight_fp - 1) / weight_fp;
   }
-  stats_.cycles += phase;
+  // The phase is the step's whole cost: no fill, no memory term.
+  const prof::StepRecord r{stats_.steps, limit_group, /*fill=*/0, phase,
+                           /*net=*/0, /*fault=*/0, total_ops};
+  stats_.cycles += prof::step_cost(r);
   stats_.busy_slots += total_ops;
   // Guarded: with >1x clocks the pipelines may retire more than one op per
   // base-clock cycle, so phase * units can undershoot total_ops.
@@ -2018,8 +2015,7 @@ bool Machine::step_multi_instruction() {
     // with more the pipelines co-execute and each flow gets its
     // proportional share.
     profile_.add_over_bins(phase, xbins);
-    profile_.record_step({stats_.steps - 1, limit_group, /*fill=*/0, phase,
-                          /*net=*/0, /*fault=*/0, total_ops});
+    profile_.record_step(r);
   }
 
   // Wake joiners whose children have all halted; charge the join barrier.

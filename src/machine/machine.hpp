@@ -28,10 +28,11 @@
 // core economy and what the Table 1 bench measures.
 #pragma once
 
+#include <array>
 #include <chrono>
+#include <cstddef>
 #include <exception>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -83,6 +84,32 @@ struct RunResult {
   Cycle cycles = 0;
   StepId steps = 0;
 };
+
+/// The per-lane-operation counters, one index each. Unscoped so that a
+/// kind indexes a LaneCounts, or the machine's bound counters, directly.
+enum LaneKind : std::size_t {
+  kSharedReads,
+  kSharedWrites,
+  kLocalReads,
+  kLocalWrites,
+  kMultiopContributions,
+  kPrefixContributions,
+  kStoreForwards,
+  kLaneKinds,  ///< the number of kinds
+};
+
+/// The machine registry path of each LaneKind's counter.
+inline constexpr std::array<const char*, kLaneKinds> kLaneCounterPaths = {
+    "mem/shared_reads",          "mem/shared_writes",
+    "mem/local_reads",           "mem/local_writes",
+    "mem/multiop_contributions", "mem/prefix_contributions",
+    "mem/store_forwards",
+};
+
+/// One group's lane counts for one step, indexed by LaneKind. The group
+/// phase adds to them; the barrier adds them into the machine registry in
+/// group order.
+using LaneCounts = std::array<std::uint64_t, kLaneKinds>;
 
 class Machine;
 struct MachineState;
@@ -223,10 +250,10 @@ class Machine {
   const std::vector<Word>& debug_output() const { return debug_out_; }
 
   /// The machine's metrics registry ("net/...", "mem/...", "sched/...",
-  /// "machine/..." instruments). Per-group counters accumulate in each
-  /// group's effect buffer during the parallel phase and merge here at the
-  /// step barrier in group order, so a snapshot is bit-identical for every
-  /// cfg.host_threads value.
+  /// "machine/..." instruments). Per-group lane counts accumulate as plain
+  /// integers in each group's effect buffer during the parallel phase and
+  /// are added here at the step barrier in group order, so a snapshot is
+  /// bit-identical for every cfg.host_threads value.
   metrics::MetricsRegistry& metrics() { return metrics_; }
   const metrics::MetricsRegistry& metrics() const { return metrics_; }
   metrics::MetricsSnapshot metrics_snapshot() const {
@@ -373,24 +400,6 @@ class Machine {
     std::size_t local;
   };
 
-  /// Raw pointers to the per-lane-operation counters of one registry, bound
-  /// once at construction so the hot path never pays a path lookup.
-  struct LaneCounters {
-    metrics::Counter* shared_reads = nullptr;
-    metrics::Counter* shared_writes = nullptr;
-    metrics::Counter* local_reads = nullptr;
-    metrics::Counter* local_writes = nullptr;
-    metrics::Counter* multiop_contributions = nullptr;
-    metrics::Counter* prefix_contributions = nullptr;
-    metrics::Counter* store_forwards = nullptr;
-  };
-
-  /// Registers the per-lane-operation counters in `reg` and caches their
-  /// addresses in `lc` (registry entries are heap-allocated, so the pointers
-  /// survive registry moves).
-  static void bind_lane_counters(metrics::MetricsRegistry& reg,
-                                 LaneCounters& lc);
-
   /// Barrier-side per-step instruments, bound once at construction so
   /// finish_step and memory_term never pay a registry path lookup.
   struct StepCounters {
@@ -408,8 +417,10 @@ class Machine {
   /// phase a group's execution touches only its own flows, its local memory
   /// and this context; everything cross-group (stats, shared-memory staging,
   /// spawns, join notifications, trace, debug prints, memory-term refs,
-  /// metric counters) accumulates here and is merged at the step barrier in
+  /// lane counts) accumulates here and is merged at the step barrier in
   /// group order — the determinism contract of the parallel stepping engine.
+  /// No member is a map or a registry: the per-step reset clears vectors
+  /// and assigns values, with no lookups and no allocation.
   struct GroupCtx {
     mem::MemoryPort port;
     MachineStats delta;  ///< counter deltas (cycles/steps stay untouched)
@@ -432,14 +443,14 @@ class Machine {
     std::vector<Word> prints;
     std::vector<TraceSpan> trace;
     std::exception_ptr error;
-    metrics::MetricsRegistry metrics;  ///< merged at the barrier, group order
-    LaneCounters lanes;                ///< bound into `metrics`
-    std::vector<DebugEvent> events;    ///< forwarded at the barrier, group order
+    LaneCounts lanes{};              ///< added at the barrier, group order
+    std::vector<DebugEvent> events;  ///< forwarded at the barrier, group order
     /// Attribution bins for the profiler (cfg.profile): cycles of slot-term
-    /// work charged to (group, tcf, pc, term) during the parallel phase;
-    /// merged at the barrier in group order like everything else here. A
-    /// std::map so the per-group bin order is already canonical.
-    std::map<prof::Key, Cycle> prof_bins;
+    /// work charged to (group, tcf, pc, term) during the parallel phase,
+    /// appended as they occur. The group sorts them into canonical key
+    /// order and folds equal keys when it seals (fold_bins), so the barrier
+    /// appends them in group order as they are.
+    std::vector<std::pair<prof::Key, Cycle>> prof_bins;
 
     void reset();
   };
@@ -476,12 +487,8 @@ class Machine {
   void end_group_job();
   /// Merge loop: merges groups in order 0..P-1 (awaiting each seal while a
   /// pool job is open), stops at the lowest faulting group after every
-  /// group finished executing, then runs the deferred pass, the slot term
-  /// and finish_step.
+  /// group finished executing, then runs the deferred pass and finish_step.
   void merge_step();
-  /// The variant slot term over the merged per-group work (the max over
-  /// alive groups of the heterogeneous-clock ceiling division).
-  Cycle synchronous_slot_term() const;
   /// Runs one group's share of the current step into step_ctx_[g].
   void execute_group(GroupId g, Cycle step_base);
   /// First merge pass for one group: observer events, stats deltas, metric
@@ -537,7 +544,13 @@ class Machine {
   /// Returns false for any other opcode.
   bool exec_shared_lanes(TcfDescriptor& f, const isa::Instr& instr,
                          std::uint64_t start, std::uint64_t count);
-  void finish_step(Cycle slot_term_max, const std::vector<Cycle>& group_work);
+  /// The barrier's last half: commit, the step's cost and housekeeping.
+  /// The cost is one prof::StepRecord, built once: the memory term fills
+  /// its net and fault parts, and one pass over the alive groups its slot
+  /// term, work and limiting group (taking the occupancy samples on the
+  /// way). The clock advances by prof::step_cost(record); stats, the
+  /// cost-term counters and the profiler all derive from the same record.
+  void finish_step();
   /// Ends every committed step, in either step path: the kStepCommitted
   /// event and on_step for the observer, if any.
   void notify_step_committed();
@@ -545,21 +558,15 @@ class Machine {
   /// task-switch total, f's kSwitch profile cell and the `swap_counter`
   /// metric.
   void charge_switch(const TcfDescriptor& f, Cycle c, const char* swap_counter);
-  /// The two components of the step's memory extension: the injected fault
-  /// delay consumed this step and the network latency/bandwidth bound. The
-  /// step body is max(slot term, fault + bound); keeping the parts separate
-  /// lets the profiler itemize kFault vs kNet exactly.
-  struct MemTerm {
-    Cycle fault = 0;
-    Cycle bound = 0;
-  };
-  MemTerm memory_term();
+  /// The step's memory extension, in its two parts: `r.fault`, the
+  /// injected fault delay consumed this step, and `r.net`, the network
+  /// latency/bandwidth bound. The step body is max(slot, net + fault);
+  /// keeping the parts apart lets the profiler itemize kFault vs kNet.
+  void memory_term(prof::StepRecord& r);
   /// Profiler barrier work for one step-synchronous step: apportions the
   /// slot term over the merged bins (idle remainder explicit), adds the
-  /// fill/net/fault machine cells and the step record. `body` is the step
-  /// body actually charged (max(slot, fault + bound)).
-  void profile_step(Cycle slot_term_max, MemTerm mt, Cycle body,
-                    const std::vector<Cycle>& group_work);
+  /// fill/net/fault machine cells and records `r` on the step tape.
+  void profile_step(const prof::StepRecord& r);
 
   // multi-instruction (XMT) execution
   bool step_multi_instruction();
@@ -608,7 +615,6 @@ class Machine {
   std::vector<std::uint64_t> net_loads_;
   std::uint64_t net_refs_ = 0;
   std::uint32_t net_max_dist_ = 0;
-  std::vector<Cycle> group_work_;  ///< per-step scratch, reused across steps
   std::uint64_t merge_skips_ = 0;  ///< quiet-group merges taken (plain member,
                                    ///< not a metric: a host-side count)
 
@@ -641,7 +647,11 @@ class Machine {
   void maybe_sample_step();
 
   metrics::MetricsRegistry metrics_;
-  LaneCounters gm_;  ///< machine-level lane counters (single-threaded paths)
+  /// The registry's lane counters by LaneKind, bound once at construction
+  /// so neither the barrier nor the XMT path pays a path lookup (registry
+  /// entries are heap-allocated, so the pointers survive registry moves and
+  /// restore_raw).
+  std::array<metrics::Counter*, kLaneKinds> gm_{};
   StepCounters sc_;  ///< barrier-side per-step instruments
   /// Attribution profile (cfg.profile). Group bins stream into step_bins_
   /// at the barrier in group order, finish_step apportions the slot term

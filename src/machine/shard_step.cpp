@@ -76,8 +76,8 @@ ShardGroupBatch Machine::shard_extract(GroupId g) const {
   b.halted = ctx.halted;
   b.prints = ctx.prints;
   b.events = ctx.events;
-  b.prof_bins.assign(ctx.prof_bins.begin(), ctx.prof_bins.end());
-  b.metrics = ctx.metrics.save_raw();
+  b.prof_bins = ctx.prof_bins;
+  b.lanes = ctx.lanes;
   if (ctx.error) {
     try {
       std::rethrow_exception(ctx.error);
@@ -139,9 +139,8 @@ void Machine::shard_install(const ShardGroupBatch& b) {
   ctx.halted = b.halted;
   ctx.prints = b.prints;
   ctx.events = b.events;
-  ctx.prof_bins.clear();
-  for (const auto& [k, v] : b.prof_bins) ctx.prof_bins.emplace(k, v);
-  ctx.metrics.restore_raw(b.metrics);
+  ctx.prof_bins = b.prof_bins;
+  ctx.lanes = b.lanes;
   if (!b.error.empty()) {
     ctx.error = std::make_exception_ptr(SimError(b.error));
   }

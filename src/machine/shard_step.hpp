@@ -10,8 +10,8 @@
 //
 // Everything here is plain data: POD fields, vectors and strings. The wire
 // codec (src/shard/wire.cpp) serialises batches field by field; keeping the
-// struct free of machine internals (exception_ptr, metric pointers) is what
-// makes that codec total.
+// struct free of machine internals (exception_ptr) is what makes that codec
+// total.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +19,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/metrics.hpp"
 #include "machine/machine.hpp"
 #include "machine/state.hpp"
 #include "mem/shared_memory.hpp"
@@ -60,9 +59,9 @@ struct ShardGroupBatch {
   std::vector<FlowId> halted;
   std::vector<Word> prints;
   std::vector<DebugEvent> events;
-  /// ctx.prof_bins flattened in its canonical (map) order.
+  /// ctx.prof_bins as the group sealed them: sorted, equal keys folded.
   std::vector<std::pair<prof::Key, Cycle>> prof_bins;
-  metrics::RawMetrics metrics;  ///< the group registry (lane counters)
+  LaneCounts lanes{};  ///< the group's lane counts, by LaneKind
   /// Nonempty: the group's phase faulted with this message. The replica
   /// materialises it back into ctx.error so merge ordering ("lowest faulting
   /// group wins") is identical to single-process execution.

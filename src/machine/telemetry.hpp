@@ -6,9 +6,9 @@
 //    registry snapshot as a nested JSON object (one subtree per subsystem:
 //    "net", "mem", "sched", "machine") + the optional per-step time series
 //    (cfg.sample_every). The snapshot is bit-identical for every
-//    cfg.host_threads value — the registry merges per-group instruments at
-//    the step barrier in group order — so two runs of the same program at
-//    different host parallelism produce byte-identical "metrics" subtrees.
+//    cfg.host_threads value — per-group lane counts are added at the step
+//    barrier in group order — so two runs of the same program at different
+//    host parallelism produce byte-identical "metrics" subtrees.
 //
 //  - trace_json_document: the Chrome trace-event / Perfetto rendering of the
 //    simulated schedule (cfg.record_trace) and the host-side phase timings

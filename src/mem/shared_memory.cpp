@@ -181,6 +181,10 @@ void MemoryPort::load_image(const Image& img) {
 }
 
 void MemoryPort::clear() {
+  sealed_ = false;
+  // A port that staged nothing has all-zero counts already (every count
+  // rises only with a staged read, write or multioperation).
+  if (empty()) return;
   writes_.clear();
   multis_.clear();
   reads_.clear();
@@ -189,7 +193,6 @@ void MemoryPort::clear() {
   std::fill(mod_multis_.begin(), mod_multis_.end(), 0);
   n_reads_ = 0;
   prefixes_ = 0;
-  sealed_ = false;
 }
 
 SharedMemory::SharedMemory(std::size_t words, std::uint32_t modules,

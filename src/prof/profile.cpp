@@ -75,8 +75,8 @@ bool StepTape::operator==(const StepTape& o) const {
   return true;
 }
 
-Cycle Profile::add_over_bins(Cycle term,
-                             const std::vector<std::pair<Key, Cycle>>& bins) {
+void Profile::add_over_bins(Cycle term,
+                            const std::vector<std::pair<Key, Cycle>>& bins) {
   const Key idle{kNoIndex, kNoIndex, kNoIndex, Term::kIdle};
   Cycle work = 0;
   for (const auto& [k, w] : bins) work += w;
@@ -92,7 +92,6 @@ Cycle Profile::add_over_bins(Cycle term,
     const std::vector<Cycle> shares = apportion(term, weights);
     for (std::size_t i = 0; i < bins.size(); ++i) add(bins[i].first, shares[i]);
   }
-  return work;
 }
 
 Cycle Profile::attributed() const {

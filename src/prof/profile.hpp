@@ -178,13 +178,13 @@ struct Profile {
   }
 
   /// Charges a step term of `term` cycles over the bins its work was
-  /// recorded in and returns the bins' total weight. Three regimes: no
-  /// recorded work (the whole term is idle), a term at or above the work
-  /// (bins at face value, the remainder idle), or a term below it (variants
-  /// that execute more ops than the term — shared out by apportion(), so
-  /// the shares still sum exactly to the term).
-  Cycle add_over_bins(Cycle term,
-                      const std::vector<std::pair<Key, Cycle>>& bins);
+  /// recorded in. Three regimes: no recorded work (the whole term is idle),
+  /// a term at or above the work (bins at face value, the remainder idle),
+  /// or a term below it (variants that execute more ops than the term —
+  /// shared out by apportion(), so the shares still sum exactly to the
+  /// term).
+  void add_over_bins(Cycle term,
+                     const std::vector<std::pair<Key, Cycle>>& bins);
 
   /// Sum of every cell: equals MachineStats::cycles when profiling was on
   /// from machine construction (the conservation invariant).

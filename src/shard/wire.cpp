@@ -1,6 +1,5 @@
 #include "shard/wire.hpp"
 
-#include <bit>
 #include <cstring>
 
 #include "common/check.hpp"
@@ -13,7 +12,7 @@ namespace {
 // ----- primitive stream helpers -----
 //
 // Same conventions as the TCFCKPT checkpoint codec: little-endian integers,
-// doubles as bit patterns, strings length-prefixed. The Reader never throws:
+// strings length-prefixed. The Reader never throws:
 // it trips a sticky `ok` flag on any out-of-bounds access, and every decode_*
 // entry point returns that flag — a babbling peer yields `false`, not UB.
 
@@ -32,7 +31,6 @@ class Writer {
     for (int i = 0; i < 8; ++i) out_->push_back((v >> (8 * i)) & 0xff);
   }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
   void str(const std::string& s) {
     u64(s.size());
     out_->insert(out_->end(), s.begin(), s.end());
@@ -77,7 +75,6 @@ class Reader {
     return v;
   }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  double f64() { return std::bit_cast<double>(u64()); }
 
   /// Length prefix guarded against absurd counts: each element occupies at
   /// least `elem_bytes` more bytes, so a count the buffer cannot possibly
@@ -253,55 +250,6 @@ bool get_port_image(Reader& r, mem::MemoryPort::Image* img) {
   return r.ok();
 }
 
-void put_raw_metrics(Writer& w, const metrics::RawMetrics& m) {
-  w.u64(m.size());
-  for (const auto& [path, ri] : m) {  // std::map: key order, byte-stable
-    w.str(path);
-    w.u8(static_cast<std::uint8_t>(ri.kind));
-    w.u64(ri.count);
-    w.f64(ri.gauge_value);
-    w.u8(ri.gauge_set ? 1 : 0);
-    w.u64(ri.acc.n);
-    w.f64(ri.acc.sum);
-    w.f64(ri.acc.mean);
-    w.f64(ri.acc.m2);
-    w.f64(ri.acc.min);
-    w.f64(ri.acc.max);
-    w.f64(ri.lo);
-    w.f64(ri.hi);
-    put_u64_vec(w, ri.buckets);
-  }
-}
-
-bool get_raw_metrics(Reader& r, metrics::RawMetrics* m) {
-  m->clear();
-  const std::uint64_t c = r.count(8);
-  if (!r.ok()) return false;
-  for (std::uint64_t i = 0; i < c; ++i) {
-    std::string path = r.str();
-    metrics::RawInstrument ri;
-    const std::uint8_t kind = r.u8();
-    if (kind > static_cast<std::uint8_t>(metrics::InstrumentKind::kHistogram))
-      return false;
-    ri.kind = static_cast<metrics::InstrumentKind>(kind);
-    ri.count = r.u64();
-    ri.gauge_value = r.f64();
-    ri.gauge_set = r.u8() != 0;
-    ri.acc.n = r.u64();
-    ri.acc.sum = r.f64();
-    ri.acc.mean = r.f64();
-    ri.acc.m2 = r.f64();
-    ri.acc.min = r.f64();
-    ri.acc.max = r.f64();
-    ri.lo = r.f64();
-    ri.hi = r.f64();
-    if (!get_u64_vec(r, &ri.buckets)) return false;
-    if (!r.ok()) return false;
-    m->emplace(std::move(path), std::move(ri));
-  }
-  return r.ok();
-}
-
 void put_flow_state(Writer& w, const machine::FlowState& fs) {
   w.u64(fs.id);
   w.u64(fs.parent);
@@ -408,7 +356,7 @@ void put_batch(Writer& w, const machine::ShardGroupBatch& b) {
     w.u8(static_cast<std::uint8_t>(key.term));
     w.u64(cycles);
   }
-  put_raw_metrics(w, b.metrics);
+  for (std::uint64_t n : b.lanes) w.u64(n);
   w.str(b.error);
   w.u64(b.flows.size());
   for (const machine::FlowState& fs : b.flows) put_flow_state(w, fs);
@@ -488,7 +436,7 @@ bool get_batch(Reader& r, machine::ShardGroupBatch* b) {
     key.term = static_cast<prof::Term>(term);
     cycles = r.u64();
   }
-  if (!get_raw_metrics(r, &b->metrics)) return false;
+  for (std::uint64_t& n : b->lanes) n = r.u64();
   b->error = r.str();
   c = r.count(8);
   if (!r.ok()) return false;

@@ -14,11 +14,11 @@
 //   24      len    u64   payload byte count
 //   32      payload...
 //
-// All integers travel little-endian; doubles as IEEE-754 bit patterns — the
-// same conventions as the TCFCKPT checkpoint format, so a batch serializes
-// to identical bytes on every replica (map fields are iterated in key
-// order). The CRC — covering the step field and the payload — plus the
-// header magic/version/length checks are the babble detection surface: the
+// All integers travel little-endian — the same convention as the TCFCKPT
+// checkpoint format — and a batch holds only integers, strings and vectors
+// in a fixed order, so it serializes to identical bytes on every replica.
+// The CRC — covering the step field and the payload — plus the header
+// magic/version/length checks are the babble detection surface: the
 // transport flips one byte of an injected shard_babble frame and
 // decode_frame reports it malformed. The only unprotected field is the
 // sender's self-reported shard id, which receivers never trust anyway
@@ -43,7 +43,7 @@
 namespace tcfpn::shard {
 
 inline constexpr std::uint32_t kMagic = 0x54434653u;  // "TCFS"
-inline constexpr std::uint16_t kWireVersion = 2;
+inline constexpr std::uint16_t kWireVersion = 3;
 /// `shard` header value used by the supervisor end of a link.
 inline constexpr std::uint32_t kSupervisorId = 0xffffffffu;
 inline constexpr std::size_t kHeaderBytes = 32;

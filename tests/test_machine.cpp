@@ -406,6 +406,44 @@ TEST(MachineCounters, TraceRecordsWhenEnabled) {
   EXPECT_NE(m.trace().render().find("flow 0"), std::string::npos);
 }
 
+// On a clocked shape each group's slot term is its work over its clock,
+// rounded up — ceil(work * den / (num * fu)) — and the step takes the max
+// over groups. One functional unit does not make that division the
+// identity: a 3/1 group still shrinks its work and a 2/3 group stretches it.
+// The fast group also does more operations than the step body is long, so
+// it has no idle capacity to count (body - min(body, work) = 0).
+TEST(MachineCounters, ClockedShapeSlotTermIsTheCeilingDivision) {
+  auto cfg = small_cfg();
+  cfg.groups = 2;
+  cfg.functional_units = 1;
+  cfg.group_specs.resize(2);
+  cfg.group_specs[0].clock_num = 3;
+  cfg.group_specs[0].clock_den = 1;
+  cfg.group_specs[1].clock_num = 2;
+  cfg.group_specs[1].clock_den = 3;
+  Machine m(cfg);
+  m.load(isa::assemble("TID r1\nADD r2, r1, 1\nHALT\n"));
+  m.boot_at(0, 40, 0);
+  m.boot_at(0, 7, 1);
+  const metrics::Counter& slot =
+      m.metrics().counter("machine/slot_term_cycles");
+  std::vector<std::uint64_t> per_step;
+  std::uint64_t before = 0;
+  while (m.step()) {
+    per_step.push_back(slot.value() - before);
+    before = slot.value();
+  }
+  // TID, then ADD: 40 lane ops on group 0 take ceil(40*1 / (3*1)) = 14,
+  // 7 on group 1 take ceil(7*3 / (2*1)) = 11. HALT, one op per group:
+  // ceil(1/3) = 1 and ceil(3/2) = 2.
+  EXPECT_EQ(per_step, (std::vector<std::uint64_t>{14, 14, 2}));
+  EXPECT_EQ(slot.value(), 30u);
+  // No memory term, so each body is the slot term. Idle: group 0 none in
+  // the 14-cycle steps, group 1 14 - 7 = 7 in each; 2 - 1 per group at HALT.
+  EXPECT_EQ(m.stats().busy_slots, 2u * (40 + 7) + 2);
+  EXPECT_EQ(m.stats().idle_slots, 7u + 7 + 2);
+}
+
 TEST(MachineBuffer, OverflowFlowsEventuallyRun) {
   auto cfg = small_cfg();
   cfg.groups = 1;

@@ -10,8 +10,10 @@
 //     barrier in group order.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "debug/checkpoint.hpp"
@@ -263,6 +265,62 @@ TEST(ProfHotspots, PlantedHotLoopIsNamedByPcRange) {
       prof::report_hotspots(m.profile(), info, prof::HotspotBy::kPc, 3);
   // The three loop PCs dominate and coalesce into one range row.
   EXPECT_NE(report.find("pc 2-4"), std::string::npos) << report;
+}
+
+// ---- equal keys in one step fold before apportionment ----
+
+// Balanced bound 16 over one thickness-1 countdown loop per group: every
+// step each flow meets each loop pc about eight times, and the groups' 32
+// operations share a 16-cycle slot term, so the slot term is apportioned
+// over bins that met the same key many times. It must be shared per key,
+// not per visit: these are the cells a per-key accumulation gives. Unfolded
+// unit bins hand every remainder to group 0 (200 and 200 cycles there,
+// 1 and 1 on group 1) and still conserve the run's cycles.
+TEST(ProfBins, EqualKeysInOneStepFoldBeforeApportionment) {
+  tcf::AsmBuilder s;
+  using namespace tcf;
+  auto loop = s.make_label("loop");
+  s.ldi(r1, 200);
+  s.bind(loop);
+  s.sub(r1, r1, Word{1});
+  s.bnez(r1, loop);
+  s.halt();
+  const isa::Program program = s.build();
+
+  // (group, flow, pc) -> compute cycles.
+  using Cell = std::tuple<std::int64_t, std::int64_t, std::int64_t>;
+  const std::map<Cell, Cycle> want = {
+      {{0, 0, 0}, 1},   {{0, 0, 1}, 100}, {{0, 0, 2}, 101}, {{0, 0, 3}, 1},
+      {{1, 1, 1}, 100}, {{1, 1, 2}, 100}, {{1, 1, 3}, 1},
+  };
+  for (std::uint32_t ht : {1u, 4u}) {
+    SCOPED_TRACE(ht);
+    MachineConfig cfg;
+    cfg.groups = 2;
+    cfg.slots_per_group = 8;
+    cfg.shared_words = 1 << 10;
+    cfg.variant = Variant::kBalanced;
+    cfg.balanced_bound = 16;
+    cfg.host_threads = ht;
+    cfg.profile = true;
+    Machine m(cfg);
+    m.load(program);
+    m.boot_at(m.program().entry(), 1, 0);
+    m.boot_at(m.program().entry(), 1, 1);
+    ASSERT_TRUE(m.run().completed);
+    const prof::Profile& p = m.profile();
+    EXPECT_EQ(m.stats().cycles, 520u);
+    EXPECT_EQ(p.attributed(), 520u);
+    EXPECT_EQ(p.term_total(prof::Term::kFill), 104u);
+    EXPECT_EQ(p.term_total(prof::Term::kIdle), 12u);
+    std::map<Cell, Cycle> flow_cells;
+    for (const auto& [k, c] : p.cells) {
+      if (k.flow == prof::kNoIndex) continue;
+      EXPECT_EQ(k.term, prof::Term::kCompute);
+      flow_cells.emplace(Cell{k.group, k.flow, k.pc}, c);
+    }
+    EXPECT_EQ(flow_cells, want);
+  }
 }
 
 // ---- what-if re-costing ----
