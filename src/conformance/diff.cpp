@@ -8,7 +8,6 @@
 #include "machine/machine.hpp"
 #include "machine/shapes.hpp"
 #include "resil/recovery.hpp"
-#include "shard/supervisor.hpp"
 #include "tcf/kernels.hpp"
 
 namespace tcfpn::conformance {
@@ -97,62 +96,6 @@ Observed run_machine_resilient(const DiffCase& c, machine::MachineConfig cfg,
     o.fault = r.fault_message;
     o.cycles = r.run.cycles;
     o.steps = r.run.steps;
-  } catch (const SimError& e) {
-    o.faulted = true;
-    o.fault = e.what();
-  }
-  o.shared.resize(kSharedWords);
-  for (Addr a = 0; a < kSharedWords; ++a) o.shared[a] = m.shared().peek(a);
-  if (c.uses_local) {
-    o.local.resize(kLocalWords);
-    for (Addr a = 0; a < kLocalWords; ++a) o.local[a] = m.local(0).read(a);
-  }
-  o.debug = m.debug_output();
-  return o;
-}
-
-/// Like run_machine, but under the loopback shard supervisor. With a
-/// nonzero `shard_fault_seed` a shard_kill schedule runs on top, recovered
-/// from checkpoint with an effectively unlimited restart budget — every
-/// death must be invisible in the results.
-Observed run_machine_sharded(const DiffCase& c, machine::MachineConfig cfg,
-                             std::uint64_t max_steps, std::uint32_t shards,
-                             std::uint64_t shard_fault_seed) {
-  Observed o;
-  machine::Machine m(cfg);
-  const auto boot = [&](machine::Machine& mm) {
-    mm.load(c.program);
-    if (c.esm_boot) {
-      tcf::kernels::boot_esm_threads(mm, c.program.entry(), c.boot_flows);
-    } else {
-      mm.boot(c.boot_thickness);
-    }
-  };
-  try {
-    boot(m);
-    shard::SupervisorOptions sopt;
-    sopt.shards = shards;
-    sopt.max_steps = max_steps;
-    sopt.checkpoint_every = 4;
-    sopt.restarts = 1u << 20;
-    std::optional<resil::FaultInjector> injector;
-    if (shard_fault_seed != 0) {
-      resil::FaultSpec spec;
-      spec.seed = shard_fault_seed;
-      spec.shard_kill_rate = 0.01;
-      injector.emplace(spec, cfg.groups, cfg.shared_words, shards);
-    }
-    const auto r = shard::run_sharded_loopback(
-        m,
-        [&] {
-          auto replica = std::make_unique<machine::Machine>(cfg);
-          boot(*replica);
-          return replica;
-        },
-        sopt, injector ? &*injector : nullptr, nullptr);
-    o.completed = r.completed;
-    o.cycles = r.cycles;
-    o.steps = r.steps;
   } catch (const SimError& e) {
     o.faulted = true;
     o.fault = e.what();
@@ -450,37 +393,6 @@ std::optional<Divergence> run_differential(const DiffCase& c,
         } else if (auto d = identical(*ffirst, got)) {
           return Divergence{lane.name() + "+faults ht=" + std::to_string(ht) +
                                 " vs ht=" + std::to_string(hts.front()),
-                            *d, lane_cfg};
-        }
-      }
-    }
-
-    // Sharded conformance (DESIGN.md §14): the same lane under the loopback
-    // shard supervisor must be *identical* to the plain run — the exchange
-    // of effect batches over the frame protocol is not allowed to move a
-    // single bit. Step-synchronous lanes only (the supervisor refuses
-    // multi-instruction stepping) and only when every shard can own at
-    // least one group.
-    if (opt.shards > 1 && step_sync && opt.shards <= cfg.groups && first) {
-      const machine::MachineConfig lane_cfg =
-          baseline::with_host_threads(cfg, hts.front());
-      const Observed got =
-          run_machine_sharded(c, lane_cfg, opt.max_steps, opt.shards, 0);
-      if (auto d = identical(*first, got)) {
-        return Divergence{
-            lane.name() + " shards=" + std::to_string(opt.shards), *d,
-            lane_cfg};
-      }
-      // And with worker processes dying on a seeded schedule: restart from
-      // checkpoint has to reproduce the run exactly. Oracle-faulting
-      // programs included — the rollback replays the prefix bit-identically
-      // so the program's own fault fires at the same step either way.
-      if (opt.shard_fault_seed != 0) {
-        const Observed recovered = run_machine_sharded(
-            c, lane_cfg, opt.max_steps, opt.shards, opt.shard_fault_seed);
-        if (auto d = identical(*first, recovered)) {
-          return Divergence{lane.name() + " shards=" +
-                                std::to_string(opt.shards) + "+shard_kill",
                             *d, lane_cfg};
         }
       }

@@ -95,17 +95,6 @@ struct DiffOptions {
   /// drifts — must still land exactly on the oracle's memory and PRINT
   /// images, and stay bit-identical across host-thread counts.
   std::uint64_t shape_seed = 0;
-  /// When > 1, every step-synchronous lane with enough groups additionally
-  /// runs under the loopback shard supervisor (DESIGN.md §14) at this shard
-  /// count, and the supervised execution must be *identical* — fault
-  /// message, memory, PRINT, cycles and steps — to the plain run of the
-  /// same lane (tcffuzz --shards).
-  std::uint32_t shards = 0;
-  /// When non-zero (with shards > 1) the sharded lane re-runs under a
-  /// seeded shard_kill schedule with an ample restart budget: every worker
-  /// death must recover from checkpoint onto the exact same result
-  /// (tcffuzz --shard-fault-seed).
-  std::uint64_t shard_fault_seed = 0;
   /// When non-empty, only these variants' lanes run (tcffuzz --variants).
   std::vector<machine::Variant> only_variants;
   /// Oracle misimplementations for harness self-tests (tcffuzz --inject-bug).

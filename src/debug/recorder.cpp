@@ -99,9 +99,6 @@ std::string classify_fault(const std::string& message) {
   auto has = [&](const char* needle) {
     return message.find(needle) != std::string::npos;
   };
-  // Checked first: a supervision failure ("shard 2 crashed ...") may quote
-  // a lower-level message that would otherwise match a generic needle.
-  if (message.rfind("shard ", 0) == 0) return "shard-fault";
   if (has("violation") || has("mixed multioperations")) return "policy";
   if (has("division by zero") || has("modulo by zero")) return "arith";
   if (has("out of range") || has("negative effective address")) return "addr";

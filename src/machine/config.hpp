@@ -106,13 +106,6 @@ struct MachineConfig {
   /// which runs flows to completion with immediate memory semantics.
   std::uint32_t host_threads = 1;
 
-  /// Shard count of the run this machine takes part in (tcfrun --shards).
-  /// Pure observation — recorded so every telemetry export (metrics,
-  /// profile, stream) says how the run was hosted — and excluded from the
-  /// config fingerprint like host_threads: a sharded run is bit-identical
-  /// to --shards 1 by contract, so checkpoints move across shard counts.
-  std::uint32_t shards = 1;
-
   // ---- instrumentation ----
   bool record_trace = false;  ///< keep the per-step Gantt trace
 

@@ -71,19 +71,13 @@ const char* to_string(DebugEventKind k) {
     case DebugEventKind::kRetry: return "retry";
     case DebugEventKind::kRollback: return "rollback";
     case DebugEventKind::kGroupRetired: return "group_retired";
-    case DebugEventKind::kShardFault: return "shard_fault";
-    case DebugEventKind::kShardRestart: return "shard_restart";
-    case DebugEventKind::kShardRetired: return "shard_retired";
   }
   return "?";
 }
 
 void Machine::emit(GroupCtx& ctx, DebugEventKind kind, const TcfDescriptor& f,
                    Word a, Word b) {
-  // Sharded stepping captures events unconditionally: the replica executing
-  // this group is in general not the one with the journaling observer, so
-  // the events must travel in the batch either way.
-  if (observer_ == nullptr && !shard_mode_) return;
+  if (observer_ == nullptr) return;
   ctx.events.push_back(DebugEvent{kind, stats_.steps, f.id, f.home, a, b});
 }
 
@@ -99,8 +93,11 @@ namespace {
 // OverrideTopology when any group of a heterogeneous shape carries a
 // private NUMA distance row. Routing stays physical; the distance metric
 // (analytic latency bound, dist_cache_, diameter) sees the override.
+// Validates the shape first: it runs in the constructor's initializer list,
+// before any other check, and the rows below assume one spec per group.
 std::unique_ptr<net::Topology> make_machine_topology(
     const MachineConfig& cfg) {
+  validate_shape(cfg);
   auto base = net::make_topology(cfg.topology, cfg.groups);
   bool any_row = false;
   for (const auto& spec : cfg.group_specs) {
@@ -129,7 +126,6 @@ Machine::Machine(MachineConfig cfg)
               "the fixed-thickness (vector/SIMD) variant has one processor");
   TCFPN_CHECK(cfg_.balanced_bound >= 1, "balanced bound must be >= 1");
   TCFPN_CHECK(cfg_.host_threads >= 1, "host_threads must be >= 1");
-  validate_shape(cfg_);
   locals_.reserve(cfg_.groups);
   for (GroupId g = 0; g < cfg_.groups; ++g) {
     locals_.emplace_back(g, cfg_.local_words, cfg_.local_latency);
@@ -571,22 +567,11 @@ bool Machine::begin_step() {
 void Machine::run_group(GroupId g) {
   auto& ctx = step_ctx_[g];
   ctx.reset();
-  if (shard_mode_) {
-    // Non-owned contexts stay clean for shard_install. step_ops is normally
-    // zeroed by execute_group; a non-owned group takes the owner's value
-    // from the batch, so zero it here and a missing batch is a loud
-    // divergence rather than a stale carry-over.
-    groups_[g].step_ops = 0;
-    shard_local_writes_[g].clear();
-    if (!shard_owned_[g]) return;
-    locals_[g].set_write_log(&shard_local_writes_[g]);
-  }
   try {
     execute_group(g, step_base_);
   } catch (...) {
     ctx.error = std::current_exception();
   }
-  if (shard_mode_) locals_[g].set_write_log(nullptr);
 }
 
 void Machine::dispatch_groups() {
@@ -609,13 +594,6 @@ void Machine::dispatch_groups() {
   };
   pool_->begin(cfg_.groups, group_job_);
   job_open_ = true;
-}
-
-void Machine::end_group_job() {
-  job_open_ = false;
-  // run_group captures every fault into its context, so end() only waits.
-  pool_->end();
-  if (cfg_.profile_host) host_span("machine/group_phase", phase_t0_);
 }
 
 void Machine::merge_step() {
@@ -652,8 +630,13 @@ void Machine::merge_step() {
   // Every group finishes executing before the machine mutates further
   // state or unwinds a fault: stragglers still write their GroupCtx.
   if (job_open_) {
-    end_group_job();
-    if (cfg_.profile_host) phase_t0_ = host_clock_us();
+    job_open_ = false;
+    // run_group captures every fault into its context, so end() only waits.
+    pool_->end();
+    if (cfg_.profile_host) {
+      host_span("machine/group_phase", phase_t0_);
+      phase_t0_ = host_clock_us();
+    }
   }
   if (error) std::rethrow_exception(error);
   for (GroupId g = 0; g < cfg_.groups; ++g) deferred_merge_group(g);

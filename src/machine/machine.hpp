@@ -113,7 +113,6 @@ using LaneCounts = std::array<std::uint64_t, kLaneKinds>;
 
 class Machine;
 struct MachineState;
-struct ShardGroupBatch;
 
 /// Step-granular events for the flight-recorder layer (src/debug). Only
 /// emitted while an observer is attached, so the hot path stays free of
@@ -136,11 +135,6 @@ enum class DebugEventKind : std::uint8_t {
   kRetry,             ///< a = retry attempt, b = backoff cycles charged
   kRollback,          ///< a = steps lost, b = checkpoint step restored
   kGroupRetired,      ///< a = remapped thickness, b = flows rehomed
-  // Sharded-execution supervision events (src/shard, DESIGN.md §14).
-  // Appended so recorded tapes from earlier versions keep their encodings.
-  kShardFault,        ///< a = shard id, b = failure class (shard::Failure)
-  kShardRestart,      ///< a = shard id, b = checkpoint step restored into
-  kShardRetired,      ///< a = shard id, b = groups retired with it
 };
 
 const char* to_string(DebugEventKind k);
@@ -324,50 +318,6 @@ class Machine {
   /// scheduler divides by per-group throughput.
   Word resident_thickness(GroupId g) const;
 
-  // ----- sharded stepping (src/shard, DESIGN.md §14) -----
-  //
-  // Multi-process execution keeps a full deterministic machine replica in
-  // every process; only the per-group phase is partitioned. Each replica
-  // executes the groups it *owns*, exports one ShardGroupBatch per owned
-  // group (the sealed GroupCtx plus the post-phase flow states and
-  // local-memory deltas), installs every other group's batch, and then runs
-  // the identical barrier merge — so all replicas hold bit-identical state
-  // at every step boundary, and memory/PRINT/metrics match --shards 1.
-  //
-  // Step protocol (all replicas in lockstep):
-  //   if (!shard_begin_step()) -> run over (replicated decision)
-  //   for each owned g: batch = shard_extract(g)   // exchange batches
-  //   for each non-owned g: shard_install(batch_g)
-  //   shard_finish_step()                          // merge + cost + commit
-  //
-  // shard_finish_step throws SimError exactly where a single-process step()
-  // would (lowest faulting group wins); the supervisor commits first and
-  // only releases batches to workers on success, so workers never execute a
-  // faulting merge. Defined in shard_step.cpp.
-
-  /// Enters (or with an empty vector leaves) sharded stepping: `owned[g]`
-  /// != 0 marks groups this replica executes. Requires a step-synchronous
-  /// variant. Also forces debug-event capture into the group contexts even
-  /// without an observer — the owning replica may not be the one journaling.
-  void set_shard_mode(std::vector<std::uint8_t> owned);
-  bool shard_mode() const { return shard_mode_; }
-  /// The step's prologue and dispatch: promotes overflow, resets every
-  /// group context and executes the owned groups' share of the step.
-  /// Returns false (and executes nothing) when no flow anywhere is ready —
-  /// the replicated end-of-run decision.
-  bool shard_begin_step();
-  /// Exports the sealed effect batch of owned group `g` (legal after
-  /// shard_begin_step returned true, before shard_finish_step).
-  ShardGroupBatch shard_extract(GroupId g) const;
-  /// Installs a batch received for a non-owned group: materialises the
-  /// group context, overwrites the group's flow states with the owner's
-  /// post-phase images and replays its local-memory delta.
-  void shard_install(const ShardGroupBatch& b);
-  /// Barrier half of the sharded step: the merge loop of step_synchronous()
-  /// — every group context merged in group order, the variant slot term and
-  /// the commit.
-  void shard_finish_step();
-
  private:
   struct PendingPrefix {
     FlowId flow;
@@ -470,8 +420,8 @@ class Machine {
   /// at the step barrier (deterministic under host parallelism).
   void halt_in_step(TcfDescriptor& f);
 
-  // step-synchronous execution: one driver, shared with the sharded step
-  // (prologue, dispatch, merge loop; DESIGN.md §10.2)
+  // step-synchronous execution: one driver (prologue, dispatch, merge
+  // loop; DESIGN.md §10.2)
   bool step_synchronous();
   /// Prologue: promotes overflow, clears the profiler bins and fixes the
   /// step base. Returns false when no resident flow is ready (run over).
@@ -481,10 +431,8 @@ class Machine {
   /// which stays open for the merge loop.
   void dispatch_groups();
   /// One group's share of the step into step_ctx_[g], its fault captured in
-  /// the context. A shard replica executes only the groups it owns.
+  /// the context.
   void run_group(GroupId g);
-  /// Waits for the open pool job to finish.
-  void end_group_job();
   /// Merge loop: merges groups in order 0..P-1 (awaiting each seal while a
   /// pool job is open), stops at the lowest faulting group after every
   /// group finished executing, then runs the deferred pass and finish_step.
@@ -592,11 +540,6 @@ class Machine {
   std::vector<std::pair<GroupId, std::uint32_t>> step_refs_;  ///< (src, module)
 
   std::vector<GroupCtx> step_ctx_;  ///< one effect buffer per group
-  bool shard_mode_ = false;         ///< sharded stepping active
-  std::vector<std::uint8_t> shard_owned_;  ///< groups this replica executes
-  /// Per-step local-memory write journals, one per owned group, captured
-  /// during shard_begin_step and shipped in the group's batch.
-  std::vector<std::vector<std::pair<Addr, Word>>> shard_local_writes_;
   std::unique_ptr<common::ThreadPool> pool_;  ///< nullptr => inline groups
   /// One seal channel per group (with pool_): the worker publishes after
   /// sealing its GroupCtx; the merge loop consumes them in group order while

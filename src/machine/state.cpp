@@ -45,8 +45,8 @@ std::uint64_t config_fingerprint(const MachineConfig& cfg) {
   fp.mix(static_cast<std::uint64_t>(cfg.operand_storage));
   fp.mix(cfg.register_spill_penalty);
   fp.mix(cfg.functional_units);
-  // host_threads, shards, record_trace, sample_every, profile_host,
-  // profile: hosting and observation settings, not semantics — excluded so
+  // host_threads, record_trace, sample_every, profile_host, profile:
+  // hosting and observation settings, not semantics — excluded so
   // checkpoints move across them.
   //
   // The heterogeneous shape is semantics: per-group T_p changes buffer
@@ -81,13 +81,11 @@ std::uint64_t program_fingerprint(const isa::Program& program) {
   return fp.h;
 }
 
-FlowState capture_flow_state(const TcfDescriptor& f, bool require_boundary) {
-  if (require_boundary) {
-    TCFPN_CHECK(f.step_writes.empty(),
-                "flow ", f.id,
-                " has uncommitted step writes: checkpoint requires a step "
-                "boundary");
-  }
+FlowState capture_flow_state(const TcfDescriptor& f) {
+  TCFPN_CHECK(f.step_writes.empty(),
+              "flow ", f.id,
+              " has uncommitted step writes: checkpoint requires a step "
+              "boundary");
   FlowState fs;
   fs.id = f.id;
   fs.parent = f.parent;
@@ -136,7 +134,7 @@ MachineState Machine::save_state() const {
 
   s.flows.reserve(flows_.size());
   for (const auto& fp : flows_) {
-    s.flows.push_back(capture_flow_state(*fp, /*require_boundary=*/true));
+    s.flows.push_back(capture_flow_state(*fp));
   }
 
   s.groups.reserve(groups_.size());

@@ -85,17 +85,12 @@ struct MachineState {
 // that loses its noexcept move would turn every such move into a deep copy.
 static_assert(std::is_nothrow_move_constructible_v<MachineState>);
 
-/// Flattens one flow descriptor into a FlowState. `require_boundary`
-/// asserts the store-forwarding buffer is empty — the checkpoint contract.
-/// The sharded batch path (src/shard) captures post-phase, where
-/// step_writes is legitimately non-empty; it stays owner-local (only the
-/// executing replica ever forwards from it) and the barrier housekeeping
-/// clears it on every replica, so it is never part of a FlowState.
-FlowState capture_flow_state(const TcfDescriptor& f, bool require_boundary);
+/// Flattens one flow descriptor into a FlowState. Checks that the
+/// store-forwarding buffer is empty — the checkpoint contract — so
+/// step_writes is never part of a FlowState.
+FlowState capture_flow_state(const TcfDescriptor& f);
 
-/// Installs a FlowState into an existing descriptor. Clears step_writes —
-/// legal both on a checkpoint restore and on a pre-merge batch install
-/// (the receiving replica never executed the flow this step).
+/// Installs a FlowState into an existing descriptor. Clears step_writes.
 void install_flow_state(TcfDescriptor& f, const FlowState& fs);
 
 /// FNV-1a fingerprint of the semantically relevant configuration fields.

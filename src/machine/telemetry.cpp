@@ -17,7 +17,6 @@ MetaPairs run_metadata(const Machine& m, const MetaPairs& extra) {
   meta.emplace_back("groups", std::to_string(cfg.groups));
   meta.emplace_back("slots_per_group", std::to_string(cfg.slots_per_group));
   meta.emplace_back("host_threads", std::to_string(cfg.host_threads));
-  meta.emplace_back("shards", std::to_string(cfg.shards));
   meta.emplace_back("crcw", mem::to_string(cfg.crcw));
   meta.emplace_back("machine_shape", shape_summary(cfg));
   return meta;
@@ -26,8 +25,7 @@ MetaPairs run_metadata(const Machine& m, const MetaPairs& extra) {
 }  // namespace
 
 std::string metrics_json_document(const Machine& m, const RunResult& run,
-                                  const MetaPairs& extra,
-                                  const std::string& shard_json) {
+                                  const MetaPairs& extra) {
   std::ostringstream os;
   os << "{\n  \"run\": {\n";
   for (const auto& [k, v] : run_metadata(m, extra)) {
@@ -41,9 +39,6 @@ std::string metrics_json_document(const Machine& m, const RunResult& run,
      << "    \"cycles\": " << run.cycles << "\n"
      << "  },\n";
   os << "  \"metrics\": " << m.metrics_snapshot().to_json(2);
-  if (!shard_json.empty()) {
-    os << ",\n  \"shard\": " << shard_json;
-  }
   const auto& samples = m.step_samples();
   if (!samples.empty()) {
     os << ",\n  \"samples\": [";

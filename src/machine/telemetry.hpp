@@ -31,14 +31,9 @@ using MetaPairs = std::vector<std::pair<std::string, std::string>>;
 
 /// Serialises run metadata, the metrics snapshot and any step samples as one
 /// JSON document. `extra` key/value pairs (tool name, input file, ...) are
-/// merged into the "run" object. `shard_json`, when nonempty, is a
-/// pre-rendered JSON object emitted as the top-level "shard" block — the
-/// supervision counters live OUTSIDE "metrics" so the metrics subtree stays
-/// byte-identical to a --shards 1 run (same contract as the stream's "obs"
-/// object).
+/// merged into the "run" object.
 std::string metrics_json_document(const Machine& m, const RunResult& run,
-                                  const MetaPairs& extra = {},
-                                  const std::string& shard_json = {});
+                                  const MetaPairs& extra = {});
 
 /// Serialises the schedule trace and host spans as Chrome trace-event JSON.
 /// `extra` pairs land under "otherData" alongside the machine description,

@@ -30,7 +30,6 @@ void LocalMemory::write(Addr a, Word v) {
   check_addr(a);
   ++writes_;
   store_[a] = v;
-  if (write_log_ != nullptr) write_log_->emplace_back(a, v);
 }
 
 }  // namespace tcfpn::mem

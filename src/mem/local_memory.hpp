@@ -43,28 +43,6 @@ class LocalMemory {
   /// Accounting hook for accesses that arrived over the network.
   void remote_access() { ++remote_accesses_; }
 
-  // ----- sharded execution (src/shard, DESIGN.md §14) -----
-  /// While set, every write() also appends (addr, value) to `log` — the
-  /// owning shard's per-step local-write journal, replayed verbatim on the
-  /// other replicas. Pass nullptr to detach.
-  void set_write_log(std::vector<std::pair<Addr, Word>>* log) {
-    write_log_ = log;
-  }
-  /// Raw store without counters or the write log: batch replay on a
-  /// non-owning replica (counters are installed separately, see
-  /// set_counters).
-  void replay_write(Addr a, Word v) {
-    check_addr(a);
-    store_[a] = v;
-  }
-  /// Installs the owner's absolute post-phase counter values on a replica.
-  void set_counters(std::uint64_t reads, std::uint64_t writes,
-                    std::uint64_t remote) {
-    reads_ = reads;
-    writes_ = writes;
-    remote_accesses_ = remote;
-  }
-
   // ----- fault injection (src/resil, DESIGN.md §9) -----
   /// Marks the block dead: every subsequent access faults. Executor-owned
   /// and transient — deliberately not part of LocalMemoryState, so a
@@ -95,7 +73,6 @@ class LocalMemory {
 
   GroupId owner_;
   std::vector<Word> store_;
-  std::vector<std::pair<Addr, Word>>* write_log_ = nullptr;
   Cycle latency_;
   bool failed_ = false;
   mutable std::uint64_t reads_ = 0;

@@ -147,39 +147,6 @@ void MemoryPort::seal() {
   if (!strictly_ordered(writes_)) sort_and_collapse(writes_);
 }
 
-MemoryPort::Image MemoryPort::save_image() const {
-  Image img;
-  img.writes = writes_;
-  img.multis = multis_;
-  img.reads = reads_;
-  img.mod_reads = mod_reads_;
-  img.mod_writes = mod_writes_;
-  img.mod_multis = mod_multis_;
-  img.n_reads = n_reads_;
-  img.prefixes = prefixes_;
-  img.sealed = sealed_;
-  return img;
-}
-
-void MemoryPort::load_image(const Image& img) {
-  TCFPN_CHECK(shm_ != nullptr, "port image loaded before attach()");
-  TCFPN_CHECK(img.mod_reads.size() == mod_reads_.size(),
-              "port image module count mismatch: ", img.mod_reads.size(),
-              " into ", mod_reads_.size());
-  writes_ = img.writes;
-  multis_ = img.multis;
-  reads_ = img.reads;
-  mod_reads_ = img.mod_reads;
-  mod_writes_ = img.mod_writes;
-  mod_multis_ = img.mod_multis;
-  n_reads_ = img.n_reads;
-  prefixes_ = static_cast<std::size_t>(img.prefixes);
-  sealed_ = img.sealed;
-  // drain() relies on a sealed run being strictly ordered; an image that
-  // came from another process is checked rather than trusted.
-  if (sealed_ && !strictly_ordered(writes_)) sort_and_collapse(writes_);
-}
-
 void MemoryPort::clear() {
   sealed_ = false;
   // A port that staged nothing has all-zero counts already (every count

@@ -78,7 +78,7 @@ class SharedMemory;
 /// traffic counters, CRCW checks and multiprefix ticket numbering
 /// bit-identical to a sequential run.
 /// One staged (pre-commit) write as a port buffers it during the group
-/// phase. Public so the sharded execution mode can serialize port images.
+/// phase.
 struct StagedWrite {
   Addr addr;
   Word value;
@@ -132,26 +132,6 @@ class MemoryPort {
     return n_reads_ == 0 && writes_.empty() && multis_.empty();
   }
   void clear();
-
-  /// Complete image of a port's staged (pre-drain) traffic. The sharded
-  /// execution mode (src/shard, DESIGN.md §14) ships one of these per group
-  /// per step so a remote replica can drain the exact traffic the owning
-  /// shard staged — same order, same per-module accounting, same tickets.
-  struct Image {
-    std::vector<StagedWrite> writes;
-    std::vector<StagedMulti> multis;
-    std::vector<std::pair<Addr, LaneId>> reads;
-    std::vector<std::uint64_t> mod_reads;
-    std::vector<std::uint64_t> mod_writes;
-    std::vector<std::uint64_t> mod_multis;
-    std::uint64_t n_reads = 0;
-    std::uint64_t prefixes = 0;
-    bool sealed = false;
-  };
-  Image save_image() const;
-  /// Installs an image captured by save_image() on an identically-attached
-  /// port (the attachment itself is kept).
-  void load_image(const Image& img);
 
  private:
   friend class SharedMemory;

@@ -51,7 +51,7 @@ inline constexpr char kStreamSchema[] = "tcfpn-stream-v1";
 
 /// One slot per DebugEventKind (dense, kind-indexed).
 inline constexpr std::size_t kEventKindCount =
-    static_cast<std::size_t>(machine::DebugEventKind::kShardRetired) + 1;
+    static_cast<std::size_t>(machine::DebugEventKind::kGroupRetired) + 1;
 using EventCounts = std::array<std::uint64_t, kEventKindCount>;
 
 enum class RecordKind : std::uint8_t {

@@ -31,17 +31,6 @@ constexpr FaultKind kAllKinds[] = {
     FaultKind::kMemFail,  FaultKind::kBitFlip,  FaultKind::kGroupKill,
 };
 
-constexpr FaultKind kShardKinds[] = {
-    FaultKind::kShardKill,
-    FaultKind::kShardHang,
-    FaultKind::kShardBabble,
-};
-
-bool is_shard_kind(FaultKind k) {
-  return k == FaultKind::kShardKill || k == FaultKind::kShardHang ||
-         k == FaultKind::kShardBabble;
-}
-
 double rate_for(const FaultSpec& s, FaultKind k) {
   switch (k) {
     case FaultKind::kNetDrop: return s.drop_rate;
@@ -50,9 +39,6 @@ double rate_for(const FaultSpec& s, FaultKind k) {
     case FaultKind::kMemFail: return s.memfail_rate;
     case FaultKind::kBitFlip: return s.flip_rate;
     case FaultKind::kGroupKill: return s.kill_rate;
-    case FaultKind::kShardKill: return s.shard_kill_rate;
-    case FaultKind::kShardHang: return s.shard_hang_rate;
-    case FaultKind::kShardBabble: return s.shard_babble_rate;
   }
   return 0;
 }
@@ -85,9 +71,6 @@ FaultKind parse_kind(const std::string& name) {
   if (name == "memfail") return FaultKind::kMemFail;
   if (name == "flip") return FaultKind::kBitFlip;
   if (name == "kill") return FaultKind::kGroupKill;
-  if (name == "shard_kill") return FaultKind::kShardKill;
-  if (name == "shard_hang") return FaultKind::kShardHang;
-  if (name == "shard_babble") return FaultKind::kShardBabble;
   TCFPN_FAULT("fault spec: unknown fault kind '", name, "'");
 }
 
@@ -101,33 +84,8 @@ const char* to_string(FaultKind k) {
     case FaultKind::kMemFail: return "mem-fail";
     case FaultKind::kBitFlip: return "bit-flip";
     case FaultKind::kGroupKill: return "group-kill";
-    case FaultKind::kShardKill: return "shard-kill";
-    case FaultKind::kShardHang: return "shard-hang";
-    case FaultKind::kShardBabble: return "shard-babble";
   }
   return "?";
-}
-
-bool is_shard_fault(FaultKind k) { return is_shard_kind(k); }
-
-bool has_machine_faults(const FaultSpec& spec) {
-  for (FaultKind k : kAllKinds) {
-    if (rate_for(spec, k) > 0) return true;
-  }
-  for (const ScriptedFault& sf : spec.scripted) {
-    if (!is_shard_kind(sf.kind)) return true;
-  }
-  return false;
-}
-
-bool has_shard_faults(const FaultSpec& spec) {
-  for (FaultKind k : kShardKinds) {
-    if (rate_for(spec, k) > 0) return true;
-  }
-  for (const ScriptedFault& sf : spec.scripted) {
-    if (is_shard_kind(sf.kind)) return true;
-  }
-  return false;
 }
 
 FaultSpec parse_fault_spec(const std::string& spec) {
@@ -167,12 +125,6 @@ FaultSpec parse_fault_spec(const std::string& spec) {
       want_rate(&out.flip_rate);
     } else if (key == "kill") {
       want_rate(&out.kill_rate);
-    } else if (key == "shard_kill") {
-      want_rate(&out.shard_kill_rate);
-    } else if (key == "shard_hang") {
-      want_rate(&out.shard_hang_rate);
-    } else if (key == "shard_babble") {
-      want_rate(&out.shard_babble_rate);
     } else if (key == "retries") {
       std::uint64_t v = 0;
       want_u64(&v);
@@ -226,11 +178,8 @@ FaultSpec default_spec_for_seed(std::uint64_t seed) {
 }
 
 FaultInjector::FaultInjector(FaultSpec spec, std::uint32_t groups,
-                             std::size_t shared_words, std::uint32_t shards)
-    : spec_(std::move(spec)),
-      groups_(groups),
-      shared_words_(shared_words),
-      shards_(shards) {
+                             std::size_t shared_words)
+    : spec_(std::move(spec)), groups_(groups), shared_words_(shared_words) {
   TCFPN_CHECK(groups_ >= 1, "fault injector needs at least one group");
   TCFPN_CHECK(shared_words_ >= 1, "fault injector needs shared memory");
 }
@@ -265,9 +214,6 @@ std::vector<FaultEvent> FaultInjector::pending(StepId step) {
     if (fired_.count(ev.key)) continue;
     if (sf.kind == FaultKind::kBitFlip) {
       ev.addr = static_cast<Addr>(sf.arg % shared_words_);
-    } else if (is_shard_kind(sf.kind)) {
-      if (shards_ == 0) continue;  // non-sharded run: process faults vanish
-      ev.group = static_cast<GroupId>(sf.arg % shards_);
     } else {
       ev.group = static_cast<GroupId>(sf.arg % groups_);
     }
@@ -307,25 +253,6 @@ std::vector<FaultEvent> FaultInjector::pending(StepId step) {
     }
   }
 
-  // Shard-process occurrences last: one Bernoulli per (shard, kind), both
-  // ascending — the supervisor applies them in exactly this order.
-  for (std::uint32_t s = 0; s < shards_; ++s) {
-    for (FaultKind kind : kShardKinds) {
-      const double rate = rate_for(spec_, kind);
-      if (rate <= 0) continue;
-      Rng r(occurrence_seed(spec_.seed, step, s, kind));
-      if (!r.chance(rate)) continue;
-      drawn = true;
-      FaultEvent ev;
-      ev.kind = kind;
-      ev.step = step;
-      ev.group = s;
-      ev.key = (step << 20) | (static_cast<std::uint64_t>(s) << 8) |
-               static_cast<std::uint64_t>(kind);
-      if (fired_.count(ev.key)) continue;
-      out.push_back(ev);
-    }
-  }
   if (step == quiet_.size()) quiet_.push_back(!drawn);
   return out;
 }

@@ -37,19 +37,9 @@ enum class FaultKind : std::uint8_t {
   kMemFail,     ///< a local-memory block dies with its contents
   kBitFlip,     ///< a shared-memory module flips one bit
   kGroupKill,   ///< a processor group dies permanently
-  // Shard-process faults (src/shard, DESIGN.md §14). Injected by the shard
-  // supervisor, never by ResilientExecutor; `FaultEvent::group` carries the
-  // target *shard* id. Appended so existing kind encodings are stable.
-  kShardKill,    ///< a worker process dies (SIGKILL / severed link)
-  kShardHang,    ///< a worker freezes (SIGSTOP / muted link), misses its
-                 ///< heartbeat deadline
-  kShardBabble,  ///< a worker's next frame arrives corrupted (CRC fails)
 };
 
 const char* to_string(FaultKind k);
-
-/// True for the shard-process kinds (kShardKill/kShardHang/kShardBabble).
-bool is_shard_fault(FaultKind k);
 
 /// A fault pinned to an explicit step (the `at=STEP:KIND:ARG` spec form).
 /// `arg` is the target group, except for kBitFlip where it is the shared
@@ -72,9 +62,6 @@ struct FaultSpec {
   double memfail_rate = 0;  ///< kMemFail
   double flip_rate = 0;     ///< kBitFlip
   double kill_rate = 0;     ///< kGroupKill
-  double shard_kill_rate = 0;    ///< kShardKill, per step per shard
-  double shard_hang_rate = 0;    ///< kShardHang
-  double shard_babble_rate = 0;  ///< kShardBabble
 
   std::uint32_t retries = 3;    ///< retransmissions per dropped reply
   Cycle backoff_base = 8;       ///< first retry backoff; doubles per retry
@@ -86,22 +73,13 @@ struct FaultSpec {
   std::vector<ScriptedFault> scripted;
 };
 
-/// True when the spec can produce machine-hardware occurrences (nonzero
-/// non-shard rate or a scripted non-shard fault). The CLI rejects those
-/// under --shards > 1: supervised workers have no ResilientExecutor.
-bool has_machine_faults(const FaultSpec& spec);
-/// True when the spec can produce shard-process occurrences.
-bool has_shard_faults(const FaultSpec& spec);
-
 /// Parses the comma-separated `--inject-faults` grammar:
 ///
 ///   seed=U64
 ///   drop=P delay=P stall=P memfail=P flip=P kill=P      (rates in [0,1])
 ///   retries=N backoff=C delayc=C stallc=C watchdog=C scrubc=C
-///   shard_kill=P shard_hang=P shard_babble=P   (per step per *shard*)
 ///   at=STEP:KIND[:ARG]   (repeatable; KIND in drop|delay|stall|memfail|
-///                         flip|kill|shard_kill|shard_hang|shard_babble;
-///                         ARG = group, address for flip, shard for shard_*)
+///                         flip|kill; ARG = group, address for flip)
 ///
 /// Faults (SimError) on any syntax or range error.
 FaultSpec parse_fault_spec(const std::string& spec);
@@ -114,7 +92,7 @@ FaultSpec default_spec_for_seed(std::uint64_t seed);
 struct FaultEvent {
   FaultKind kind = FaultKind::kGroupKill;
   StepId step = 0;
-  GroupId group = 0;        ///< shard kinds: the target *shard* id
+  GroupId group = 0;
   Addr addr = 0;            ///< kBitFlip: shared-memory address
   std::uint32_t bit = 0;    ///< kBitFlip: bit index
   Cycle magnitude = 0;      ///< kNetDelay/kGroupStall: cycles
@@ -123,13 +101,8 @@ struct FaultEvent {
 
 class FaultInjector {
  public:
-  /// `shards` enables the shard-fault stream: shard kinds draw one
-  /// Bernoulli per (step, shard) for shard ids [0, shards). With shards ==
-  /// 0 (the default, and every non-sharded run) the shard kinds generate
-  /// nothing — the same spec drives a sequential oracle and a sharded lane,
-  /// and only the latter sees process faults.
-  FaultInjector(FaultSpec spec, std::uint32_t groups, std::size_t shared_words,
-                std::uint32_t shards = 0);
+  FaultInjector(FaultSpec spec, std::uint32_t groups,
+                std::size_t shared_words);
 
   /// The not-yet-handled fault occurrences at the boundary before `step`,
   /// in deterministic order: scripted first (spec order), then random ones
@@ -150,7 +123,6 @@ class FaultInjector {
   FaultSpec spec_;
   std::uint32_t groups_;
   std::size_t shared_words_;
-  std::uint32_t shards_;
   std::unordered_set<std::uint64_t> fired_;
   /// quiet_[s]: every random draw at step s came out empty. Filled in step
   /// order only (a step past the end is drawn but not memoized), so it

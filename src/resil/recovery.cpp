@@ -256,13 +256,6 @@ void ResilientExecutor::apply_event(const FaultEvent& ev, bool* rolled_back,
       }
       return;
     }
-    case FaultKind::kShardKill:
-    case FaultKind::kShardHang:
-    case FaultKind::kShardBabble:
-      // Shard-process kinds belong to the shard supervisor (src/shard);
-      // they never appear here because the injector driving this executor
-      // is built with shards == 0.
-      return;
   }
 }
 

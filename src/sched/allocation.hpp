@@ -41,7 +41,7 @@ void install_first_group_hook(machine::Machine& m);
 
 /// Per-group effective throughput of a (possibly heterogeneous) config:
 /// speed_g = group_slots(g) * clock_num(g) / clock_den(g), as exact
-/// rationals for the weighted balancer.
+/// rationals for install_throughput_lpt_hook.
 std::vector<GroupSpeed> group_speeds(const machine::MachineConfig& cfg);
 
 /// Installs the placement-aware LPT hook for heterogeneous shapes

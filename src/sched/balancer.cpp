@@ -43,68 +43,6 @@ Word assignment_makespan(const std::vector<Word>& thicknesses,
   return load.empty() ? 0 : *std::max_element(load.begin(), load.end());
 }
 
-namespace {
-
-// finish(a) < finish(b) where finish = work * den / num, compared by exact
-// cross-multiplication. Every factor is <= 2^64 so the products fit __int128.
-bool finish_less(std::uint64_t work_a, const GroupSpeed& a,
-                 std::uint64_t work_b, const GroupSpeed& b) {
-  const auto lhs = static_cast<unsigned __int128>(work_a) * a.den * b.num;
-  const auto rhs = static_cast<unsigned __int128>(work_b) * b.den * a.num;
-  return lhs < rhs;
-}
-
-}  // namespace
-
-std::vector<GroupId> lpt_assign_weighted(
-    const std::vector<Word>& thicknesses,
-    const std::vector<GroupSpeed>& speeds) {
-  TCFPN_CHECK(!speeds.empty(), "need at least one group");
-  for (const GroupSpeed& s : speeds) {
-    TCFPN_CHECK(s.num >= 1 && s.den >= 1, "group speed must be positive");
-  }
-  std::vector<std::size_t> order(thicknesses.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t x, std::size_t y) {
-                     return thicknesses[x] > thicknesses[y];
-                   });
-  std::vector<std::uint64_t> load(speeds.size(), 0);
-  std::vector<GroupId> out(thicknesses.size(), 0);
-  for (std::size_t idx : order) {
-    TCFPN_CHECK(thicknesses[idx] >= 0, "negative thickness");
-    const auto t = static_cast<std::uint64_t>(thicknesses[idx]);
-    GroupId best = 0;
-    for (GroupId g = 1; g < speeds.size(); ++g) {
-      if (finish_less(load[g] + t, speeds[g], load[best] + t, speeds[best])) {
-        best = g;
-      }
-    }
-    out[idx] = best;
-    load[best] += t;
-  }
-  return out;
-}
-
-Word weighted_makespan(const std::vector<Word>& thicknesses,
-                       const std::vector<GroupId>& assignment,
-                       const std::vector<GroupSpeed>& speeds) {
-  TCFPN_CHECK(thicknesses.size() == assignment.size(),
-              "assignment arity mismatch");
-  std::vector<std::uint64_t> load(speeds.size(), 0);
-  for (std::size_t i = 0; i < thicknesses.size(); ++i) {
-    TCFPN_CHECK(assignment[i] < speeds.size(), "assignment to unknown group");
-    load[assignment[i]] += static_cast<std::uint64_t>(thicknesses[i]);
-  }
-  std::uint64_t best = 0;
-  for (std::size_t g = 0; g < speeds.size(); ++g) {
-    const std::uint64_t finish =
-        (load[g] * speeds[g].den + speeds[g].num - 1) / speeds[g].num;
-    best = std::max(best, finish);
-  }
-  return static_cast<Word>(best);
-}
-
 std::vector<Fragment> split_thickness(Word thickness, Word bound) {
   TCFPN_CHECK(thickness >= 0, "negative thickness");
   TCFPN_CHECK(bound >= 1, "fragment bound must be >= 1");

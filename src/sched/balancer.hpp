@@ -38,21 +38,6 @@ struct GroupSpeed {
   std::uint64_t den = 1;
 };
 
-/// Placement-aware LPT for heterogeneous machines: each flow (by decreasing
-/// thickness) goes to the group whose *finish time* (load + thickness) /
-/// speed is smallest — exact __int128 cross-multiplied comparison, ties to
-/// the lower group id. With all speeds equal this degenerates to classic
-/// lpt_assign.
-std::vector<GroupId> lpt_assign_weighted(const std::vector<Word>& thicknesses,
-                                         const std::vector<GroupSpeed>& speeds);
-
-/// Analytic finish time of an assignment on a heterogeneous machine: the
-/// max over groups of ceil(load_g * den_g / num_g) (cycles, with speed in
-/// thickness units per cycle).
-Word weighted_makespan(const std::vector<Word>& thicknesses,
-                       const std::vector<GroupId>& assignment,
-                       const std::vector<GroupSpeed>& speeds);
-
 /// One fragment of a split flow: `base` is the first lane index the
 /// fragment covers, `thickness` its lane count.
 struct Fragment {

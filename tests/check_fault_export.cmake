@@ -2,8 +2,9 @@
 #
 # Invoked via `cmake -DTCFRUN=<path> -DPROG=<fault_div.tcf> -DOUT=<dir> -P`.
 # Asserts the exit-code contract (1 = fault, 2 = exporter destination
-# failure), that the metrics/trace documents record the fault in the run
-# metadata, and that --post-mortem emits a tcfpn-postmortem-v1 document.
+# failure or usage error), that the metrics/trace documents record the
+# fault in the run metadata, and that --post-mortem emits a
+# tcfpn-postmortem-v1 document.
 
 foreach(var TCFRUN PROG OUT)
   if(NOT DEFINED ${var})
@@ -80,6 +81,19 @@ execute_process(
   OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 2)
   message(FATAL_ERROR "unwritable post-mortem path: expected exit 2, got ${rc}")
+endif()
+
+# 4. A shape preset sets one spec per group; a later --groups that
+#    disagrees is a usage error (exit 2), not an internal check.
+execute_process(
+  COMMAND "${TCFRUN}" "${PROG}" "--shape=gpu" "--groups=3"
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "--shape=gpu --groups=3: expected exit 2, got ${rc}\n${err}")
+endif()
+if(NOT err MATCHES "group specs")
+  message(FATAL_ERROR "--shape=gpu --groups=3: stderr lacks the diagnostic:\n${err}")
 endif()
 
 message(STATUS "check_fault_export: all assertions passed")

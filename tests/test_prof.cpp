@@ -4,7 +4,9 @@
 //
 //  1. Cycles conserve: with cfg.profile on, the sum of every profile cell
 //     equals MachineStats::cycles exactly — on every variant, under fault
-//     injection, and through checkpoint/replay.
+//     injection, and through checkpoint/replay. The step tape accounts for
+//     the same clock: one record per step, and its step costs plus the
+//     cycles charged outside a step record sum to MachineStats::cycles.
 //  2. Profiles are deterministic: bit-identical for every --host-threads
 //     value, because cells accumulate per GroupCtx and merge at the step
 //     barrier in group order.
@@ -80,9 +82,36 @@ MachineConfig base_cfg(Variant v, std::uint32_t host_threads) {
   return cfg;
 }
 
+/// Cycles the clock carries outside the step records: task switches,
+/// explicit scheduler charges, and the multi-instruction phase's join and
+/// dispatch costs.
+Cycle off_tape_cycles(const Machine& m) {
+  const auto snap = m.metrics_snapshot();
+  Cycle c = m.stats().task_switch_cycles;
+  for (const char* path : {"sched/charged_cycles", "machine/join_cycles",
+                           "machine/spawn_cycles"}) {
+    const auto it = snap.entries.find(path);
+    if (it != snap.entries.end()) c += it->second.count;
+  }
+  return c;
+}
+
+/// The profile accounts for the clock both ways: every cycle lands in
+/// exactly one cell, and the step tape holds one record per step whose
+/// step costs, plus the off-tape charges, sum to the clock.
+void expect_accounts_for_clock(const prof::Profile& p, const MachineStats& st,
+                               Cycle off_tape) {
+  EXPECT_EQ(p.attributed(), st.cycles);
+  EXPECT_EQ(p.steps.size(), st.steps);
+  Cycle on_tape = 0;
+  for (const prof::StepRecord& r : p.steps) on_tape += prof::step_cost(r);
+  EXPECT_EQ(on_tape + off_tape, st.cycles);
+}
+
 struct ProfRun {
   prof::Profile profile;
   MachineStats stats;
+  Cycle off_tape = 0;  ///< off_tape_cycles of the finished machine
   bool completed = false;
 };
 
@@ -113,6 +142,7 @@ ProfRun run_variant(Variant v, std::uint32_t host_threads) {
   ProfRun r;
   r.profile = m.profile();
   r.stats = m.stats();
+  r.off_tape = off_tape_cycles(m);
   r.completed = run.completed;
   return r;
 }
@@ -176,13 +206,15 @@ TEST_P(ProfDeterminismTest, CyclesConserveAndProfileBitIdentical) {
   const ProfRun ref = run_variant(v, 1);
   ASSERT_TRUE(ref.completed);
   ASSERT_FALSE(ref.profile.cells.empty());
-  // Conservation: every simulated cycle is attributed exactly once.
-  EXPECT_EQ(ref.profile.attributed(), ref.stats.cycles) << to_string(v);
-
+  {
+    SCOPED_TRACE(std::string(to_string(v)) + " @1");
+    expect_accounts_for_clock(ref.profile, ref.stats, ref.off_tape);
+  }
   for (std::uint32_t ht : {2u, 8u}) {
+    SCOPED_TRACE(std::string(to_string(v)) + " @" + std::to_string(ht));
     const ProfRun run = run_variant(v, ht);
-    EXPECT_EQ(ref.profile, run.profile) << to_string(v) << " @" << ht;
-    EXPECT_EQ(run.profile.attributed(), run.stats.cycles);
+    EXPECT_EQ(ref.profile, run.profile);
+    expect_accounts_for_clock(run.profile, run.stats, run.off_tape);
   }
 }
 
@@ -202,24 +234,29 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- conservation under fault injection ----
 
-TEST(ProfFaultInjection, ConservesAndChargesTheFaultTerm) {
-  MachineConfig cfg = base_cfg(Variant::kSingleInstruction, 2);
-  Machine m(cfg);
+/// Runs the spawn/prefix program on `m` under `spec` with rollback
+/// recovery; the run must complete.
+resil::ResilResult run_faulted(Machine& m, const char* spec) {
   m.load(with_arrays(spawn_prefix_program()));
   m.boot(1);
-
   resil::ResilConfig rc;
-  rc.spec = resil::parse_fault_spec("seed=5,delay=0.2,delayc=16");
+  rc.spec = resil::parse_fault_spec(spec);
   rc.mode = resil::RecoverMode::kRollback;
   resil::ResilientExecutor ex(m, rc);
   const resil::ResilResult r = ex.run();
-  ASSERT_FALSE(r.faulted) << r.fault_message;
-  ASSERT_TRUE(r.run.completed);
+  EXPECT_FALSE(r.faulted) << r.fault_message;
+  EXPECT_TRUE(r.run.completed);
+  return r;
+}
+
+TEST(ProfFaultInjection, ConservesAndChargesTheFaultTerm) {
+  Machine m(base_cfg(Variant::kSingleInstruction, 2));
+  const resil::ResilResult r = run_faulted(m, "seed=5,delay=0.2,delayc=16");
   ASSERT_GT(r.resil.faults_injected, 0u) << "fault spec injected nothing";
 
   // Conservation holds through injected delays and any rollbacks: the
   // profile is checkpointed and restored together with the clock.
-  EXPECT_EQ(m.profile().attributed(), m.stats().cycles);
+  expect_accounts_for_clock(m.profile(), m.stats(), off_tape_cycles(m));
 
   // Injected delays land in the fault term. The profile charges the clock
   // extension a delay actually caused — max(slot, fault+bound) −
@@ -232,6 +269,15 @@ TEST(ProfFaultInjection, ConservesAndChargesTheFaultTerm) {
   const auto it = snap.entries.find("net/fault_delay_cycles");
   ASSERT_NE(it, snap.entries.end());
   EXPECT_LE(fault_cycles, it->second.count);
+
+  // A stall and drop schedule that rolls back: the tape is rewound with
+  // the clock, so it still accounts for every cycle.
+  Machine rolled(base_cfg(Variant::kSingleInstruction, 2));
+  const resil::ResilResult rr =
+      run_faulted(rolled, "seed=9,stall=0.05,drop=0.05,retries=2");
+  ASSERT_GT(rr.resil.rollbacks, 0u) << "fault spec never rolled back";
+  expect_accounts_for_clock(rolled.profile(), rolled.stats(),
+                            off_tape_cycles(rolled));
 }
 
 // ---- planted slowdown shows up as the hotspot ----

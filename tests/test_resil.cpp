@@ -357,9 +357,7 @@ TEST(Resil, MemFailDegradeRetiresGroupAndBlocksAccess) {
 }
 
 // ---- Machine::retire_group edge cases ----
-// The degrade building block itself, exercised directly: the shard
-// supervisor (DESIGN.md §14) leans on exactly these properties when it
-// retires a dead shard's groups.
+// The degrade building block itself, exercised directly.
 
 // Retiring the highest-numbered group must work like any other: the
 // least-loaded-survivor rehoming rule has no "next group" to fall off the

@@ -4,8 +4,12 @@
 // within a lane must agree down to the cycle count across host threads.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/check.hpp"
 #include "conformance/scenario.hpp"
 #include "machine/config.hpp"
+#include "machine/machine.hpp"
 #include "machine/shapes.hpp"
 
 namespace tcfpn::conformance {
@@ -82,6 +86,23 @@ TEST(Scenarios, CanonicalShapesAreDistinct) {
   EXPECT_TRUE(gpu.is_heterogeneous());
   EXPECT_NE(machine::shape_summary(fat_thin), machine::shape_summary(gpu));
   EXPECT_NE(fat_thin.total_slots(), gpu.total_slots());
+}
+
+// A preset fixes one spec per group. A group count set after it disagrees,
+// and the machine must reject that as a shape error before it builds the
+// preset's NUMA-row topology for the wrong number of groups.
+TEST(Scenarios, PresetWithOtherGroupCountIsAShapeError) {
+  machine::MachineConfig cfg;
+  machine::apply_shape(cfg, "gpu");
+  cfg.groups = 3;
+  try {
+    machine::Machine m(cfg);
+    FAIL() << "a gpu preset on 3 groups was accepted";
+  } catch (const SimError& e) {
+    EXPECT_NE(std::string(e.what()).find("8 group specs for 3 groups"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -86,51 +86,7 @@ TEST(Balancer, SplitEvenSkipsEmptyParts) {
   EXPECT_EQ(frags.size(), 2u);  // zero-thickness fragments dropped
 }
 
-// ---- placement-aware weighted LPT (heterogeneous shapes, DESIGN.md §12) ----
-
-TEST(Balancer, WeightedLptReducesToClassicOnEqualSpeeds) {
-  const std::vector<Word> thick{100, 1, 1, 1, 1, 1, 1, 97};
-  const std::vector<GroupSpeed> equal(2, GroupSpeed{4, 1});
-  EXPECT_EQ(lpt_assign_weighted(thick, equal), lpt_assign(thick, 2));
-}
-
-TEST(Balancer, WeightedLptSendsMoreWorkToFasterGroups) {
-  // One group 3x as fast: of 12 equal jobs it should absorb ~9.
-  const std::vector<Word> thick(12, 10);
-  const std::vector<GroupSpeed> speeds{{3, 1}, {1, 1}};
-  const auto a = lpt_assign_weighted(thick, speeds);
-  std::size_t fast = 0;
-  for (GroupId g : a) fast += g == 0;
-  EXPECT_EQ(fast, 9u);
-  // And the weighted makespan beats any speed-blind split.
-  const auto blind = lpt_assign(thick, 2);
-  EXPECT_LT(weighted_makespan(thick, a, speeds),
-            weighted_makespan(thick, blind, speeds));
-}
-
-TEST(Balancer, WeightedLptHandlesFractionalSpeeds) {
-  // A half-clock group: speed 1/2 vs 1. Two jobs must both avoid it when a
-  // single fast group finishes them sooner back to back... they don't —
-  // LPT is greedy per job — but the slow group only wins a job when its
-  // finish time is strictly smaller.
-  const std::vector<Word> thick{8, 8, 8};
-  const std::vector<GroupSpeed> speeds{{1, 1}, {1, 2}};
-  const auto a = lpt_assign_weighted(thick, speeds);
-  // Job 1 → fast (8 < 16), job 2 → fast (16 = 16? no: 16 vs 16 ties to
-  // lower id = fast? finish fast = (8+8)/1 = 16, slow = 8/0.5 = 16 — tie,
-  // lower group id wins), job 3 → slow (24 vs 16).
-  EXPECT_EQ(a[0], 0u);
-  EXPECT_EQ(a[1], 0u);
-  EXPECT_EQ(a[2], 1u);
-  EXPECT_EQ(weighted_makespan(thick, a, speeds), 16);
-}
-
-TEST(Balancer, WeightedLptValidatesInputs) {
-  EXPECT_THROW(lpt_assign_weighted({1}, {}), SimError);
-  EXPECT_THROW(lpt_assign_weighted({1}, {{0, 1}}), SimError);
-  EXPECT_THROW(weighted_makespan({1, 2}, {0}, {{1, 1}}), SimError);
-  EXPECT_THROW(weighted_makespan({1}, {3}, {{1, 1}}), SimError);
-}
+// ---- group speeds (heterogeneous shapes, DESIGN.md §12) ----
 
 TEST(Allocation, GroupSpeedsReflectShapeOverrides) {
   machine::MachineConfig cfg = cfg_groups(3, 8);

@@ -355,9 +355,8 @@ TEST(MemoryPort, LaneRunsMatchDirectAccess) {
 
 // Port runs drained in group order commit exactly as the same writes
 // staged directly in issue order — whether the runs arrive presorted and
-// ascending (one run, nothing merged), interleaved (merged), unsorted with
-// same-key rewrites (sorted and collapsed by seal), or as an unsorted
-// sealed image from another process (re-checked by load_image).
+// ascending (one run, nothing merged), interleaved (merged), or unsorted
+// with same-key rewrites (sorted and collapsed by seal).
 TEST(MemoryPort, RunsCommitLikeDirectWrites) {
   struct W {
     Addr addr;
@@ -369,33 +368,24 @@ TEST(MemoryPort, RunsCommitLikeDirectWrites) {
       {{{1, 10, 0}, {5, 11, 1}}, {{1, 12, 8}, {3, 13, 9}}, {{0, 14, 16}}},
       {{{7, 1, 3}, {2, 2, 1}, {7, 3, 3}}, {{2, 4, 0}, {7, 5, 9}}},
   };
-  for (const bool via_image : {false, true}) {
-    for (const auto& groups : cases) {
-      SharedMemory direct(16, 4, CrcwPolicy::kPriority);
-      SharedMemory ported(16, 4, CrcwPolicy::kPriority);
-      MemoryPort staging(&ported), port(&ported);
-      for (const auto& g : groups) {
-        for (const W& w : g) {
-          direct.write(w.addr, w.value, w.lane);
-          std::uint64_t per_module[4] = {};
-          ++per_module[ported.module_of(w.addr)];
-          staging.write_run(&w.addr, &w.value, 1, w.lane, per_module);
-        }
-        MemoryPort::Image img = staging.save_image();
-        staging.clear();
-        if (via_image) {
-          img.sealed = true;  // a peer's image, unsorted as received
-          port.load_image(img);
-        } else {
-          port.load_image(img);
-          port.seal();
-        }
-        ported.drain(port);
+  for (const auto& groups : cases) {
+    SharedMemory direct(16, 4, CrcwPolicy::kPriority);
+    SharedMemory ported(16, 4, CrcwPolicy::kPriority);
+    MemoryPort port(&ported);
+    for (const auto& g : groups) {
+      for (const W& w : g) {
+        direct.write(w.addr, w.value, w.lane);
+        std::uint64_t per_module[4] = {};
+        ++per_module[ported.module_of(w.addr)];
+        port.write_run(&w.addr, &w.value, 1, w.lane, per_module);
       }
-      direct.commit_step();
-      ported.commit_step();
-      EXPECT_EQ(image_of(direct), image_of(ported));
+      port.seal();
+      ported.drain(port);
+      port.clear();
     }
+    direct.commit_step();
+    ported.commit_step();
+    EXPECT_EQ(image_of(direct), image_of(ported));
   }
 }
 

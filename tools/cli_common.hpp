@@ -12,7 +12,6 @@
 
 #include "common/check.hpp"
 #include "common/log.hpp"
-#include "resil/fault.hpp"
 #include "debug/postmortem.hpp"
 #include "debug/recorder.hpp"
 #include "machine/machine.hpp"
@@ -47,19 +46,6 @@ struct Options {
   std::string recover = "rollback";  ///< rollback | degrade | off
   std::string stream;  ///< tcfpn-stream-v1 destination: file, "-", unix:PATH
   std::uint64_t stream_every = 64;  ///< stream cadence in machine steps
-
-  // ---- sharded execution (tcfrun only; DESIGN.md §14) ----
-  std::uint32_t shards = 1;          ///< --shards: worker processes
-  std::uint64_t shard_heartbeat_ms = 2000;  ///< liveness deadline
-  std::uint64_t shard_handshake_ms = 30'000;  ///< boot-hello deadline
-  std::uint32_t shard_restarts = 1;  ///< restart budget per shard
-  std::uint64_t shard_checkpoint_every = 64;  ///< steps between rewind points
-  bool shard_loopback = false;  ///< threads + loopback instead of fork+exec
-  /// Hidden --shard-worker=SHARD:FD: this process is a supervised worker
-  /// serving its shard over the inherited socketpair fd.
-  bool shard_worker = false;
-  std::uint32_t shard_worker_id = 0;
-  int shard_worker_fd = -1;
 };
 
 inline void usage(const char* tool, const char* what) {
@@ -115,23 +101,7 @@ inline void usage(const char* tool, const char* what) {
       "                    and reports them on the stream's run_end line\n"
       "  --stream-every=N  stream cadence in machine steps (default 64)\n"
       "  --log-level=LVL   stderr log threshold: debug, info (default),\n"
-      "                    warn, error; the stream sees every line\n"
-      "  --shards=N        tcfrun only: run N supervised worker processes,\n"
-      "                    each owning a slice of the groups (DESIGN.md\n"
-      "                    §14). Results are bit-identical to --shards=1;\n"
-      "                    crashed/hung/babbling workers restart from the\n"
-      "                    last checkpoint or degrade deterministically\n"
-      "  --shard-heartbeat-ms=N  worker liveness deadline (default 2000)\n"
-      "  --shard-handshake-ms=N  boot handshake deadline — covers a fresh\n"
-      "                          worker's exec+compile+boot, so it is\n"
-      "                          independent of (and far above) the\n"
-      "                          steady-state heartbeat (default 30000)\n"
-      "  --shard-restarts=N      restart budget per shard before the shard\n"
-      "                          degrades (default 1)\n"
-      "  --shard-checkpoint-every=N  steps between supervisor checkpoints\n"
-      "                          (default 64)\n"
-      "  --shard-loopback  host the shards as in-process threads over the\n"
-      "                    loopback transport instead of forked processes\n",
+      "                    warn, error; the stream sees every line\n",
       tool, what);
 }
 
@@ -187,57 +157,10 @@ inline bool parse_uint_as(const std::string& v, const char* flag,
   return true;
 }
 
-/// Coherence gate for the sharded-execution flags: combinations that cannot
-/// honour the bit-identity or supervision contracts are usage errors (exit
-/// 2), diagnosed here rather than failing deep inside the supervisor.
-inline bool validate_shard_options(const Options& opt, const char* tool) {
-  if (opt.shards <= 1 && !opt.shard_worker) return true;
-  auto reject = [&](const std::string& why) {
-    std::fprintf(stderr, "%s: --shards: %s\n", tool, why.c_str());
-    return false;
-  };
-  if (opt.cfg.variant == machine::Variant::kMultiInstruction) {
-    return reject(
-        "the multi-instruction variant steps asynchronously; there is no "
-        "step barrier at which shards could exchange effects");
-  }
-  if (opt.trace || opt.cfg.record_trace || !opt.trace_json.empty()) {
-    return reject(
-        "--trace/--trace-json record host-side schedules that only exist in "
-        "a single process; rerun with --shards=1 for traces");
-  }
-  if (opt.shards > opt.cfg.groups) {
-    return reject("more shards (" + std::to_string(opt.shards) +
-                  ") than groups (" + std::to_string(opt.cfg.groups) +
-                  "): some workers would own nothing");
-  }
-  if (opt.recover == "off") {
-    return reject(
-        "--recover=off disables the checkpoint rewind that shard "
-        "supervision is built on");
-  }
-  if (!opt.inject_faults.empty()) {
-    try {
-      const resil::FaultSpec spec = resil::parse_fault_spec(opt.inject_faults);
-      if (resil::has_machine_faults(spec)) {
-        return reject(
-            "--inject-faults may only use the shard_kill/shard_hang/"
-            "shard_babble kinds under --shards > 1; machine-hardware faults "
-            "need the in-process resilient executor (--shards=1)");
-      }
-    } catch (const SimError&) {
-      return true;  // the tool reports the parse error itself
-    }
-  }
-  return true;
-}
-
-/// Parses argv; returns false (after printing usage) on bad input.
-/// `sharded_tool` enables the --shards family (tcfrun only — the other
-/// drivers have no supervised execution path).
+/// Parses argv; returns false (after printing a diagnostic or usage) on
+/// bad input.
 inline bool parse_args(int argc, char** argv, const char* tool,
-                       const char* what, Options* opt,
-                       bool sharded_tool = false) {
+                       const char* what, Options* opt) {
   if (argc < 2) {
     usage(tool, what);
     return false;
@@ -381,45 +304,6 @@ inline bool parse_args(int argc, char** argv, const char* tool,
         return false;
       }
       obs::set_log_level(lv);
-    } else if (sharded_tool && parse_flag(arg, "shards", &v)) {
-      if (!parse_uint_as(v, "shards", 1, 64, &opt->shards)) return false;
-      opt->cfg.shards = opt->shards;
-    } else if (sharded_tool && parse_flag(arg, "shard-heartbeat-ms", &v)) {
-      if (!parse_uint(v, "shard-heartbeat-ms", 1, 600'000,
-                      &opt->shard_heartbeat_ms)) {
-        return false;
-      }
-    } else if (sharded_tool && parse_flag(arg, "shard-handshake-ms", &v)) {
-      if (!parse_uint(v, "shard-handshake-ms", 1, 3'600'000,
-                      &opt->shard_handshake_ms)) {
-        return false;
-      }
-    } else if (sharded_tool && parse_flag(arg, "shard-restarts", &v)) {
-      if (!parse_uint_as(v, "shard-restarts", 0, 1'000'000,
-                         &opt->shard_restarts)) {
-        return false;
-      }
-    } else if (sharded_tool && parse_flag(arg, "shard-checkpoint-every", &v)) {
-      if (!parse_uint(v, "shard-checkpoint-every", 1,
-                      std::numeric_limits<std::uint32_t>::max(),
-                      &opt->shard_checkpoint_every)) {
-        return false;
-      }
-    } else if (sharded_tool && arg == "--shard-loopback") {
-      opt->shard_loopback = true;
-    } else if (sharded_tool && parse_flag(arg, "shard-worker", &v)) {
-      // Hidden: SHARD:FD, appended by the supervisor when re-exec'ing
-      // itself as a worker. Not part of the documented surface.
-      const std::size_t colon = v.find(':');
-      std::uint64_t shard = 0, fd = 0;
-      if (colon == std::string::npos ||
-          !parse_uint(v.substr(0, colon), "shard-worker", 0, 63, &shard) ||
-          !parse_uint(v.substr(colon + 1), "shard-worker", 3, 1 << 20, &fd)) {
-        return false;
-      }
-      opt->shard_worker = true;
-      opt->shard_worker_id = static_cast<std::uint32_t>(shard);
-      opt->shard_worker_fd = static_cast<int>(fd);
     } else if (parse_flag(arg, "recover", &v)) {
       if (v != "rollback" && v != "degrade" && v != "off") {
         std::fprintf(stderr,
@@ -443,7 +327,14 @@ inline bool parse_args(int argc, char** argv, const char* tool,
   if (opt->cfg.variant == machine::Variant::kFixedThickness) {
     opt->cfg.groups = 1;
   }
-  if (sharded_tool && !validate_shard_options(*opt, tool)) return false;
+  // A --shape preset fixes one spec per group; a later --groups (or the
+  // fixed-thickness override) can leave the two counts disagreeing.
+  try {
+    machine::validate_shape(opt->cfg);
+  } catch (const SimError& e) {
+    std::fprintf(stderr, "%s: %s\n", tool, e.what());
+    return false;
+  }
   return true;
 }
 
@@ -536,8 +427,7 @@ inline bool write_document(const std::string& path, const std::string& content,
 /// land in the run metadata, so CI keeps its telemetry even for red runs.
 /// Returns false if a destination cannot be written (exit 2).
 inline bool export_telemetry(const machine::Machine& m, const RunOutcome& o,
-                             const Options& opt, const char* tool,
-                             const std::string& shard_json = {}) {
+                             const Options& opt, const char* tool) {
   machine::MetaPairs meta = {{"tool", tool}, {"input", opt.input}};
   if (o.faulted) {
     meta.emplace_back("fault", o.fault_message);
@@ -546,7 +436,7 @@ inline bool export_telemetry(const machine::Machine& m, const RunOutcome& o,
   if (!opt.metrics_json.empty() &&
       !write_document(
           opt.metrics_json,
-          machine::metrics_json_document(m, o.run, meta, shard_json), tool)) {
+          machine::metrics_json_document(m, o.run, meta), tool)) {
     return false;
   }
   if (!opt.trace_json.empty() &&
@@ -588,7 +478,6 @@ class StreamSession {
                     {"groups", std::to_string(opt.cfg.groups)},
                     {"slots", std::to_string(opt.cfg.slots_per_group)},
                     {"host_threads", std::to_string(opt.cfg.host_threads)},
-                    {"shards", std::to_string(opt.cfg.shards)},
                     {"stream_every", std::to_string(opt.stream_every)}};
     std::string err;
     bus_ = obs::Bus::open(cfg, &err);

@@ -30,7 +30,6 @@ struct FuzzOptions {
   std::uint64_t max_stmts = 18;
   std::uint64_t fault_seed = 0;  ///< 0 = no fault-injection lanes
   std::uint64_t shape_seed = 0;  ///< 0 = no heterogeneous-shape lanes
-  std::uint64_t shard_fault_seed = 0;  ///< 0 = no shard_kill schedule
   bool allow_errors = true;
   bool verbose = false;
   std::string save_dir;     ///< write minimized reproducers here
@@ -59,13 +58,6 @@ void usage() {
       "                    rows) from seed S+i for every schedule-robust lane,\n"
       "                    and checks that a declared-but-default shape stays\n"
       "                    bit-identical to the uniform machine (0 = off)\n"
-      "  --shards=N        also run every step-synchronous lane under the\n"
-      "                    loopback shard supervisor with N workers; the\n"
-      "                    supervised run must be identical to the plain one\n"
-      "                    (0 = off, the default)\n"
-      "  --shard-fault-seed=S  with --shards: re-run the sharded lane under a\n"
-      "                    seeded shard_kill schedule for seed S+i; restart\n"
-      "                    from checkpoint must reproduce the run exactly\n"
       "  --no-errors       skip expected-SimError programs\n"
       "  --no-frontends    skip the baseline:: frontend lanes\n"
       "  --no-perturb      skip the perturbed-cost-knob lane\n"
@@ -83,7 +75,7 @@ bool parse(int argc, char** argv, FuzzOptions* o) {
   static const char* kValueFlags[] = {
       "--runs",    "--seed",   "--max-stmts",  "--variants",
       "--host-threads", "--save", "--replay", "--inject-bug",
-      "--fault-seed",   "--shape-seed", "--shards", "--shard-fault-seed"};
+      "--fault-seed",   "--shape-seed"};
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     for (const char* f : kValueFlags) {
@@ -121,15 +113,6 @@ bool parse(int argc, char** argv, FuzzOptions* o) {
     } else if (cli::parse_flag(arg, "shape-seed", &v)) {
       if (!cli::parse_uint(v, "shape-seed", 0, ~std::uint64_t{0} >> 1,
                            &o->shape_seed)) {
-        return false;
-      }
-    } else if (cli::parse_flag(arg, "shards", &v)) {
-      std::uint64_t shards = 0;
-      if (!cli::parse_uint(v, "shards", 0, 64, &shards)) return false;
-      o->diff.shards = static_cast<std::uint32_t>(shards);
-    } else if (cli::parse_flag(arg, "shard-fault-seed", &v)) {
-      if (!cli::parse_uint(v, "shard-fault-seed", 0, ~std::uint64_t{0} >> 1,
-                           &o->shard_fault_seed)) {
         return false;
       }
     } else if (cli::parse_flag(arg, "save", &v)) {
@@ -291,8 +274,6 @@ int fuzz(const FuzzOptions& o) {
     // Likewise a fresh machine shape per run: the same program on different
     // heterogeneous machines is a different conformance test.
     if (o.shape_seed != 0) diff.shape_seed = o.shape_seed + i;
-    // And a fresh shard_kill schedule per run for the sharded lane.
-    if (o.shard_fault_seed != 0) diff.shard_fault_seed = o.shard_fault_seed + i;
     try {
       if (auto d = run_differential(gp, diff)) {
         report(o, diff, seed, gp, *d);

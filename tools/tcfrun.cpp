@@ -10,27 +10,17 @@
 // Exit codes: 0 = completed, 1 = fault or (implicit) step limit, 2 = usage
 // error or an exporter destination could not be written, 3 = an explicit
 // --max-steps watchdog expired (the program did not terminate within its
-// budget) or an unrecoverable shard-supervision failure ("shard-fault"
-// post-mortem class). A faulting run still writes every requested telemetry
-// document (the fault lands in the run metadata) plus, with --post-mortem,
-// a flight-record JSON of the machine's last moments; a watchdog stop
-// writes a synthesized "watchdog"-class post-mortem.
-//
-// --shards=N runs the program under supervised multi-process execution
-// (DESIGN.md §14): N forked workers (or threads with --shard-loopback),
-// heartbeat liveness, restart-from-checkpoint, deterministic degrade. The
-// simulated results are bit-identical to --shards=1.
+// budget). A faulting run still writes every requested telemetry document
+// (the fault lands in the run metadata) plus, with --post-mortem, a
+// flight-record JSON of the machine's last moments; a watchdog stop writes
+// a synthesized "watchdog"-class post-mortem.
 #include <cstdio>
 #include <optional>
 
 #include "lang/codegen.hpp"
 #include "machine/machine.hpp"
-#include "machine/state.hpp"
 #include "resil/recovery.hpp"
-#include "shard/supervisor.hpp"
-#include "shard/worker.hpp"
 #include "cli_common.hpp"
-#include "shard_host.hpp"
 
 namespace {
 
@@ -74,56 +64,13 @@ bool export_watchdog_post_mortem(const machine::Machine& m,
                              "tcfrun");
 }
 
-void print_shard_summary(const shard::SupervisorStats& s) {
-  std::printf(
-      "sharding: %llu steps supervised, %llu heartbeats, %llu checkpoints; "
-      "%llu crashed / %llu hung / %llu babbling, %llu restarts "
-      "(%llu rollbacks), %llu degrades (%llu groups retired); "
-      "link budget %llu cycles\n",
-      static_cast<unsigned long long>(s.steps),
-      static_cast<unsigned long long>(s.heartbeats),
-      static_cast<unsigned long long>(s.checkpoints),
-      static_cast<unsigned long long>(s.crashes),
-      static_cast<unsigned long long>(s.hangs),
-      static_cast<unsigned long long>(s.babbles),
-      static_cast<unsigned long long>(s.restarts),
-      static_cast<unsigned long long>(s.rollbacks),
-      static_cast<unsigned long long>(s.degrades),
-      static_cast<unsigned long long>(s.groups_retired),
-      static_cast<unsigned long long>(s.link_budget_cycles));
-}
-
-/// The hidden --shard-worker=SHARD:FD mode: this process is one supervised
-/// replica. It rebuilds the identical machine from the identical command
-/// line and serves the frame protocol on the inherited socketpair end until
-/// kShutdown (exit 0) or the link dies (exit 1).
-int run_shard_worker(const cli::Options& opt) {
-  try {
-    const auto compiled = lang::compile_source(cli::read_file(opt.input));
-    machine::Machine m(opt.cfg);
-    m.load(compiled.program);
-    m.boot(opt.boot_thickness);
-    const auto link = shard::make_fd_transport(opt.shard_worker_fd);
-    shard::WorkerConfig wc;
-    wc.shard = opt.shard_worker_id;
-    wc.config_fp = machine::config_fingerprint(m.config());
-    wc.program_fp = machine::program_fingerprint(m.program());
-    return shard::serve_worker(m, *link, wc);
-  } catch (const SimError& e) {
-    obs::error("tcfrun/shard-worker", e.what());
-    return 1;
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   cli::Options opt;
-  if (!cli::parse_args(argc, argv, "tcfrun", "TCF source program", &opt,
-                       /*sharded_tool=*/true)) {
+  if (!cli::parse_args(argc, argv, "tcfrun", "TCF source program", &opt)) {
     return 2;
   }
-  if (opt.shard_worker) return run_shard_worker(opt);
   // The fault spec is user input: reject it as a usage error (exit 2), not a
   // simulated fault, before anything runs.
   resil::ResilConfig rc;
@@ -158,72 +105,7 @@ int main(int argc, char** argv) {
     const debug::FlightRecorder* pm_rec = &recorder;
     std::optional<resil::ResilientExecutor> ex;  // outlives pm_rec uses
     cli::StreamSession stream;
-    if (opt.shards > 1) {
-      // Supervised multi-process execution. The observer chain matches the
-      // plain path: recorder only when a post-mortem is wanted, stream on
-      // top. The supervisor journals its decisions through the same chain.
-      if (!opt.post_mortem.empty()) recorder.attach(m);
-      if (!stream.open(opt, "tcfrun", m)) return 2;
-      m.boot(opt.boot_thickness);
-
-      std::optional<resil::FaultInjector> injector;
-      if (resilient) {
-        injector.emplace(rc.spec, opt.cfg.groups, opt.cfg.shared_words,
-                         opt.shards);
-      }
-      shard::SupervisorOptions sopt;
-      sopt.shards = opt.shards;
-      sopt.heartbeat_ms = static_cast<int>(opt.shard_heartbeat_ms);
-      sopt.handshake_ms = static_cast<int>(opt.shard_handshake_ms);
-      sopt.restarts = opt.shard_restarts;
-      sopt.checkpoint_every = opt.shard_checkpoint_every;
-      sopt.max_steps = opt.max_steps;
-
-      shard::WorkerFactory factory;
-      if (opt.shard_loopback) {
-        factory = shard::make_loopback_factory([&] {
-          auto replica = std::make_unique<machine::Machine>(opt.cfg);
-          replica->load(compiled.program);
-          replica->boot(opt.boot_thickness);
-          return replica;
-        });
-      } else {
-        factory = cli::make_fork_factory(cli::worker_base_argv(argc, argv));
-      }
-
-      shard::ShardSupervisor sup(m, std::move(factory), sopt,
-                                 injector ? &*injector : nullptr);
-      try {
-        outcome.run = sup.run();
-      } catch (const SimError& e) {
-        outcome.faulted = true;
-        outcome.fault_message = e.what();
-        outcome.run.completed = false;
-        outcome.run.steps = m.stats().steps;
-        outcome.run.cycles = m.stats().cycles;
-      }
-      stream.finish(m, outcome);
-      if (outcome.faulted) {
-        obs::error("tcfrun", outcome.fault_message);
-      } else {
-        cli::print_outcome(m, outcome.run, opt);
-      }
-      if (opt.stats) print_shard_summary(sup.stats());
-      if (!cli::export_telemetry(m, outcome, opt, "tcfrun",
-                                 sup.stats().to_json(2))) {
-        return 2;
-      }
-      if (!opt.post_mortem.empty() && outcome.faulted &&
-          !cli::export_post_mortem(m, recorder, opt, "tcfrun")) {
-        return 2;
-      }
-      // An unrecoverable supervision failure is a diagnosed infrastructure
-      // stop (exit 3, like the watchdog), distinct from a program fault.
-      if (outcome.faulted &&
-          debug::classify_fault(outcome.fault_message) == "shard-fault") {
-        return 3;
-      }
-    } else if (resilient) {
+    if (resilient) {
       m.boot(opt.boot_thickness);
       ex.emplace(m, rc);
       // Stream chains onto the executor's recorder: attach after, detach

@@ -46,22 +46,11 @@ SUBSYSTEMS = ("machine", "mem", "net", "sched")
 RESIL_SUBSYSTEM = "resil"
 INSTRUMENT_TYPES = {"counter", "gauge", "accumulator", "histogram"}
 FAULT_CLASSES = {"policy", "arith", "addr", "flow", "other", "divergence",
-                 "watchdog", "shard-fault"}
+                 "watchdog"}
 EVENT_KINDS = {
     "flow_created", "flow_halted", "thickness_changed", "spawn", "join",
     "suspend", "resume", "evict", "print", "step_committed", "fault",
     "fault_injected", "retry", "rollback", "group_retired",
-    "shard_fault", "shard_restart", "shard_retired",
-}
-# The supervision counters of a sharded run (tcfrun --shards), exported as
-# the top-level "shard" block of the metrics document — OUTSIDE the metrics
-# tree, which must stay bit-identical to --shards=1 (DESIGN.md §14).
-SHARD_KEYS = {
-    "shard/steps", "shard/frames_sent", "shard/frames_received",
-    "shard/bytes_sent", "shard/bytes_received", "shard/heartbeats",
-    "shard/checkpoints", "shard/faults_injected", "shard/crashes",
-    "shard/hangs", "shard/babbles", "shard/restarts", "shard/rollbacks",
-    "shard/degrades", "shard/groups_retired", "shard/link_budget_cycles",
 }
 FLOW_STATUSES = {"ready", "waiting-join", "suspended", "halted"}
 # The profiler's closed-world term taxonomy, in canonical order (DESIGN.md
@@ -96,49 +85,6 @@ def check_machine_shape(path, run):
             if key not in ("slots", "clock", "fill", "dist", "default"):
                 fail(f"{path}: machine_shape term {term!r} has unknown "
                      f"key {key!r}")
-
-
-def check_run_shards(path, run):
-    """Every run-describing export carries the run's shard count: "1" for a
-    plain run, the --shards value for a supervised one."""
-    shards = run.get("shards")
-    if not isinstance(shards, str) or not shards.isdigit() or int(shards) < 1:
-        fail(f"{path}: run metadata 'shards' must be a positive integer "
-             f"string, got {shards!r}")
-    return int(shards)
-
-
-def check_shard_block(path, doc, expect_shards=None):
-    """The top-level "shard" supervision-counter block (DESIGN.md §14):
-    present exactly when the run was sharded, flat, closed-world keys,
-    non-negative integer values, counters consistent with each other."""
-    block = doc.get("shard")
-    if expect_shards is not None and expect_shards > 1 and block is None:
-        fail(f"{path}: sharded run (shards={expect_shards}) has no "
-             "top-level 'shard' block")
-    if block is None:
-        return
-    if not isinstance(block, dict):
-        fail(f"{path}: 'shard' block is not an object")
-    if set(block) != SHARD_KEYS:
-        missing = sorted(SHARD_KEYS - set(block))
-        extra = sorted(set(block) - SHARD_KEYS)
-        fail(f"{path}: shard block keys diverge from the schema "
-             f"(missing: {missing}, unknown: {extra})")
-    for key, value in block.items():
-        if not isinstance(value, int) or value < 0:
-            fail(f"{path}: shard counter {key!r} must be a non-negative "
-                 f"integer, got {value!r}")
-    failures = (block["shard/crashes"] + block["shard/hangs"]
-                + block["shard/babbles"])
-    if block["shard/restarts"] + block["shard/degrades"] > failures:
-        fail(f"{path}: shard restarts+degrades exceed detected failures")
-    if block["shard/steps"] > 0 and block["shard/heartbeats"] == 0:
-        fail(f"{path}: supervised steps without a single heartbeat")
-    print(f"validate_metrics: {path}: shard block OK "
-          f"({block['shard/steps']} supervised steps, {failures} failures, "
-          f"{block['shard/restarts']} restarts, "
-          f"{block['shard/degrades']} degrades)")
 
 
 def walk_instruments(tree, path=""):
@@ -209,7 +155,6 @@ def check_stream(path, metrics_path=None):
              f"expected {STREAM_SCHEMA!r}")
     if not isinstance(head.get("run"), dict):
         fail(f"{path}: header missing 'run' metadata object")
-    check_run_shards(path, head["run"])
 
     counts = {t: 0 for t in STREAM_TYPES}
     last_step = -1
@@ -303,18 +248,13 @@ def check_stream(path, metrics_path=None):
           f"{dropped} dropped{cross})")
 
 
-def check_metrics(path, expect_rollback=False, expect_shards=None):
+def check_metrics(path, expect_rollback=False):
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
     run = doc.get("run")
     if not isinstance(run, dict) or "variant" not in run:
         fail(f"{path}: missing run metadata")
     check_machine_shape(path, run)
-    shards = check_run_shards(path, run)
-    if expect_shards is not None and shards != expect_shards:
-        fail(f"{path}: run metadata says shards={shards}, "
-             f"expected {expect_shards}")
-    check_shard_block(path, doc, expect_shards=expect_shards)
     tree = doc.get("metrics")
     if not isinstance(tree, dict):
         fail(f"{path}: missing metrics tree")
@@ -461,7 +401,6 @@ def check_profile(path):
     if not isinstance(run.get("program"), str):
         fail(f"{path}: run metadata missing string 'program'")
     check_machine_shape(path, run)
-    check_run_shards(path, run)
     if not isinstance(run.get("completed"), bool):
         fail(f"{path}: run metadata missing boolean 'completed'")
     for key in ("steps", "cycles", "attributed_cycles", "pipeline_fill"):
@@ -563,10 +502,6 @@ def main():
                     help="require a resil/ subtree with rollbacks >= 1 in "
                          "--metrics (for fault schedules that guarantee a "
                          "fatal fault)")
-    ap.add_argument("--expect-shards", type=int, default=None,
-                    help="require --metrics run metadata to report this "
-                         "shard count and (when > 1) a top-level 'shard' "
-                         "supervision-counter block")
     args = ap.parse_args()
     if (not args.metrics and not args.trace and not args.postmortem
             and not args.profile and not args.stream):
@@ -574,11 +509,8 @@ def main():
                  "--postmortem and/or --profile")
     if args.expect_rollback and not args.metrics:
         ap.error("--expect-rollback needs --metrics")
-    if args.expect_shards is not None and not args.metrics:
-        ap.error("--expect-shards needs --metrics")
     if args.metrics:
-        check_metrics(args.metrics, expect_rollback=args.expect_rollback,
-                      expect_shards=args.expect_shards)
+        check_metrics(args.metrics, expect_rollback=args.expect_rollback)
     if args.stream:
         check_stream(args.stream, metrics_path=args.metrics)
     if args.trace:
