@@ -93,11 +93,13 @@ namespace {
 // OverrideTopology when any group of a heterogeneous shape carries a
 // private NUMA distance row. Routing stays physical; the distance metric
 // (analytic latency bound, dist_cache_, diameter) sees the override.
-// Validates the shape first: it runs in the constructor's initializer list,
-// before any other check, and the rows below assume one spec per group.
+// Validates the shape and the topology first: it runs in the constructor's
+// initializer list, before any other check, and the rows below assume one
+// spec per group.
 std::unique_ptr<net::Topology> make_machine_topology(
     const MachineConfig& cfg) {
   validate_shape(cfg);
+  validate_topology(cfg);
   auto base = net::make_topology(cfg.topology, cfg.groups);
   bool any_row = false;
   for (const auto& spec : cfg.group_specs) {
@@ -694,8 +696,8 @@ void Machine::execute_group(GroupId g, Cycle step_base) {
       record(f, ops);
     }
   }
-  // Pre-sort the staged writes (and the profiler bins) on this worker
-  // thread so the barrier-side commit only merges per-group runs.
+  // Pre-sort the staged write records (and the profiler bins) on this
+  // worker thread so the barrier-side commit rarely sorts.
   ctx.port.seal();
   fold_bins(ctx.prof_bins);
 }
@@ -1084,17 +1086,22 @@ bool Machine::exec_shared_lanes(TcfDescriptor& f, const isa::Instr& instr,
   auto& ctx = step_ctx_[f.home];
   LaneFile& lf = f.lane_regs;
 
-  // Pass 1: every effective address of the run. A negative address reads
-  // as >= 2^63 unsigned, so one compare against the memory size catches
-  // both kinds of bad address.
+  // Pass 1: every effective address of the run, and whether they are the
+  // unit stride a0, a0 + 1, .... A negative address reads as >= 2^63
+  // unsigned, so one compare against the memory size catches both kinds of
+  // bad address.
   if (ctx.lane_addrs.size() < count) ctx.lane_addrs.resize(count);
   Addr* ea = ctx.lane_addrs.data();
   const Word* base = lf.bank(instr.ra) + start;
   const Addr words = shared_.size();
+  const Addr a0 =
+      count > 0 ? static_cast<Addr>(effective_word(base[0], instr, start)) : 0;
   bool bad = false;
+  bool unit = true;
   for (std::uint64_t i = 0; i < count; ++i) {
     ea[i] = static_cast<Addr>(effective_word(base[i], instr, start + i));
     bad |= ea[i] >= words;
+    unit &= ea[i] == a0 + i;
   }
   // Lanes before the first bad one execute, exactly as the lane-by-lane
   // order would have run them before faulting.
@@ -1104,15 +1111,18 @@ bool Machine::exec_shared_lanes(TcfDescriptor& f, const isa::Instr& instr,
                              [words](Addr a) { return a >= words; }) -
                 ea)
           : count;
+  // The memory path's format is chosen here, once per run: a one-lane run
+  // (a NUMA block, a thickness-1 flow) is cheaper as a record than as a
+  // unit run.
+  const mem::LaneRun run{ea, n, lane_key(f.id, start), unit && !bad && n > 1};
 
   // Pass 2: the network term and the run's per-module histogram.
-  note_ref_run(ctx, f.home, ea, n);
+  note_ref_run(ctx, f.home, run);
   const std::uint64_t* per_module = ctx.run_modules.data();
-  const LaneId lane0 = lane_key(f.id, start);
   if (load) {
     Word* dst = instr.rd != 0 ? lf.bank(instr.rd) + start : nullptr;
     if (f.step_writes.empty()) {
-      ctx.port.read_run(ea, n, lane0, per_module, dst);
+      ctx.port.read_run(run, per_module, dst);
       ctx.lanes[kSharedReads] += n;
     } else {
       // Store forwarding: the flow sees its own *completed* writes of this
@@ -1126,15 +1136,15 @@ bool Machine::exec_shared_lanes(TcfDescriptor& f, const isa::Instr& instr,
           v = *w;
         } else {
           ++ctx.lanes[kSharedReads];
-          v = ctx.port.read(ea[i], lane0 + i, shared_.module_of(ea[i]));
+          v = ctx.port.read(ea[i], run.lane0 + i, shared_.module_of(ea[i]));
         }
         if (dst != nullptr) dst[i] = v;
       }
     }
   } else {
     const Word* value = lf.bank(instr.rb) + start;
-    ctx.port.write_run(ea, value, n, lane0, per_module);
-    f.instr_writes.put_run(ea, value, n);
+    ctx.port.write_run(run, value, per_module);
+    f.instr_writes.put_run(run, value);
     ctx.lanes[kSharedWrites] += n;
   }
   std::fill(ctx.run_modules.begin(), ctx.run_modules.end(), 0);
@@ -1268,20 +1278,18 @@ void Machine::note_ref(GroupCtx& ctx, GroupId src, std::uint32_t module) {
       std::max(ctx.net_max_dist, dist_cache_[src][module % cfg_.groups]);
 }
 
-void Machine::note_ref_run(GroupCtx& ctx, GroupId src, const Addr* addr,
-                           std::uint64_t n) {
+void Machine::note_ref_run(GroupCtx& ctx, GroupId src,
+                           const mem::LaneRun& run) {
   std::uint64_t* per_module = ctx.run_modules.data();
   if (cfg_.detailed_network) {
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const std::uint32_t m = shared_.module_of(addr[i]);
+    for (std::size_t i = 0; i < run.n; ++i) {
+      const std::uint32_t m = shared_.module_of(run.addr[i]);
       ++per_module[m];
       ctx.refs.emplace_back(src, m);
     }
     return;
   }
-  for (std::uint64_t i = 0; i < n; ++i) {
-    ++per_module[shared_.module_of(addr[i])];
-  }
+  shared_.count_modules(run, per_module);
   // The same aggregates note_ref keeps, added once per module.
   for (std::uint32_t m = 0; m < ctx.run_modules.size(); ++m) {
     if (per_module[m] == 0) continue;
@@ -1289,7 +1297,7 @@ void Machine::note_ref_run(GroupCtx& ctx, GroupId src, const Addr* addr,
     ctx.net_max_dist =
         std::max(ctx.net_max_dist, dist_cache_[src][m % cfg_.groups]);
   }
-  ctx.net_refs += n;
+  ctx.net_refs += run.n;
 }
 
 void Machine::exec_data_lane(TcfDescriptor& f, const isa::Instr& instr,

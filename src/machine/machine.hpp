@@ -454,10 +454,9 @@ class Machine {
   /// Records one shared-memory reference for the network term: ordered log
   /// under cfg.detailed_network, per-module aggregates otherwise.
   void note_ref(GroupCtx& ctx, GroupId src, std::uint32_t module);
-  /// note_ref for the `n` references of a lane run, in lane order; leaves
-  /// the run's per-module counts in ctx.run_modules for the memory port.
-  void note_ref_run(GroupCtx& ctx, GroupId src, const Addr* addr,
-                    std::uint64_t n);
+  /// note_ref for the references of a lane run, in lane order; leaves the
+  /// run's per-module counts in ctx.run_modules for the memory port.
+  void note_ref_run(GroupCtx& ctx, GroupId src, const mem::LaneRun& run);
   /// Executes up to `op_quota` operation slots of flow f (a full instruction
   /// when quota covers it). Returns ops consumed.
   std::uint64_t run_flow_slice(TcfDescriptor& f, std::uint64_t op_quota);
@@ -487,8 +486,11 @@ class Machine {
   /// lanes [start, start + count) of `f` as one sweep — every effective
   /// address computed and checked in one pass, traffic and network counts
   /// added once per instruction, LD copying committed words into bank(rd),
-  /// ST staging the whole run at once. On a bad address the lanes before it
-  /// complete and the fault is the one the lane-by-lane order raises.
+  /// ST staging the whole run at once. The same pass tells whether the
+  /// addresses are unit-stride; such a run moves through the counts, the
+  /// port, the commit and the write log as one (address, count, values)
+  /// run. On a bad address the lanes before it complete and the fault is
+  /// the one the lane-by-lane order raises.
   /// Returns false for any other opcode.
   bool exec_shared_lanes(TcfDescriptor& f, const isa::Instr& instr,
                          std::uint64_t start, std::uint64_t count);

@@ -1,6 +1,7 @@
 #include "machine/shapes.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -221,6 +222,14 @@ void sample_shape(MachineConfig& cfg, std::uint64_t seed) {
   }
   cfg.group_specs = std::move(specs);
   validate_shape(cfg);
+}
+
+void validate_topology(const MachineConfig& cfg) {
+  if (cfg.topology == net::TopologyKind::kHypercube &&
+      !std::has_single_bit(cfg.groups)) {
+    throw SimError("topology hypercube needs a power-of-two group count, "
+                   "got " + std::to_string(cfg.groups) + " groups");
+  }
 }
 
 void validate_shape(const MachineConfig& cfg) {

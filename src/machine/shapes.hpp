@@ -49,4 +49,9 @@ void sample_shape(MachineConfig& cfg, std::uint64_t seed);
 /// Machine's constructor enforces this; throws SimError on violation.
 void validate_shape(const MachineConfig& cfg);
 
+/// Topology invariant: a hypercube joins a power-of-two number of groups.
+/// Machine's constructor enforces this; throws SimError naming the
+/// topology and the group count.
+void validate_topology(const MachineConfig& cfg);
+
 }  // namespace tcfpn::machine

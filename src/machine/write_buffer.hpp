@@ -1,14 +1,14 @@
 // The per-flow store-forwarding buffer: an append-only write log with a
 // lazily built hash index.
 //
-// Every thick ST appends its whole lane run to the log; most logs are
-// cleared at the step boundary without ever being searched (a flow whose
-// step ends after its ST never reads its own writes back). The open-addressed
-// index over the log is therefore built only on the first lookup, and later
-// appends join it incrementally on the next lookup. The index keeps its slot
-// array across steps (epoch tagging makes clear() O(1)) and never allocates
-// on the clear path. Keys are shared-memory addresses; the last write to a
-// key wins.
+// Every thick ST appends its whole lane run to the log, a unit-stride run
+// as one record; most logs are cleared at the step boundary without ever
+// being searched (a flow whose step ends after its ST never reads its own
+// writes back). The open-addressed index over the log is therefore built
+// only on the first lookup, and later appends join it incrementally on the
+// next lookup. The index keeps its slot array across steps (epoch tagging
+// makes clear() O(1)) and never allocates on the clear path. Keys are
+// shared-memory addresses; the last write to a key wins.
 #pragma once
 
 #include <cstddef>
@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "mem/shared_memory.hpp"
 
 namespace tcfpn::machine {
 
@@ -25,12 +26,13 @@ class WriteBuffer {
  public:
   bool empty() const { return log_.empty(); }
   /// Logged writes, rewrites of one key included.
-  std::size_t size() const { return log_.size(); }
+  std::size_t size() const { return values_.size(); }
 
   /// Forgets every write without releasing storage: bumps the index epoch
   /// so old slots read as vacant. O(1) except once per 2^64 clears.
   void clear() {
     log_.clear();
+    values_.clear();
     if (indexed_ == 0) return;  // the index holds nothing of this epoch
     indexed_ = 0;
     if (++epoch_ == 0) {  // epoch wrapped: scrub slots so stale tags die
@@ -40,13 +42,23 @@ class WriteBuffer {
   }
 
   /// Appends one write.
-  void put(Addr a, Word v) { log_.emplace_back(a, v); }
+  void put(Addr a, Word v) {
+    log_.push_back(Record{a, 1, values_.size()});
+    values_.push_back(v);
+  }
 
-  /// Appends the writes (a[i], v[i]) for i in [0, n), in that order.
-  void put_run(const Addr* a, const Word* v, std::size_t n) {
-    const std::size_t at = log_.size();
-    log_.resize(at + n);
-    for (std::size_t i = 0; i < n; ++i) log_[at + i] = {a[i], v[i]};
+  /// Appends the writes (run.addr[i], v[i]) for i in [0, run.n), in that
+  /// order: one record for a unit run, one per lane otherwise.
+  void put_run(const mem::LaneRun& run, const Word* v) {
+    const std::size_t at = values_.size();
+    values_.insert(values_.end(), v, v + run.n);
+    if (run.unit) {
+      log_.push_back(Record{run.addr[0], run.n, at});
+      return;
+    }
+    for (std::size_t i = 0; i < run.n; ++i) {
+      log_.push_back(Record{run.addr[i], 1, at + i});
+    }
   }
 
   /// Moves every write of `other` after this buffer's own, leaving `other`
@@ -54,8 +66,14 @@ class WriteBuffer {
   void absorb(WriteBuffer& other) {
     if (log_.empty()) {
       log_.swap(other.log_);
+      values_.swap(other.values_);
     } else {
-      log_.insert(log_.end(), other.log_.begin(), other.log_.end());
+      const std::size_t shift = values_.size();
+      values_.insert(values_.end(), other.values_.begin(),
+                     other.values_.end());
+      for (const Record& r : other.log_) {
+        log_.push_back(Record{r.addr, r.n, r.at + shift});
+      }
     }
     other.clear();
   }
@@ -79,18 +97,28 @@ class WriteBuffer {
   std::vector<std::pair<Addr, Word>> items() const {
     std::vector<std::pair<Addr, Word>> out;
     std::unordered_map<Addr, std::size_t> at;
-    for (const auto& [a, v] : log_) {
-      const auto [it, fresh] = at.try_emplace(a, out.size());
-      if (fresh) {
-        out.emplace_back(a, v);
-      } else {
-        out[it->second].second = v;
+    for (const Record& r : log_) {
+      for (std::size_t k = 0; k < r.n; ++k) {
+        const Word v = values_[r.at + k];
+        const auto [it, fresh] = at.try_emplace(r.addr + k, out.size());
+        if (fresh) {
+          out.emplace_back(r.addr + k, v);
+        } else {
+          out[it->second].second = v;
+        }
       }
     }
     return out;
   }
 
  private:
+  /// Writes to addr, addr + 1, ..., addr + n - 1 of values_[at, at + n).
+  struct Record {
+    Addr addr;
+    std::size_t n;
+    std::size_t at;
+  };
+
   struct Slot {
     Addr key = 0;
     Word value = 0;
@@ -106,26 +134,30 @@ class WriteBuffer {
   /// twice as many slots as logged writes, so it is never more than half
   /// full; outgrowing it re-indexes the whole log into a larger table.
   void index_log() {
-    if (2 * log_.size() > slots_.size()) {
+    if (2 * values_.size() > slots_.size()) {
       std::size_t cap = slots_.empty() ? 16 : slots_.size();
-      while (cap < 2 * log_.size()) cap *= 2;
+      while (cap < 2 * values_.size()) cap *= 2;
       slots_.assign(cap, Slot{});
       mask_ = cap - 1;
       epoch_ = 1;
       indexed_ = 0;
     }
     for (; indexed_ < log_.size(); ++indexed_) {
-      const auto [a, v] = log_[indexed_];
-      std::size_t i = probe_start(a);
-      while (slots_[i].epoch == epoch_ && slots_[i].key != a) {
-        i = (i + 1) & mask_;
+      const Record& r = log_[indexed_];
+      for (std::size_t k = 0; k < r.n; ++k) {
+        const Addr a = r.addr + k;
+        std::size_t i = probe_start(a);
+        while (slots_[i].epoch == epoch_ && slots_[i].key != a) {
+          i = (i + 1) & mask_;
+        }
+        slots_[i] = Slot{a, values_[r.at + k], epoch_};
       }
-      slots_[i] = Slot{a, v, epoch_};
     }
   }
 
-  std::vector<std::pair<Addr, Word>> log_;  ///< every write, in order
-  std::size_t indexed_ = 0;  ///< log_[0, indexed_) is in the index
+  std::vector<Record> log_;   ///< every write record, in order
+  std::vector<Word> values_;  ///< the logged values, in log order
+  std::size_t indexed_ = 0;   ///< log_[0, indexed_) is in the index
   std::vector<Slot> slots_;
   std::size_t mask_ = 0;
   std::uint64_t epoch_ = 1;

@@ -74,33 +74,54 @@ std::size_t MemoryPort::multiprefix(Addr a, MultiOp op, Word v, LaneId lane,
   return prefixes_++;
 }
 
-void MemoryPort::read_run(const Addr* addr, std::size_t n, LaneId lane0,
-                          const std::uint64_t* per_module, Word* out) {
+void MemoryPort::read_run(const LaneRun& run, const std::uint64_t* per_module,
+                          Word* out) {
   for (std::size_t m = 0; m < mod_reads_.size(); ++m) {
     mod_reads_[m] += per_module[m];
   }
-  n_reads_ += n;
+  n_reads_ += run.n;
   if (shm_->policy_ == CrcwPolicy::kErew) {
-    for (std::size_t i = 0; i < n; ++i) reads_.emplace_back(addr[i], lane0 + i);
+    for (std::size_t i = 0; i < run.n; ++i) {
+      reads_.emplace_back(run.addr[i], run.lane0 + i);
+    }
   }
-  if (out == nullptr) return;
+  if (out == nullptr || run.n == 0) return;
   const Word* store = shm_->store_.data();
-  for (std::size_t i = 0; i < n; ++i) out[i] = store[addr[i]];
+  if (run.unit) {
+    std::copy_n(store + run.addr[0], run.n, out);
+    return;
+  }
+  for (std::size_t i = 0; i < run.n; ++i) out[i] = store[run.addr[i]];
 }
 
-void MemoryPort::write_run(const Addr* addr, const Word* value, std::size_t n,
-                           LaneId lane0, const std::uint64_t* per_module) {
+void MemoryPort::write_run(const LaneRun& run, const Word* value,
+                           const std::uint64_t* per_module) {
   for (std::size_t m = 0; m < mod_writes_.size(); ++m) {
     mod_writes_[m] += per_module[m];
   }
-  const std::size_t at = writes_.size();
-  writes_.resize(at + n);
-  for (std::size_t i = 0; i < n; ++i) {
-    writes_[at + i] = StagedWrite{addr[i], value[i], lane0 + i};
+  if (run.n == 0) return;
+  if (run.unit && writes_.empty() &&
+      (runs_.empty() || run.addr[0] >= runs_.back().addr + runs_.back().n)) {
+    runs_.push_back(StagedRun{run.addr[0], run.lane0, run.n,
+                              run_values_.size()});
+    run_values_.insert(run_values_.end(), value, value + run.n);
+    return;
+  }
+  expand_runs();
+  for (std::size_t i = 0; i < run.n; ++i) {
+    writes_.push_back(StagedWrite{run.addr[i], value[i], run.lane0 + i});
   }
 }
 
 namespace {
+
+/// Appends the cells of a unit run to `out` as records.
+void append_run(std::vector<StagedWrite>& out, Addr addr, LaneId lane,
+                std::size_t n, const Word* values) {
+  for (std::size_t i = 0; i < n; ++i) {
+    out.push_back(StagedWrite{addr + i, values[i], lane + i});
+  }
+}
 
 bool before(const StagedWrite& x, const StagedWrite& y) {
   return x.addr != y.addr ? x.addr < y.addr : x.lane < y.lane;
@@ -140,10 +161,18 @@ void sort_and_collapse(std::vector<StagedWrite>& w) {
 
 }  // namespace
 
+void MemoryPort::expand_runs() {
+  for (const StagedRun& r : runs_) {
+    append_run(writes_, r.addr, r.lane, r.n, run_values_.data() + r.at);
+  }
+  runs_.clear();
+  run_values_.clear();
+}
+
 void MemoryPort::seal() {
   sealed_ = true;
-  // A thick ST over ascending addresses stages its run already in order;
-  // that common case costs one compare per write.
+  // Records of a thick ST over ascending addresses are already in order;
+  // that case costs one compare per record.
   if (!strictly_ordered(writes_)) sort_and_collapse(writes_);
 }
 
@@ -153,6 +182,8 @@ void MemoryPort::clear() {
   // rises only with a staged read, write or multioperation).
   if (empty()) return;
   writes_.clear();
+  runs_.clear();
+  run_values_.clear();
   multis_.clear();
   reads_.clear();
   std::fill(mod_reads_.begin(), mod_reads_.end(), 0);
@@ -185,6 +216,21 @@ void SharedMemory::set_address_hash(std::function<std::uint32_t(Addr)> hash) {
   hash_ = std::move(hash);
 }
 
+void SharedMemory::count_modules(const LaneRun& run,
+                                 std::uint64_t* per_module) const {
+  if (run.unit && !hash_ && run.n > 0) {
+    const std::uint64_t whole = run.n / modules_;
+    const std::uint64_t rest = run.n % modules_;
+    std::uint32_t m = module_of(run.addr[0]);
+    for (std::uint32_t k = 0; k < modules_; ++k) {
+      per_module[m] += whole + (k < rest ? 1 : 0);
+      if (++m == modules_) m = 0;
+    }
+    return;
+  }
+  for (std::size_t i = 0; i < run.n; ++i) ++per_module[module_of(run.addr[i])];
+}
+
 void SharedMemory::check_addr(Addr a) const {
   if (a >= store_.size()) {
     TCFPN_FAULT("shared memory access out of range: addr ", a, " >= ",
@@ -210,8 +256,9 @@ void SharedMemory::write(Addr a, Word v, LaneId lane) {
   check_addr(a);
   note_traffic(a, &ModuleTraffic::writes);
   ++total_writes_;
+  expand_pending_runs();
   pending_writes_.push_back(StagedWrite{a, v, lane});
-  runs_ok_ = false;  // unsorted tail: commit falls back to the full sort
+  sorted_ = false;  // unsorted tail: commit sorts
 }
 
 void SharedMemory::multiop(Addr a, MultiOp op, Word v, LaneId lane) {
@@ -251,32 +298,21 @@ void SharedMemory::bind_metrics(metrics::MetricsRegistry* reg) {
 }
 
 void SharedMemory::commit_writes() {
-  if (pending_writes_.empty()) {
-    check_erew_reads();
-    write_run_ends_.clear();
-    runs_ok_ = true;
-    return;
-  }
-  if (!runs_ok_) {
-    sort_and_collapse(pending_writes_);
-  } else if (write_run_ends_.size() > 1) {
-    // Port path: every run is already strictly ordered on its worker thread;
-    // a stable left-to-right merge cascade reproduces the stable_sort of the
-    // issue order without touching most elements.
-    const auto it = pending_writes_.begin();
-    std::size_t prefix = write_run_ends_.front();
-    for (std::size_t r = 1; r < write_run_ends_.size(); ++r) {
-      std::inplace_merge(it, it + static_cast<std::ptrdiff_t>(prefix),
-                         it + static_cast<std::ptrdiff_t>(write_run_ends_[r]),
-                         before);
-      prefix = write_run_ends_[r];
+  // Unit runs ascend without overlap: one copy each, no concurrent cell.
+  if (!pending_runs_.empty()) {
+    std::uint64_t cells = 0;
+    for (const PendingRun& r : pending_runs_) {
+      std::copy_n(r.values, r.n, store_.data() + r.addr);
+      cells += r.n;
     }
-    collapse_rewrites(pending_writes_);
+    if (m_write_cells_ != nullptr) m_write_cells_->add(cells);
+    pending_runs_.clear();
+    run_buffers_used_ = 0;
   }
-  // A single port run (drain joins runs that follow each other in order) is
-  // strictly ordered already: nothing to sort, merge or collapse.
-  write_run_ends_.clear();
-  runs_ok_ = true;
+  // Records out of strict order are stably sorted (equal keys keep drain
+  // order) and collapsed; strictly ordered ones are committed as they are.
+  if (!sorted_) sort_and_collapse(pending_writes_);
+  sorted_ = true;
   for (std::size_t i = 0; i < pending_writes_.size();) {
     std::size_t j = i + 1;
     while (j < pending_writes_.size() &&
@@ -400,22 +436,35 @@ std::size_t SharedMemory::drain(MemoryPort& port) {
     step_reads_.insert(step_reads_.end(), port.reads_.begin(),
                        port.reads_.end());
   }
-  // Append the port's strictly ordered write run; commit_writes merges the
-  // runs instead of sorting from scratch. Drain order = group order, so an
-  // equal-key tie between runs resolves exactly as the sequential issue
-  // order would (stable merge keeps the earlier group first; the last-wins
-  // collapse then takes the later one). A run that continues the previous
-  // one in strict order extends it, so groups writing ascending address
-  // windows leave a single run and commit merges nothing.
-  const std::size_t at = pending_writes_.size();
-  pending_writes_.insert(pending_writes_.end(), port.writes_.begin(),
-                         port.writes_.end());
-  if (runs_ok_ && !port.writes_.empty()) {
-    if (at > 0 && before(pending_writes_[at - 1], pending_writes_[at])) {
-      write_run_ends_.back() = pending_writes_.size();
+  // Drain order = group order, so an equal-key tie between ports resolves
+  // exactly as the sequential issue order would (the stable sort keeps the
+  // earlier group first; the last-wins collapse then takes the later one).
+  // Groups writing ascending windows leave one list of pending runs that
+  // commit copies. EREW stays on records: check_erew_reads walks them.
+  if (!port.runs_.empty()) {
+    const MemoryPort::StagedRun& first = port.runs_.front();
+    if (policy_ != CrcwPolicy::kErew && pending_writes_.empty() &&
+        (pending_runs_.empty() ||
+         first.addr >= pending_runs_.back().addr + pending_runs_.back().n)) {
+      if (run_buffers_used_ == run_buffers_.size()) run_buffers_.emplace_back();
+      std::vector<Word>& values = run_buffers_[run_buffers_used_++];
+      values.swap(port.run_values_);
+      for (const MemoryPort::StagedRun& r : port.runs_) {
+        pending_runs_.push_back(
+            PendingRun{r.addr, r.lane, r.n, values.data() + r.at});
+      }
     } else {
-      write_run_ends_.push_back(pending_writes_.size());
+      port.expand_runs();  // strictly ordered records, as seal leaves them
     }
+  }
+  if (!port.writes_.empty()) {
+    expand_pending_runs();
+    if (!pending_writes_.empty() &&
+        !before(pending_writes_.back(), port.writes_.front())) {
+      sorted_ = false;
+    }
+    pending_writes_.insert(pending_writes_.end(), port.writes_.begin(),
+                           port.writes_.end());
   }
   // Multioperation contributions replay in issue order (= ticket order).
   const std::size_t base = next_ticket_;
@@ -426,6 +475,15 @@ std::size_t SharedMemory::drain(MemoryPort& port) {
   }
   port.clear();
   return base;
+}
+
+void SharedMemory::expand_pending_runs() {
+  // pending_writes_ is empty while runs are pending, and ascending,
+  // disjoint runs make strictly ordered records.
+  for (const PendingRun& r : pending_runs_) {
+    append_run(pending_writes_, r.addr, r.lane, r.n, r.values);
+  }
+  pending_runs_.clear();
 }
 
 void SharedMemory::commit_step() {
@@ -448,8 +506,8 @@ void SharedMemory::poke(Addr a, Word v) {
 }
 
 SharedMemoryState SharedMemory::save_state() const {
-  TCFPN_CHECK(pending_writes_.empty() && pending_multis_.empty() &&
-                  step_reads_.empty(),
+  TCFPN_CHECK(pending_writes_.empty() && pending_runs_.empty() &&
+                  pending_multis_.empty() && step_reads_.empty(),
               "shared-memory checkpoint requires a step boundary");
   SharedMemoryState s;
   s.store = store_;
@@ -480,8 +538,9 @@ void SharedMemory::restore_state(const SharedMemoryState& s) {
   // step, so a zeroed table of the right size is indistinguishable from the
   // original.
   pending_writes_.clear();
-  write_run_ends_.clear();
-  runs_ok_ = true;
+  pending_runs_.clear();
+  run_buffers_used_ = 0;
+  sorted_ = true;
   pending_multis_.clear();
   step_reads_.clear();
   prefix_results_.assign(next_ticket_, 0);

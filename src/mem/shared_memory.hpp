@@ -62,21 +62,6 @@ struct ModuleTraffic {
 
 class SharedMemory;
 
-/// A per-group staging port for concurrent host-side stepping.
-///
-/// During the per-group phase of a machine step every group issues its
-/// shared-memory traffic through its own port: reads return the committed
-/// (pre-step) state — safe to perform concurrently, since nothing mutates
-/// the store mid-step — while writes and multioperations are buffered in
-/// issue order. Traffic accounting is order-insensitive, so the port
-/// pre-aggregates it per module during the parallel phase (the caller
-/// supplies module_of(addr), which it already computed for the network
-/// term); the barrier-side drain then adds P short count vectors instead of
-/// replaying every access. seal() additionally pre-sorts and collapses the
-/// staged writes on the worker thread, leaving the commit a linear merge of
-/// per-group sorted runs. Draining ports in a fixed group order keeps
-/// traffic counters, CRCW checks and multiprefix ticket numbering
-/// bit-identical to a sequential run.
 /// One staged (pre-commit) write as a port buffers it during the group
 /// phase.
 struct StagedWrite {
@@ -94,6 +79,35 @@ struct StagedMulti {
   bool prefix;
 };
 
+/// The lanes of one thick LD or ST as its address pass found them: `n`
+/// lanes with lane keys lane0, lane0 + 1, ..., at addresses addr[0..n),
+/// every one already range-checked. `unit` marks a unit-stride run,
+/// addr[i] == addr[0] + i for every lane: the memory path then carries it
+/// as (first address, first lane key, count, values) instead of per-lane
+/// records.
+struct LaneRun {
+  const Addr* addr = nullptr;
+  std::size_t n = 0;
+  LaneId lane0 = 0;
+  bool unit = false;
+};
+
+/// A per-group staging port for concurrent host-side stepping.
+///
+/// During the per-group phase of a machine step every group issues its
+/// shared-memory traffic through its own port: reads return the committed
+/// (pre-step) state — safe to perform concurrently, since nothing mutates
+/// the store mid-step — while writes and multioperations are buffered in
+/// issue order. Traffic accounting is order-insensitive, so the port
+/// pre-aggregates it per module during the parallel phase (the caller
+/// supplies the per-module counts, which it already computed for the
+/// network term); the barrier-side drain then adds P short count vectors
+/// instead of replaying every access. Unit-stride write runs stay runs
+/// while they ascend without overlap; any other write is a per-lane
+/// record, and seal() sorts and collapses the records on the worker
+/// thread. Draining ports in a fixed group order keeps traffic counters,
+/// CRCW checks and multiprefix ticket numbering bit-identical to a
+/// sequential run.
 class MemoryPort {
  public:
   MemoryPort() = default;
@@ -110,34 +124,54 @@ class MemoryPort {
   std::size_t multiprefix(Addr a, MultiOp op, Word v, LaneId lane,
                           std::uint32_t module);
 
-  /// Lane-run access for a thick LD/ST: `n` lanes with lane keys lane0,
-  /// lane0 + 1, ..., every address already range-checked by the caller.
-  /// `per_module[m]` counts the run's lanes at module m; it is added to the
-  /// port's traffic once, not lane by lane. read_run copies the committed
-  /// words into `out` (nullptr discards them); write_run stages the run's
-  /// writes for the next commit.
-  void read_run(const Addr* addr, std::size_t n, LaneId lane0,
-                const std::uint64_t* per_module, Word* out);
-  void write_run(const Addr* addr, const Word* value, std::size_t n,
-                 LaneId lane0, const std::uint64_t* per_module);
+  /// Lane-run access for a thick LD/ST. `per_module[m]` counts the run's
+  /// lanes at module m; it is added to the port's traffic once, not lane by
+  /// lane. read_run copies the committed words into `out` (nullptr discards
+  /// them), a unit run in one copy. write_run stages the run's writes for
+  /// the next commit: a unit run that starts past every run staged before
+  /// it, with no record staged before it, stays one run (its values copied
+  /// once); anything else turns the port's runs into records, in issue
+  /// order, and appends per-lane records.
+  void read_run(const LaneRun& run, const std::uint64_t* per_module,
+                Word* out);
+  void write_run(const LaneRun& run, const Word* value,
+                 const std::uint64_t* per_module);
 
-  /// Sorts the staged writes by (addr, lane) and collapses same-key runs to
-  /// the last staged value (program order within the port); a run already
-  /// in strict (addr, lane) order is left as it is. Afterwards the run is
-  /// strictly ordered. Safe to call on a worker thread at the end of the
+  /// Sorts the staged records by (addr, lane) and collapses same-key runs
+  /// to the last staged value (program order within the port); records
+  /// already in strict (addr, lane) order are left as they are. Afterwards
+  /// they are strictly ordered. Staged unit runs need nothing: they ascend
+  /// without overlap. Safe to call on a worker thread at the end of the
   /// group phase; drain() requires it.
   void seal();
 
   bool empty() const {
-    return n_reads_ == 0 && writes_.empty() && multis_.empty();
+    return n_reads_ == 0 && writes_.empty() && runs_.empty() &&
+           multis_.empty();
   }
   void clear();
 
  private:
   friend class SharedMemory;
 
+  /// A staged unit run: lanes lane, lane + 1, ... write cells addr,
+  /// addr + 1, ...; the n values sit at run_values_[at, at + n).
+  struct StagedRun {
+    Addr addr;
+    LaneId lane;
+    std::size_t n;
+    std::size_t at;
+  };
+
+  /// Turns the staged unit runs into records, in issue order.
+  void expand_runs();
+
   const SharedMemory* shm_ = nullptr;
   std::vector<StagedWrite> writes_;  ///< issue order until seal()
+  /// Unit runs in issue order, ascending and disjoint; only while writes_
+  /// is empty.
+  std::vector<StagedRun> runs_;
+  std::vector<Word> run_values_;
   std::vector<StagedMulti> multis_;  ///< issue order (= ticket order)
   std::vector<std::pair<Addr, LaneId>> reads_;  ///< EREW accounting only
   std::vector<std::uint64_t> mod_reads_;   ///< per-module read counts
@@ -186,6 +220,12 @@ class SharedMemory {
   /// break hot modules). Must map into [0, modules).
   void set_address_hash(std::function<std::uint32_t(Addr)> hash);
 
+  /// Adds to per_module[m] the lanes of `run` that module m owns. A unit
+  /// run under the interleaved placement takes the closed form: module
+  /// (m0 + k) mod M owns n / M lanes, plus one when k < n mod M. Any other
+  /// run, or a custom placement, counts lane by lane.
+  void count_modules(const LaneRun& run, std::uint64_t* per_module) const;
+
   /// Faults (SimError) when `a` lies outside the memory.
   void check_addr(Addr a) const;
 
@@ -209,12 +249,13 @@ class SharedMemory {
   Word prefix_result(std::size_t ticket) const;
 
   /// Absorbs a sealed port's staged traffic into this memory: per-module
-  /// counts are added in bulk, the pre-sorted write run is appended (with its
-  /// boundary recorded so commit_writes can merge runs instead of sorting),
-  /// and multioperations replay in issue order. Returns the global ticket
-  /// base assigned to the port's multiprefix requests: port-local index i
-  /// became ticket base + i. Draining ports in a fixed order makes a
-  /// host-parallel step bit-identical to a sequential one.
+  /// counts are added in bulk; the port's unit runs stay runs when they
+  /// continue the pending runs in ascending, disjoint order (their values
+  /// are taken over, not copied) and become records otherwise; its sorted
+  /// records are appended; multioperations replay in issue order. Returns
+  /// the global ticket base assigned to the port's multiprefix requests:
+  /// port-local index i became ticket base + i. Draining ports in a fixed
+  /// order makes a host-parallel step bit-identical to a sequential one.
   std::size_t drain(MemoryPort& port);
 
   /// Ends the step: applies writes under the CRCW policy, combines
@@ -269,8 +310,18 @@ class SharedMemory {
     }
   };
 
+  /// A drained unit run; `values` points into a buffer of run_buffers_.
+  struct PendingRun {
+    Addr addr;
+    LaneId lane;
+    std::size_t n;
+    const Word* values;
+  };
+
   std::uint32_t hashed_module(Addr a) const;
   void note_traffic(Addr a, std::uint64_t ModuleTraffic::*field);
+  /// Turns the pending unit runs into records, in drain order.
+  void expand_pending_runs();
   void commit_writes();
   /// EREW exclusivity over this step's reads (and read/write overlaps with
   /// the already-deduplicated pending writes). Runs every commit — also in
@@ -284,14 +335,20 @@ class SharedMemory {
   CrcwPolicy policy_;
   std::function<std::uint32_t(Addr)> hash_;
 
+  /// Unit runs in drain order, ascending and disjoint, so every cell has
+  /// one writer; only while pending_writes_ is empty.
+  std::vector<PendingRun> pending_runs_;
+  /// Value buffers taken over from drained ports (swapped, never copied);
+  /// the first run_buffers_used_ hold this step's pending run values, and
+  /// the rest keep their capacity for later steps.
+  std::vector<std::vector<Word>> run_buffers_;
+  std::size_t run_buffers_used_ = 0;
   std::vector<StagedWrite> pending_writes_;
-  /// End offsets into pending_writes_ of its strictly (addr, lane) ordered
-  /// runs: a drained port run that continues the previous one in order
-  /// extends it, any other starts a new run. Valid while runs_ok_ — a
-  /// direct write() (non-port caller) appends an unsorted entry and drops
-  /// commit back to the full sort.
-  std::vector<std::size_t> write_run_ends_;
-  bool runs_ok_ = true;
+  /// pending_writes_ is in strict (addr, lane) order: every drained port's
+  /// records are, and each continued the previous ones. A direct write()
+  /// or a port whose records do not follow clears it, and commit_writes
+  /// sorts and collapses.
+  bool sorted_ = true;
   std::vector<PendingMulti> pending_multis_;
   std::vector<Word> prefix_results_;
   std::size_t next_ticket_ = 0;

@@ -1,12 +1,13 @@
 # Regression: a run that faults mid-way must still produce its telemetry.
 #
-# Invoked via `cmake -DTCFRUN=<path> -DPROG=<fault_div.tcf> -DOUT=<dir> -P`.
+# Invoked via `cmake -DTCFRUN=<path> -DPROG=<fault_div.tcf>
+# -DPROG_OK=<vecadd.tcf> -DOUT=<dir> -P`.
 # Asserts the exit-code contract (1 = fault, 2 = exporter destination
 # failure or usage error), that the metrics/trace documents record the
 # fault in the run metadata, and that --post-mortem emits a
 # tcfpn-postmortem-v1 document.
 
-foreach(var TCFRUN PROG OUT)
+foreach(var TCFRUN PROG PROG_OK OUT)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "check_fault_export: -D${var}=... is required")
   endif()
@@ -94,6 +95,27 @@ if(NOT rc EQUAL 2)
 endif()
 if(NOT err MATCHES "group specs")
   message(FATAL_ERROR "--shape=gpu --groups=3: stderr lacks the diagnostic:\n${err}")
+endif()
+
+# 5. A hypercube joins a power-of-two number of groups: any other --groups
+#    count is a usage error (exit 2) naming the topology, not an internal
+#    check; a power-of-two count still runs.
+execute_process(
+  COMMAND "${TCFRUN}" "${PROG_OK}" "--topology=hypercube" "--groups=3"
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "--topology=hypercube --groups=3: expected exit 2, got ${rc}\n${err}")
+endif()
+if(NOT err MATCHES "hypercube")
+  message(FATAL_ERROR "--topology=hypercube --groups=3: stderr lacks the diagnostic:\n${err}")
+endif()
+execute_process(
+  COMMAND "${TCFRUN}" "${PROG_OK}" "--topology=hypercube" "--groups=4"
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "--topology=hypercube --groups=4: expected exit 0, got ${rc}\n${err}")
 endif()
 
 message(STATUS "check_fault_export: all assertions passed")

@@ -12,6 +12,7 @@
 #include <functional>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -562,7 +563,7 @@ TEST(WriteBuffer, AppendsAfterALookupJoinTheIndex) {
   machine::WriteBuffer wb;
   const Addr a[] = {5, 6, 7};
   const Word v[] = {50, 60, 70};
-  wb.put_run(a, v, 3);
+  wb.put_run(mem::LaneRun{a, 3, 0, false}, v);
   ASSERT_NE(wb.find(6), nullptr);
   EXPECT_EQ(*wb.find(6), 60);
   wb.put(6, 61);
@@ -591,6 +592,57 @@ TEST(WriteBuffer, AbsorbAppendsAndEmptiesTheSource) {
   instr.put(3, 30);  // the source stays usable
   EXPECT_EQ(instr.size(), 1u);
   EXPECT_EQ(instr.items(), (std::vector<std::pair<Addr, Word>>{{3, 30}}));
+}
+
+// Unit-run records and per-lane pairs interleave in one log. find returns
+// the last write to each key, absorb (into an empty and a non-empty
+// target) and clear work across index epochs, and items() equals the
+// pair-only log of the same writes, so checkpoint bytes do not depend on
+// how the writes were logged.
+TEST(WriteBuffer, UnitRunRecordsAndPairsLogAlike) {
+  const Addr run_a[] = {10, 11, 12, 13};
+  const Addr scatter[] = {12, 3, 11};
+  const Addr run_b[] = {11, 12, 13, 14};
+  machine::WriteBuffer step, instr;  // unit runs logged as one record each
+  machine::WriteBuffer step_pairs, instr_pairs;  // every write one pair
+  auto put = [&](const Addr* a, std::size_t n, Word v0, bool unit) {
+    std::vector<Word> v(n);
+    for (std::size_t i = 0; i < n; ++i) v[i] = v0 + static_cast<Word>(i);
+    instr.put_run(mem::LaneRun{a, n, 0, unit}, v.data());
+    for (std::size_t i = 0; i < n; ++i) instr_pairs.put(a[i], v[i]);
+  };
+  for (Word epoch = 0; epoch < 3; ++epoch) {
+    SCOPED_TRACE("epoch " + std::to_string(epoch));
+    const Word base = 100 * epoch;
+    // One instruction: a unit run, then a scatter over two of its cells.
+    put(run_a, 4, base + 1, true);
+    ASSERT_NE(instr.find(12), nullptr);  // indexes now; later appends join
+    EXPECT_EQ(*instr.find(12), base + 3);
+    put(scatter, 3, base + 10, false);
+    EXPECT_EQ(*instr.find(12), base + 10);
+    EXPECT_EQ(*instr.find(11), base + 12);
+    step.absorb(instr);  // empty target: takes the log over
+    step_pairs.absorb(instr_pairs);
+    EXPECT_TRUE(instr.empty());
+    // A second instruction: a unit run over the scatter's cells, appended.
+    put(run_b, 4, base + 20, true);
+    step.absorb(instr);
+    step_pairs.absorb(instr_pairs);
+    const std::pair<Addr, Word> want[] = {{10, base + 1},  {11, base + 20},
+                                          {12, base + 21}, {13, base + 22},
+                                          {14, base + 23}, {3, base + 11}};
+    for (const auto& [a, v] : want) {
+      ASSERT_NE(step.find(a), nullptr) << a;
+      EXPECT_EQ(*step.find(a), v) << a;
+    }
+    EXPECT_EQ(step.find(15), nullptr);
+    EXPECT_EQ(step.size(), 11u);
+    EXPECT_EQ(step.size(), step_pairs.size());
+    EXPECT_EQ(step.items(), step_pairs.items());
+    step.clear();
+    step_pairs.clear();
+    EXPECT_EQ(step.find(10), nullptr);
+  }
 }
 
 }  // namespace

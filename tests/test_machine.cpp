@@ -529,6 +529,8 @@ struct SweepOutcome {
   std::uint64_t shared_reads = 0;
   std::uint64_t shared_writes = 0;
   std::uint64_t store_forwards = 0;
+  std::uint64_t write_cells = 0;       ///< mem/committed_write_cells
+  std::uint64_t concurrent_cells = 0;  ///< mem/concurrent_write_cells
 };
 
 using MachineSetup = std::function<void(Machine&)>;
@@ -555,6 +557,9 @@ SweepOutcome run_sweep_case(const isa::Program& prog, Word thickness,
   o.shared_reads = m.metrics().counter("mem/shared_reads").value();
   o.shared_writes = m.metrics().counter("mem/shared_writes").value();
   o.store_forwards = m.metrics().counter("mem/store_forwards").value();
+  o.write_cells = m.metrics().counter("mem/committed_write_cells").value();
+  o.concurrent_cells =
+      m.metrics().counter("mem/concurrent_write_cells").value();
   return o;
 }
 
@@ -600,6 +605,8 @@ SweepOutcome expect_sweep_matches_oracle(const std::string& src,
     EXPECT_EQ(got.shared_reads, first.shared_reads);
     EXPECT_EQ(got.shared_writes, first.shared_writes);
     EXPECT_EQ(got.store_forwards, first.store_forwards);
+    EXPECT_EQ(got.write_cells, first.write_cells);
+    EXPECT_EQ(got.concurrent_cells, first.concurrent_cells);
   }
   return first;
 }
@@ -762,6 +769,67 @@ TEST(MachineSweep, DetailedNetworkAndAddressHash) {
       EXPECT_EQ(out.cycles, want[detailed][hash]);
     }
   }
+}
+
+// A root SPAWNs three 32-lane children, which the default placement puts
+// on groups 1, 2 and 3, each with its own window base in r5. A delay loop
+// keyed to the base lines the children up, so all three store their
+// windows in one step. Adjacent ascending windows drain in group order as
+// one list of unit runs; windows that overlap by four words fall back to
+// records, and Arbitrary-CRCW gives each shared cell to the lowest lane
+// key (the earlier child).
+TEST(MachineSweep, CrossGroupWindowsCommitAsRunsOrRecords) {
+  auto program = [](Word stride) {
+    const std::string s = std::to_string(stride);
+    const std::string last = std::to_string(1000 + 2 * stride);
+    return R"(
+        LDI  r1, 32
+        LDI  r5, 1000
+        SPAWN r1, child
+        ADD  r5, r5, )" + s + R"(
+        SPAWN r1, child
+        ADD  r5, r5, )" + s + R"(
+        SPAWN r1, child
+        JOINALL
+        HALT
+child:  LDI  r7, )" + last + R"(
+        SUB  r7, r7, r5
+        DIV  r7, r7, )" + s + R"(
+        ADD  r7, r7, 1
+delay:  SUB  r7, r7, 1
+        BNEZ r7, delay
+        TID  r2
+        MUL  r3, r2, 7
+        ADD  r3, r3, r5
+        ST   r3, [r5+0+@]
+        HALT
+    )";
+  };
+  MachineConfig cfg = sweep_cfg();
+  cfg.crcw = mem::CrcwPolicy::kArbitrary;
+
+  const SweepOutcome adjacent =
+      expect_sweep_matches_oracle(program(32), 1, cfg);
+  EXPECT_TRUE(adjacent.completed);
+  EXPECT_EQ(adjacent.shared_writes, 96u);
+  EXPECT_EQ(adjacent.write_cells, 96u);
+  EXPECT_EQ(adjacent.concurrent_cells, 0u);
+  for (Word i = 0; i < 96; ++i) {
+    EXPECT_EQ(adjacent.shared[1000 + i], 7 * (i % 32) + 1000 + 32 * (i / 32))
+        << "cell " << 1000 + i;
+  }
+  EXPECT_EQ(adjacent.cycles, 516u);
+
+  const SweepOutcome overlap =
+      expect_sweep_matches_oracle(program(28), 1, cfg);
+  EXPECT_TRUE(overlap.completed);
+  EXPECT_EQ(overlap.shared_writes, 96u);
+  EXPECT_EQ(overlap.write_cells, 88u);
+  EXPECT_EQ(overlap.concurrent_cells, 8u);
+  EXPECT_EQ(overlap.shared[1028], 7 * 28 + 1000);  // child 0's lane 28
+  EXPECT_EQ(overlap.shared[1032], 7 * 4 + 1028);   // child 1 alone
+  EXPECT_EQ(overlap.shared[1056], 7 * 28 + 1028);  // child 1's lane 28
+  EXPECT_EQ(overlap.cycles, 516u);
 }
 
 // A thick LD or ST whose first bad address is at lane k > 0 runs lanes

@@ -105,5 +105,24 @@ TEST(Scenarios, PresetWithOtherGroupCountIsAShapeError) {
   }
 }
 
+// A hypercube joins a power-of-two number of groups. Any other count is a
+// configuration error naming the topology, raised before the network is
+// built, not the topology's internal check.
+TEST(Scenarios, HypercubeWithNonPowerOfTwoGroupsIsAConfigError) {
+  machine::MachineConfig cfg;
+  cfg.topology = net::TopologyKind::kHypercube;
+  cfg.groups = 3;
+  try {
+    machine::Machine m(cfg);
+    FAIL() << "a hypercube of 3 groups was accepted";
+  } catch (const SimError& e) {
+    EXPECT_STREQ(e.what(),
+                 "topology hypercube needs a power-of-two group count, got 3 "
+                 "groups");
+  }
+  cfg.groups = 4;
+  EXPECT_NO_THROW(machine::Machine{cfg});
+}
+
 }  // namespace
 }  // namespace tcfpn::conformance

@@ -4,10 +4,12 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/metrics.hpp"
 #include "mem/shared_memory.hpp"
 
 namespace tcfpn::mem {
@@ -335,8 +337,8 @@ TEST(MemoryPort, LaneRunsMatchDirectAccess) {
     ++wr_mod[ported.module_of(wr[i])];
   }
   MemoryPort port(&ported);
-  port.read_run(rd, 4, 8, rd_mod, got);
-  port.write_run(wr, val, 4, 8, wr_mod);
+  port.read_run(LaneRun{rd, 4, 8, false}, rd_mod, got);
+  port.write_run(LaneRun{wr, 4, 8, false}, val, wr_mod);
   EXPECT_TRUE(std::equal(want, want + 4, got));
   port.seal();
   ported.drain(port);
@@ -353,9 +355,9 @@ TEST(MemoryPort, LaneRunsMatchDirectAccess) {
   }
 }
 
-// Port runs drained in group order commit exactly as the same writes
-// staged directly in issue order — whether the runs arrive presorted and
-// ascending (one run, nothing merged), interleaved (merged), or unsorted
+// Port records drained in group order commit exactly as the same writes
+// staged directly in issue order — whether they arrive presorted and
+// ascending (nothing sorted), interleaved (sorted at commit), or unsorted
 // with same-key rewrites (sorted and collapsed by seal).
 TEST(MemoryPort, RunsCommitLikeDirectWrites) {
   struct W {
@@ -377,7 +379,8 @@ TEST(MemoryPort, RunsCommitLikeDirectWrites) {
         direct.write(w.addr, w.value, w.lane);
         std::uint64_t per_module[4] = {};
         ++per_module[ported.module_of(w.addr)];
-        port.write_run(&w.addr, &w.value, 1, w.lane, per_module);
+        port.write_run(LaneRun{&w.addr, 1, w.lane, false}, &w.value,
+                       per_module);
       }
       port.seal();
       ported.drain(port);
@@ -387,6 +390,210 @@ TEST(MemoryPort, RunsCommitLikeDirectWrites) {
     ported.commit_step();
     EXPECT_EQ(image_of(direct), image_of(ported));
   }
+}
+
+// ---- unit runs against per-lane records ----
+
+/// One thick access as a group stages it: lane lane0 + i touches addr[i],
+/// writing value[i] when `write`.
+struct Access {
+  bool write;
+  std::vector<Addr> addr;
+  LaneId lane0;
+  std::vector<Word> value;
+};
+
+std::vector<Addr> span_at(Addr a0, std::size_t n) {
+  std::vector<Addr> out(n);
+  for (std::size_t i = 0; i < n; ++i) out[i] = a0 + i;
+  return out;
+}
+
+Access st(std::vector<Addr> addr, LaneId lane0, std::vector<Word> value) {
+  return Access{true, std::move(addr), lane0, std::move(value)};
+}
+
+/// Everything one commit leaves behind that the carrying form must not
+/// change.
+struct CommitOutcome {
+  std::vector<Word> image;
+  std::uint64_t total_reads = 0;
+  std::uint64_t total_writes = 0;
+  std::vector<std::uint64_t> module_reads, module_writes;
+  std::uint64_t write_cells = 0;
+  std::uint64_t concurrent_cells = 0;
+  std::string error;
+};
+
+/// How the accesses reach the memory: whole accesses through ports (a unit
+/// run when the addresses are consecutive), one-lane records through
+/// ports, or direct SharedMemory::read/write calls.
+enum class Form { kRuns, kRecords, kDirect };
+
+/// Stages `groups` (one port each, drained in order), commits, and reports
+/// the outcome. Each port is destroyed right after its drain, so the
+/// pending runs must not point into it.
+CommitOutcome commit_in_form(const std::vector<std::vector<Access>>& groups,
+                             CrcwPolicy policy, Form form) {
+  SharedMemory m(16, 4, policy);
+  metrics::MetricsRegistry reg;
+  m.bind_metrics(&reg);
+  for (Addr a = 0; a < m.size(); ++a) m.poke(a, static_cast<Word>(100 + a));
+  CommitOutcome out;
+  try {
+    for (const auto& accesses : groups) {
+      MemoryPort port(&m);
+      for (const Access& x : accesses) {
+        const std::size_t n = x.addr.size();
+        auto stage = [&](const LaneRun& run, const Word* value) {
+          std::vector<std::uint64_t> per_module(m.modules(), 0);
+          m.count_modules(run, per_module.data());
+          if (x.write) {
+            port.write_run(run, value, per_module.data());
+          } else {
+            port.read_run(run, per_module.data(), nullptr);
+          }
+        };
+        if (form == Form::kRuns) {
+          bool unit = true;
+          for (std::size_t i = 0; i < n; ++i) {
+            unit &= x.addr[i] == x.addr[0] + i;
+          }
+          stage(LaneRun{x.addr.data(), n, x.lane0, unit}, x.value.data());
+          continue;
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+          if (form == Form::kRecords) {
+            stage(LaneRun{&x.addr[i], 1, x.lane0 + i, false},
+                  x.write ? &x.value[i] : nullptr);
+          } else if (x.write) {
+            m.write(x.addr[i], x.value[i], x.lane0 + i);
+          } else {
+            m.read(x.addr[i], x.lane0 + i);
+          }
+        }
+      }
+      if (form != Form::kDirect) {
+        port.seal();
+        m.drain(port);
+      }
+    }
+    m.commit_step();
+  } catch (const SimError& e) {
+    out.error = e.what();
+  }
+  out.image = image_of(m);
+  out.total_reads = m.total_reads();
+  out.total_writes = m.total_writes();
+  for (const ModuleTraffic& t : m.last_step_traffic()) {
+    out.module_reads.push_back(t.reads);
+    out.module_writes.push_back(t.writes);
+  }
+  out.write_cells = reg.counter("mem/committed_write_cells").value();
+  out.concurrent_cells = reg.counter("mem/concurrent_write_cells").value();
+  return out;
+}
+
+// The same staged traffic carried as unit runs, as one-lane records and as
+// direct writes commits alike under every CRCW policy: store image,
+// totals, per-module traffic, committed and concurrent write cells, and
+// the SimError of a violated policy.
+TEST(MemoryPort, UnitRunsCommitLikeRecords) {
+  constexpr CrcwPolicy kErew = CrcwPolicy::kErew;
+  constexpr CrcwPolicy kCrew = CrcwPolicy::kCrew;
+  constexpr CrcwPolicy kCommon = CrcwPolicy::kCommon;
+  struct Case {
+    const char* what;
+    std::vector<std::vector<Access>> groups;
+    std::uint64_t concurrent;  ///< concurrent write cells (Arbitrary-CRCW)
+    std::vector<CrcwPolicy> faulting;  ///< the policies the commit violates
+  };
+  const Case cases[] = {
+      {"disjoint ascending runs in one port",
+       {{st(span_at(0, 3), 0, {1, 2, 3}), st(span_at(5, 2), 8, {4, 5}),
+         st(span_at(9, 4), 16, {6, 7, 8, 9})}},
+       0, {}},
+      {"ascending runs across ports",
+       {{st(span_at(0, 4), 0, {1, 2, 3, 4})},
+        {st(span_at(4, 4), 8, {5, 6, 7, 8})},
+        {st(span_at(10, 2), 16, {9, 10})}},
+       0, {}},
+      {"a run rewrites an earlier run's cells with the same lanes",
+       {{st(span_at(2, 4), 0, {1, 2, 3, 4}),
+         st(span_at(2, 4), 0, {5, 6, 7, 8})}},
+       0, {}},
+      {"a run overlaps other lanes' cells",
+       {{st(span_at(2, 4), 0, {1, 2, 3, 4}), st(span_at(4, 3), 8, {5, 6, 7})}},
+       2, {kErew, kCrew, kCommon}},
+      {"runs from two ports overlap with equal values",
+       {{st(span_at(0, 4), 0, {1, 2, 3, 4})},
+        {st(span_at(2, 3), 8, {3, 4, 9})}},
+       2, {kErew, kCrew}},
+      {"runs from two ports in descending order",
+       {{st(span_at(8, 3), 0, {1, 2, 3})}, {st(span_at(0, 3), 8, {4, 5, 6})}},
+       0, {}},
+      {"a unit run after scattered records in one port",
+       {{st({7, 1, 12}, 0, {1, 2, 3}), st(span_at(3, 3), 8, {4, 5, 6})}},
+       0, {}},
+      {"scattered records after a unit run in one port",
+       {{st(span_at(3, 3), 0, {1, 2, 3}), st({12, 0, 4}, 8, {4, 5, 6})}},
+       1, {kErew, kCrew, kCommon}},
+      {"one-lane runs",
+       {{st(span_at(3, 1), 0, {7})}, {st(span_at(4, 1), 8, {9})}}, 0, {}},
+      {"a run writes cells another lane read",
+       {{Access{false, span_at(0, 4), 0, {}}},
+        {st(span_at(2, 2), 8, {1, 2})}},
+       0, {kErew}},
+  };
+  const CrcwPolicy policies[] = {kErew, kCrew, kCommon,
+                                 CrcwPolicy::kArbitrary,
+                                 CrcwPolicy::kPriority};
+  for (const Case& c : cases) {
+    for (const CrcwPolicy policy : policies) {
+      SCOPED_TRACE(std::string(c.what) + " under " + to_string(policy));
+      const CommitOutcome runs = commit_in_form(c.groups, policy, Form::kRuns);
+      for (const Form form : {Form::kRecords, Form::kDirect}) {
+        const CommitOutcome other = commit_in_form(c.groups, policy, form);
+        EXPECT_EQ(runs.error, other.error);
+        EXPECT_EQ(runs.image, other.image);
+        EXPECT_EQ(runs.total_reads, other.total_reads);
+        EXPECT_EQ(runs.total_writes, other.total_writes);
+        EXPECT_EQ(runs.module_reads, other.module_reads);
+        EXPECT_EQ(runs.module_writes, other.module_writes);
+        EXPECT_EQ(runs.write_cells, other.write_cells);
+        EXPECT_EQ(runs.concurrent_cells, other.concurrent_cells);
+      }
+      const bool faults = std::find(c.faulting.begin(), c.faulting.end(),
+                                    policy) != c.faulting.end();
+      EXPECT_EQ(runs.error.empty(), !faults) << runs.error;
+      if (policy == CrcwPolicy::kArbitrary) {
+        EXPECT_EQ(runs.concurrent_cells, c.concurrent);
+      }
+    }
+  }
+}
+
+// A direct write after drained unit runs joins them as records, so the
+// commit still sees the overlap as concurrent writers.
+TEST(MemoryPort, DirectWriteAfterDrainedRunsSeesTheOverlap) {
+  SharedMemory m(16, 4, CrcwPolicy::kPriority);
+  metrics::MetricsRegistry reg;
+  m.bind_metrics(&reg);
+  MemoryPort port(&m);
+  const Addr addr[] = {4, 5, 6};
+  const Word value[] = {1, 2, 3};
+  const LaneRun run{addr, 3, 8, true};
+  std::vector<std::uint64_t> per_module(m.modules(), 0);
+  m.count_modules(run, per_module.data());
+  port.write_run(run, value, per_module.data());
+  port.seal();
+  m.drain(port);
+  m.write(5, 99, 20);  // lane 9 of the run wins under Priority-CRCW
+  m.commit_step();
+  EXPECT_EQ((std::vector<Word>{m.peek(4), m.peek(5), m.peek(6)}),
+            (std::vector<Word>{1, 2, 3}));
+  EXPECT_EQ(reg.counter("mem/committed_write_cells").value(), 3u);
+  EXPECT_EQ(reg.counter("mem/concurrent_write_cells").value(), 1u);
 }
 
 TEST(MultiOpsHelper, ApplyMultiop) {

@@ -328,9 +328,11 @@ inline bool parse_args(int argc, char** argv, const char* tool,
     opt->cfg.groups = 1;
   }
   // A --shape preset fixes one spec per group; a later --groups (or the
-  // fixed-thickness override) can leave the two counts disagreeing.
+  // fixed-thickness override) can leave the two counts disagreeing, or
+  // give a hypercube a group count it cannot join.
   try {
     machine::validate_shape(opt->cfg);
+    machine::validate_topology(opt->cfg);
   } catch (const SimError& e) {
     std::fprintf(stderr, "%s: %s\n", tool, e.what());
     return false;
