@@ -13,16 +13,6 @@
 
 namespace tcfpn::bench {
 
-/// Host threads for the stepping engine: TCFPN_HOST_THREADS env override
-/// (simulated results are unaffected by the value — only wall-clock time).
-inline std::uint32_t host_threads_from_env() {
-  if (const char* s = std::getenv("TCFPN_HOST_THREADS")) {
-    const long v = std::strtol(s, nullptr, 10);
-    if (v >= 1) return static_cast<std::uint32_t>(v);
-  }
-  return 1;
-}
-
 inline machine::MachineConfig default_cfg(std::uint32_t groups = 4,
                                           std::uint32_t slots = 16) {
   machine::MachineConfig cfg;
@@ -31,7 +21,6 @@ inline machine::MachineConfig default_cfg(std::uint32_t groups = 4,
   cfg.shared_words = 1u << 20;
   cfg.local_words = 1u << 14;
   cfg.topology = net::TopologyKind::kMesh2D;
-  cfg.host_threads = host_threads_from_env();
   return cfg;
 }
 

@@ -56,14 +56,4 @@ Outcome run_simd(machine::MachineConfig cfg, const isa::Program& program,
 Outcome run_tcf(machine::MachineConfig cfg, const isa::Program& program,
                 Word root_thickness = 1);
 
-/// Convenience for host-parallelism sweeps: the same config with a
-/// different host-thread count. The simulated results of every frontend are
-/// bit-identical across host_threads values (the determinism contract of
-/// the parallel stepping engine); only wall-clock time changes.
-inline machine::MachineConfig with_host_threads(machine::MachineConfig cfg,
-                                                std::uint32_t threads) {
-  cfg.host_threads = threads;
-  return cfg;
-}
-
 }  // namespace tcfpn::baseline

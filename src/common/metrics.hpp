@@ -17,8 +17,8 @@
 // parallel group phase entirely: groups count lane operations as plain
 // integers in their per-step effect buffers (Machine::GroupCtx), added into
 // the registry at the step barrier in group order, and every accumulator
-// and histogram is fed on the barrier side only — so metric values are
-// identical for every --host-threads value.
+// and histogram is fed on the barrier side only — so metric values follow
+// group order and never the order in which the groups ran.
 //
 // snapshot() freezes all instruments into plain values; diff() subtracts the
 // monotone parts of two snapshots (per-phase attribution); to_json() nests

@@ -48,9 +48,9 @@ class ScheduleTrace {
   std::vector<TraceSpan> spans_;
 };
 
-/// A host-side (wall-clock) span: one timed phase of the stepping engine on
-/// one host thread. Recorded by the machine when host profiling is enabled
-/// and exported into the Chrome trace alongside the simulated schedule.
+/// A host-side (wall-clock) span: one timed phase of the stepping engine.
+/// Recorded by the machine when host profiling is enabled and exported into
+/// the Chrome trace alongside the simulated schedule.
 struct HostSpan {
   std::string name;    ///< "subsystem/phase", e.g. "machine/group_phase"
   std::uint32_t tid = 0;

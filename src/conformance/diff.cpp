@@ -347,54 +347,22 @@ std::optional<Divergence> run_differential(const DiffCase& c,
     if (!lane.aligned && want.faulted) continue;
 
     const machine::MachineConfig cfg = base_config(c, lane);
-    const bool step_sync = machine::is_step_synchronous(lane.variant);
-    std::optional<Observed> first;
-    const std::vector<std::uint32_t> hts =
-        step_sync ? opt.host_threads : std::vector<std::uint32_t>{1};
-    for (std::uint32_t ht : hts) {
-      const machine::MachineConfig lane_cfg =
-          baseline::with_host_threads(cfg, ht);
-      const Observed got = run_machine(c, lane_cfg, opt.max_steps);
-      if (auto d = compare(want, got, lane.aligned, c.uses_local)) {
-        return Divergence{lane.name() + " ht=" + std::to_string(ht), *d,
-                          lane_cfg};
-      }
-      if (!first) {
-        first = got;
-      } else if (auto d = identical(*first, got)) {
-        // Determinism contract: host threads must be unobservable.
-        return Divergence{lane.name() + " ht=" + std::to_string(ht) +
-                              " vs ht=" + std::to_string(hts.front()),
-                          *d, lane_cfg};
-      }
+    const Observed got = run_machine(c, cfg, opt.max_steps);
+    if (auto d = compare(want, got, lane.aligned, c.uses_local)) {
+      return Divergence{lane.name(), *d, cfg};
     }
 
     // Fault-tolerance conformance (DESIGN.md §9): under an injected fault
     // schedule with rollback recovery, the lane must still land exactly on
-    // the fault-free oracle — and the faulted run itself must be
-    // bit-identical (cycles included) for every host-thread count, because
-    // both the schedule and the recovery act on barrier-side state only.
-    // Oracle-faulting programs are skipped: a rollback can rewind across
-    // the program's own fault point, which changes when (not whether) it
-    // fires — the aligned fault-step comparison would be meaningless.
+    // the fault-free oracle. Oracle-faulting programs are skipped: a
+    // rollback can rewind across the program's own fault point, which
+    // changes when (not whether) it fires — the aligned fault-step
+    // comparison would be meaningless.
     if (opt.fault_seed != 0 && !want.faulted) {
-      std::optional<Observed> ffirst;
-      for (std::uint32_t ht : hts) {
-        const machine::MachineConfig lane_cfg =
-            baseline::with_host_threads(cfg, ht);
-        const Observed got =
-            run_machine_resilient(c, lane_cfg, opt.max_steps, opt.fault_seed);
-        if (auto d = compare(want, got, lane.aligned, c.uses_local)) {
-          return Divergence{lane.name() + "+faults ht=" + std::to_string(ht),
-                            *d, lane_cfg};
-        }
-        if (!ffirst) {
-          ffirst = got;
-        } else if (auto d = identical(*ffirst, got)) {
-          return Divergence{lane.name() + "+faults ht=" + std::to_string(ht) +
-                                " vs ht=" + std::to_string(hts.front()),
-                            *d, lane_cfg};
-        }
+      const Observed fgot =
+          run_machine_resilient(c, cfg, opt.max_steps, opt.fault_seed);
+      if (auto d = compare(want, fgot, lane.aligned, c.uses_local)) {
+        return Divergence{lane.name() + "+faults", *d, cfg};
       }
     }
   }
@@ -444,27 +412,9 @@ std::optional<Divergence> run_differential(const DiffCase& c,
         if (lane.aligned || !lane_enabled(lane, opt)) continue;
         machine::MachineConfig cfg = base_config(c, lane);
         machine::sample_shape(cfg, opt.shape_seed);
-        const std::vector<std::uint32_t> hts =
-            machine::is_step_synchronous(lane.variant)
-                ? opt.host_threads
-                : std::vector<std::uint32_t>{1};
-        std::optional<Observed> first;
-        for (std::uint32_t ht : hts) {
-          const machine::MachineConfig lane_cfg =
-              baseline::with_host_threads(cfg, ht);
-          const Observed got = run_machine(c, lane_cfg, opt.max_steps);
-          if (auto d = compare(want, got, /*aligned=*/false, c.uses_local)) {
-            return Divergence{lane.name() + "+shape ht=" + std::to_string(ht),
-                              *d, lane_cfg};
-          }
-          if (!first) {
-            first = got;
-          } else if (auto d = identical(*first, got)) {
-            return Divergence{lane.name() + "+shape ht=" +
-                                  std::to_string(ht) + " vs ht=" +
-                                  std::to_string(hts.front()),
-                              *d, lane_cfg};
-          }
+        const Observed got = run_machine(c, cfg, opt.max_steps);
+        if (auto d = compare(want, got, /*aligned=*/false, c.uses_local)) {
+          return Divergence{lane.name() + "+shape", *d, cfg};
         }
       }
     }

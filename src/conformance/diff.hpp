@@ -23,11 +23,10 @@
 //    latter also NUMA);
 //  - fixed-thickness: single flow, no SETTHICK/SPAWN, one group.
 //
-// On top of the variant sweep the driver re-runs step-synchronous lanes at
-// every requested host-thread count (bit-identical contract, cycles and
-// steps included), once with perturbed cost-model knobs (results must not
-// move), and through the applicable baseline:: frontends (completion +
-// debug output only — Outcome carries no memory image).
+// On top of the variant sweep the driver re-runs the single-instruction
+// lane once with perturbed cost-model knobs (results must not move), and
+// runs the applicable baseline:: frontends (completion + debug output only
+// — Outcome carries no memory image).
 #pragma once
 
 #include <cstdint>
@@ -71,16 +70,14 @@ std::vector<LaneSpec> lanes_for(const Profile& p, const GenProgram& gp);
 DiffCase to_case(const GenProgram& gp);
 
 struct DiffOptions {
-  std::vector<std::uint32_t> host_threads = {1, 8};
   bool frontends = true;      ///< also run the applicable baseline:: frontends
   bool perturb_costs = true;  ///< cost-knob invariance lane
   std::uint64_t max_steps = 1u << 18;
   /// When non-zero, every machine lane additionally runs under the
   /// all-kinds fault schedule resil::default_spec_for_seed(fault_seed) with
   /// checkpoint-rollback recovery. The faulted-then-recovered execution must
-  /// be indistinguishable from the fault-free oracle (completion, memory
-  /// images, debug output) and bit-identical across host-thread counts
-  /// (tcffuzz --fault-seed).
+  /// be indistinguishable from the fault-free oracle in completion, memory
+  /// images and debug output (tcffuzz --fault-seed).
   std::uint64_t fault_seed = 0;
   /// When non-zero, two heterogeneous-shape lanes run on top of the sweep
   /// (tcffuzz --shape-seed). First, a vector of default-constructed
@@ -93,7 +90,7 @@ struct DiffOptions {
   /// the program's result is schedule-independent, so the shaped run — in
   /// which small groups overflow, fast groups finish early and placement
   /// drifts — must still land exactly on the oracle's memory and PRINT
-  /// images, and stay bit-identical across host-thread counts.
+  /// images.
   std::uint64_t shape_seed = 0;
   /// When non-empty, only these variants' lanes run (tcffuzz --variants).
   std::vector<machine::Variant> only_variants;
@@ -105,9 +102,9 @@ struct DiffOptions {
 struct Divergence {
   std::string lane;    ///< which execution disagreed with the oracle
   std::string detail;  ///< first observed difference
-  /// Exact machine configuration of the diverging lane (host threads
-  /// included) when the lane was a machine execution; empty for oracle-only
-  /// and frontend divergences. flight_record_json replays it.
+  /// Exact machine configuration of the diverging lane when the lane was a
+  /// machine execution; empty for oracle-only and frontend divergences.
+  /// flight_record_json replays it.
   std::optional<machine::MachineConfig> config;
 };
 

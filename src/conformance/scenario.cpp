@@ -5,7 +5,6 @@
 #include <optional>
 #include <sstream>
 
-#include "baseline/frontends.hpp"
 #include "common/check.hpp"
 #include "conformance/gen.hpp"
 #include "conformance/oracle.hpp"
@@ -123,7 +122,7 @@ std::string read_file(const std::string& path) {
 
 // ---------------------------------------------------------------------------
 // Lane execution. Mirrors the differential harness' runner, but with a
-// machine shape applied and the host-thread count / placement hook swept.
+// machine shape applied and the placement hook swept.
 
 struct RunImage {
   bool completed = false;
@@ -131,8 +130,6 @@ struct RunImage {
   std::string fault;
   std::vector<Word> shared;
   std::vector<Word> debug;
-  Cycle cycles = 0;
-  StepId steps = 0;
 };
 
 RunImage run_lane(const Scenario& s, const machine::MachineConfig& cfg,
@@ -154,13 +151,8 @@ RunImage run_lane(const Scenario& s, const machine::MachineConfig& cfg,
       o.completed = r.run.completed;
       o.faulted = r.faulted;
       o.fault = r.fault_message;
-      o.cycles = r.run.cycles;
-      o.steps = r.run.steps;
     } else {
-      const auto r = m.run(max_steps);
-      o.completed = r.completed;
-      o.cycles = r.cycles;
-      o.steps = r.steps;
+      o.completed = m.run(max_steps).completed;
     }
   } catch (const SimError& e) {
     o.faulted = true;
@@ -199,24 +191,6 @@ std::optional<std::string> against_oracle(const OracleResult& want,
         break;
       }
     }
-    return os.str();
-  }
-  return std::nullopt;
-}
-
-/// Determinism contract within a lane: host threads (and nothing else)
-/// vary, so the runs must agree down to the cycle count.
-std::optional<std::string> identical(const RunImage& a, const RunImage& b) {
-  if (a.faulted != b.faulted || a.fault != b.fault) {
-    return std::string("fault mismatch");
-  }
-  if (a.completed != b.completed) return std::string("completion mismatch");
-  if (a.shared != b.shared) return std::string("shared memory mismatch");
-  if (a.debug != b.debug) return std::string("PRINT output mismatch");
-  if (a.cycles != b.cycles || a.steps != b.steps) {
-    std::ostringstream os;
-    os << "cycle/step mismatch: " << a.cycles << "/" << a.steps << " vs "
-       << b.cycles << "/" << b.steps;
     return os.str();
   }
   return std::nullopt;
@@ -304,31 +278,16 @@ ScenarioVerdict run_scenario(const Scenario& s, const ScenarioOptions& opt) {
     if (lane.variant == Variant::kBalanced) {
       lname += ':' + std::to_string(lane.bound);
     }
-    const std::vector<std::uint32_t> hts =
-        machine::is_step_synchronous(lane.variant)
-            ? opt.host_threads
-            : std::vector<std::uint32_t>{1};
     // The fault-free lane, then, with opt.fault_seed, the default fault
     // schedule for that seed recovered by rollback: each must land exactly
-    // on the fault-free oracle and stay host-thread invariant.
+    // on the fault-free oracle.
     std::vector<std::uint64_t> fault_seeds{0};
     if (opt.fault_seed != 0) fault_seeds.push_back(opt.fault_seed);
     for (const std::uint64_t fault_seed : fault_seeds) {
-      std::optional<RunImage> first;
-      for (std::uint32_t ht : hts) {
-        const machine::MachineConfig run_cfg =
-            baseline::with_host_threads(cfg, ht);
-        const std::string tag = lname + (fault_seed != 0 ? "+faults" : "") +
-                                " ht=" + std::to_string(ht);
-        const RunImage got = run_lane(s, run_cfg, opt.max_steps,
-                                      /*lpt_hook=*/false, fault_seed);
-        if (auto d = against_oracle(want, got)) return fail(tag, *d);
-        if (!first) {
-          first = got;
-        } else if (auto d = identical(*first, got)) {
-          return fail(tag + " vs ht=" + std::to_string(hts.front()), *d);
-        }
-      }
+      const std::string tag = lname + (fault_seed != 0 ? "+faults" : "");
+      const RunImage got = run_lane(s, cfg, opt.max_steps,
+                                    /*lpt_hook=*/false, fault_seed);
+      if (auto d = against_oracle(want, got)) return fail(tag, *d);
     }
   }
 
@@ -338,21 +297,9 @@ ScenarioVerdict run_scenario(const Scenario& s, const ScenarioOptions& opt) {
   if (opt.throughput_lpt_lane) {
     const machine::MachineConfig cfg =
         lane_config(opt, Variant::kSingleInstruction, 16);
-    std::optional<RunImage> first;
-    for (std::uint32_t ht : opt.host_threads) {
-      const machine::MachineConfig run_cfg =
-          baseline::with_host_threads(cfg, ht);
-      const std::string tag = "lpt-placement ht=" + std::to_string(ht);
-      const RunImage got = run_lane(s, run_cfg, opt.max_steps,
-                                    /*lpt_hook=*/true, /*fault_seed=*/0);
-      if (auto d = against_oracle(want, got)) return fail(tag, *d);
-      if (!first) {
-        first = got;
-      } else if (auto d = identical(*first, got)) {
-        return fail(tag + " vs ht=" + std::to_string(opt.host_threads.front()),
-                    *d);
-      }
-    }
+    const RunImage got = run_lane(s, cfg, opt.max_steps,
+                                  /*lpt_hook=*/true, /*fault_seed=*/0);
+    if (auto d = against_oracle(want, got)) return fail("lpt-placement", *d);
   }
 
   return v;

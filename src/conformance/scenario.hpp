@@ -29,14 +29,11 @@ struct Scenario {
 std::vector<Scenario> scenario_suite(const std::string& dir);
 
 /// How to sweep one scenario. Every lane must be bit-identical to the
-/// sequential oracle in shared memory, PRINT output and completion, and
-/// bit-identical (cycles included) across host-thread counts within a
-/// lane.
+/// sequential oracle in shared memory, PRINT output and completion.
 struct ScenarioOptions {
   /// Machine shape spec for machine::apply_shape ("uniform", "fat-thin",
   /// "gpu", or an explicit `COUNT*key=val,...` list).
   std::string shape = "uniform";
-  std::vector<std::uint32_t> host_threads = {1, 2, 8};
   /// When nonzero, adds a fault-injection lane per variant: the default
   /// fault schedule for this seed, recovered by checkpoint rollback, must
   /// still land exactly on the fault-free oracle.

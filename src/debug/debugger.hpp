@@ -8,8 +8,8 @@
 //
 // Reverse execution leans entirely on the determinism contract: re-running
 // the steps between a checkpoint and the target reproduces the exact same
-// machine state, journal tape and metrics for every --host-threads value,
-// so "back 1" is cheap bookkeeping, not a second execution semantics.
+// machine state, journal tape and metrics, so "back 1" is cheap
+// bookkeeping, not a second execution semantics.
 #pragma once
 
 #include <functional>

@@ -5,7 +5,7 @@
 // are well-defined even after old entries have been dropped. The journal is
 // fed from the machine's StepObserver callbacks, which the stepping engine
 // delivers in deterministic (group-merge) order — the tape is bit-identical
-// for every --host-threads value.
+// across reruns and rollback replays.
 #pragma once
 
 #include <cstdint>

@@ -2,7 +2,7 @@
 //
 // Attached to a Machine as its StepObserver, the recorder keeps
 //  - a bounded Journal of DebugEvents (delivered in group-merge order, so
-//    the tape is bit-identical for every --host-threads value),
+//    the tape is bit-identical across reruns),
 //  - periodic MachineState checkpoints every `checkpoint_every` committed
 //    steps (thinned geometrically so long runs keep a bounded, roughly
 //    log-spaced set plus the most recent ones), and

@@ -96,16 +96,6 @@ struct MachineConfig {
   // TCFs") ----
   std::uint32_t functional_units = 1;  ///< operations issued per cycle/group
 
-  // ---- host-side execution ----
-  /// Host threads driving the per-group phase of each machine step. 1 keeps
-  /// the classic sequential stepper; N > 1 fans the groups of every step out
-  /// over a persistent worker pool. Results (cycle counts, MachineStats,
-  /// shared-memory images, trace) are bit-identical for every value: all
-  /// cross-group effects are buffered per group and merged at the step
-  /// barrier in group order. Ignored by the multi-instruction (XMT) variant,
-  /// which runs flows to completion with immediate memory semantics.
-  std::uint32_t host_threads = 1;
-
   // ---- instrumentation ----
   bool record_trace = false;  ///< keep the per-step Gantt trace
 

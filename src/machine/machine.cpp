@@ -127,7 +127,6 @@ Machine::Machine(MachineConfig cfg)
   TCFPN_CHECK(cfg_.variant != Variant::kFixedThickness || cfg_.groups == 1,
               "the fixed-thickness (vector/SIMD) variant has one processor");
   TCFPN_CHECK(cfg_.balanced_bound >= 1, "balanced bound must be >= 1");
-  TCFPN_CHECK(cfg_.host_threads >= 1, "host_threads must be >= 1");
   locals_.reserve(cfg_.groups);
   for (GroupId g = 0; g < cfg_.groups; ++g) {
     locals_.emplace_back(g, cfg_.local_words, cfg_.local_latency);
@@ -166,10 +165,6 @@ Machine::Machine(MachineConfig cfg)
   sc_.wire_distance = &metrics_.accumulator("net/wire_distance");
   shared_.bind_metrics(&metrics_);
   net_->bind_metrics(&metrics_);
-  if (cfg_.host_threads > 1 && is_step_synchronous(cfg_.variant)) {
-    pool_ = std::make_unique<common::ThreadPool>(cfg_.host_threads);
-    channels_ = std::make_unique<common::EffectChannel[]>(cfg_.groups);
-  }
   trace_.set_enabled(cfg_.record_trace);
 }
 
@@ -358,9 +353,10 @@ Word Machine::retire_group(GroupId g) {
   std::uint64_t moved = 0;
   // Rehome resident before overflow, each list in FIFO order, always onto
   // the least-loaded survivor: the same deterministic placement rule as
-  // spawn, so the degraded schedule is host-thread invariant. The custom
-  // allocation hook is deliberately bypassed — it may not know about dead
-  // groups, and fault migration is an OS decision, not a program one.
+  // spawn, so the degraded schedule is a function of the machine state.
+  // The custom allocation hook is deliberately bypassed — it may not know
+  // about dead groups, and fault migration is an OS decision, not a program
+  // one.
   auto rehome = [&](std::vector<FlowId>& list) {
     for (FlowId id : list) {
       TcfDescriptor& f = flow(id);
@@ -489,16 +485,16 @@ void Machine::halt_in_step(TcfDescriptor& f) {
   if (f.parent == kNoFlow) return;
   TcfDescriptor& p = flow(f.parent);
   if (p.home == f.home) {
-    // Same group: the parent is driven by this host thread, so the notice
-    // can land immediately — a later JOINALL of the parent in this very
-    // step already sees the child gone (the sequential-engine semantics).
+    // Same group: the parent runs later in this group's own phase, so the
+    // notice can land immediately — a later JOINALL of the parent in this
+    // very step already sees the child gone.
     TCFPN_CHECK(p.live_children > 0, "child halt underflows parent counter");
     --p.live_children;
     return;
   }
-  // Cross-group: the parent may be executing on another host thread right
-  // now; the join notice travels through the group context and lands at the
-  // barrier, in group order, independent of host-thread interleaving.
+  // Cross-group: the join notice travels through the group context and
+  // lands at the barrier, in group order, so the parent's group sees the
+  // same count whether it runs before or after this one.
   step_ctx_[f.home].halted.push_back(f.id);
 }
 
@@ -544,8 +540,28 @@ bool Machine::step() {
 
 bool Machine::step_synchronous() {
   if (!begin_step()) return false;
-  dispatch_groups();
-  merge_step();
+
+  // Each group executes against its own effect buffer (GroupCtx): it reads
+  // only committed shared memory and its own flows. Every group executes
+  // the step, also when a lower group faults in it; the fault surfaces in
+  // the merge loop.
+  double t0 = cfg_.profile_host ? host_clock_us() : 0;
+  for (GroupId g = 0; g < cfg_.groups; ++g) run_group(g);
+  if (cfg_.profile_host) {
+    host_span("machine/group_phase", t0);
+    t0 = host_clock_us();
+  }
+
+  // Merge in group order 0..P-1, the order the oracle commits the effects
+  // in. The lowest faulting group wins: lower groups merge, the step never
+  // reaches the deferred pass, and the errors of groups above it are lost.
+  for (GroupId g = 0; g < cfg_.groups; ++g) {
+    if (step_ctx_[g].error) std::rethrow_exception(step_ctx_[g].error);
+    stream_merge_group(g);
+  }
+  for (GroupId g = 0; g < cfg_.groups; ++g) deferred_merge_group(g);
+  if (cfg_.profile_host) host_span("machine/merge_effects", t0);
+  finish_step();
   return true;
 }
 
@@ -574,76 +590,6 @@ void Machine::run_group(GroupId g) {
   } catch (...) {
     ctx.error = std::current_exception();
   }
-}
-
-void Machine::dispatch_groups() {
-  // Each group executes against its own effect buffer (GroupCtx): it reads
-  // only committed shared memory and its own flows, so the groups are
-  // independent and may run on separate host threads. Faults are captured
-  // per group and surface in the merge loop.
-  phase_t0_ = cfg_.profile_host ? host_clock_us() : 0;
-  if (!pool_) {
-    for (GroupId g = 0; g < cfg_.groups; ++g) run_group(g);
-    if (cfg_.profile_host) host_span("machine/group_phase", phase_t0_);
-    return;
-  }
-  for (GroupId g = 0; g < cfg_.groups; ++g) channels_[g].reset();
-  // A member, not a temporary: the pool calls through a pointer to it
-  // until end().
-  group_job_ = [this](std::size_t g) {
-    run_group(static_cast<GroupId>(g));
-    channels_[g].publish();
-  };
-  pool_->begin(cfg_.groups, group_job_);
-  job_open_ = true;
-}
-
-void Machine::merge_step() {
-  if (!job_open_ && cfg_.profile_host) phase_t0_ = host_clock_us();
-  // Merge in group order 0..P-1, the order a sequential run produces the
-  // effects in, so the committed state is bit-identical for every
-  // host_threads value. While a pool job is open, group g merges as soon as
-  // its seal publishes, overlapping higher groups' execution. The lowest
-  // faulting group wins: lower groups merge, the step never reaches the
-  // deferred pass. Groups above it may still be executing, and their
-  // errors lose to this one.
-  std::exception_ptr error;
-  for (GroupId g = 0; g < cfg_.groups; ++g) {
-    if (job_open_) {
-      // Never sleep while unclaimed groups remain: steal one instead, so
-      // the step stays live even if every worker is preempted.
-      while (!channels_[g].ready() && pool_->try_run_one()) {
-      }
-      channels_[g].await();
-    }
-    if (step_ctx_[g].error) {
-      error = step_ctx_[g].error;
-      break;
-    }
-    try {
-      stream_merge_group(g);
-    } catch (...) {
-      // A merge-side fault (commit-policy checks fire at drain) must not
-      // leave the pool job open: the workers would outlive this frame.
-      error = std::current_exception();
-      break;
-    }
-  }
-  // Every group finishes executing before the machine mutates further
-  // state or unwinds a fault: stragglers still write their GroupCtx.
-  if (job_open_) {
-    job_open_ = false;
-    // run_group captures every fault into its context, so end() only waits.
-    pool_->end();
-    if (cfg_.profile_host) {
-      host_span("machine/group_phase", phase_t0_);
-      phase_t0_ = host_clock_us();
-    }
-  }
-  if (error) std::rethrow_exception(error);
-  for (GroupId g = 0; g < cfg_.groups; ++g) deferred_merge_group(g);
-  if (cfg_.profile_host) host_span("machine/merge_effects", phase_t0_);
-  finish_step();
 }
 
 void Machine::execute_group(GroupId g, Cycle step_base) {
@@ -696,8 +642,8 @@ void Machine::execute_group(GroupId g, Cycle step_base) {
       record(f, ops);
     }
   }
-  // Pre-sort the staged write records (and the profiler bins) on this
-  // worker thread so the barrier-side commit rarely sorts.
+  // Pre-sort the staged write records and fold the profiler bins while
+  // the group's data is hot, so the barrier-side commit rarely sorts.
   ctx.port.seal();
   fold_bins(ctx.prof_bins);
 }
@@ -740,7 +686,7 @@ void Machine::stream_merge_group(GroupId g) {
   }
 
   // Flight-recorder events buffered during the group phase surface here,
-  // in group order — identical sequence for every host-thread count.
+  // in group order.
   if (observer_ != nullptr) {
     for (const DebugEvent& ev : ctx.events) observer_->on_event(ev);
   }
@@ -752,7 +698,7 @@ void Machine::stream_merge_group(GroupId g) {
   // Memory-term references: the detailed router is injection-order
   // sensitive, so it gets the full per-reference sequence (group by group,
   // flows in resident order); the analytic bound only needs the per-module
-  // aggregates the group already summed in the parallel phase.
+  // aggregates the group already summed in the group phase.
   if (cfg_.detailed_network) {
     step_refs_.insert(step_refs_.end(), ctx.refs.begin(), ctx.refs.end());
   } else if (ctx.net_refs != 0) {
@@ -782,11 +728,11 @@ void Machine::deferred_merge_group(GroupId g) {
   auto& ctx = step_ctx_[g];
   if (ctx.halted.empty() && ctx.spawns.empty()) return;
 
-  // Join notices: a child halting this step reaches its parent only at
-  // the barrier, so JOINALL outcomes never depend on which host thread
-  // finished first. finish_step wakes satisfied joiners right after.
-  // Deferred past the streaming pass because the parent may belong to a
-  // group that is still executing while lower groups stream.
+  // Join notices: a child halting this step reaches a parent on another
+  // group only at the barrier, so JOINALL outcomes never depend on group
+  // order. finish_step wakes satisfied joiners right after. Deferred past
+  // the streaming pass: a step that faults never reaches this pass, so its
+  // cross-group join notices and spawns never land.
   for (FlowId id : ctx.halted) {
     const TcfDescriptor& child = *flows_[id];
     if (child.parent == kNoFlow) continue;
@@ -796,9 +742,9 @@ void Machine::deferred_merge_group(GroupId g) {
   }
 
   // Deferred SPAWN placement: creating and placing children in group
-  // order fixes flow ids and allocation decisions across thread counts.
-  // Placement reads other groups' loads and grows flows_, so it must wait
-  // until every group finished executing.
+  // order fixes flow ids and allocation decisions. Placement reads other
+  // groups' loads and grows flows_, so it must wait until every group
+  // finished executing.
   for (const auto& sp : ctx.spawns) {
     Word base = 0;
     for (Word part : sp.fragments) {
@@ -1270,7 +1216,7 @@ void Machine::note_ref(GroupCtx& ctx, GroupId src, std::uint32_t module) {
     return;
   }
   // Analytic bound: module load counts and the wire-distance maximum are
-  // order-insensitive, so they aggregate in the parallel phase and the
+  // order-insensitive, so they aggregate in the group phase and the
   // barrier only sums P short vectors instead of walking every reference.
   ++ctx.net_loads[module];
   ++ctx.net_refs;
@@ -1512,9 +1458,9 @@ bool Machine::exec_control(TcfDescriptor& f, const isa::Instr& instr) {
                       ", expected ", t);
         }
         // The children are created at the step barrier (deferred_merge_group)
-        // so that flow ids and group placement are independent of host-thread
-        // interleaving; the parent's live-children counter rises now so a
-        // same-step JOINALL already sees them.
+        // so that flow ids and group placement follow group order; the
+        // parent's live-children counter rises now so a same-step JOINALL
+        // already sees them.
         f.live_children += static_cast<std::uint32_t>(fragments.size());
         emit(ctx, DebugEventKind::kSpawn, f, t,
              static_cast<Word>(fragments.size()));
@@ -1566,7 +1512,7 @@ void Machine::memory_term(prof::StepRecord& r) {
     r.net = net_->drain();
     return;
   }
-  // Analytic bound from the aggregates the groups summed in the parallel
+  // Analytic bound from the aggregates the groups summed in the group
   // phase (merged in stream_merge_group) — no per-reference walk here.
   if (net_refs_ == 0) return;
   std::uint64_t hottest = 0;

@@ -16,12 +16,11 @@
 //    term, extended by the memory term (serialisation at the hottest module
 //    vs wire distance — or a measured drain of the detailed router), so a
 //    step only hides memory latency when it carries enough parallel slack;
-//  - host parallelism: one step driver (DESIGN.md §10.2). Every group's
-//    effects are buffered (GroupCtx) and merged in group order; with
-//    cfg.host_threads > 1 the groups run on a persistent worker pool and
-//    group g merges as soon as it seals, so cycle counts, MachineStats and
-//    memory images are bit-identical for every host_threads value (the
-//    determinism tests assert this).
+//  - one step driver (DESIGN.md §10.2): the groups of a step run in group
+//    order, each into its own effect buffer (GroupCtx), and the buffers
+//    merge in group order at the step barrier, so a step's cross-group
+//    effects (commits, spawns, joins, prints, counters) never depend on
+//    which group ran first; the conformance oracle checks the result.
 //
 // The instruction semantics (src/isa) are interpreted per lane; control
 // instructions execute once per flow — that asymmetry is the TCF model's
@@ -40,8 +39,6 @@
 #include <vector>
 
 #include "common/metrics.hpp"
-#include "common/effect_channel.hpp"
-#include "common/thread_pool.hpp"
 #include "common/trace.hpp"
 #include "common/types.hpp"
 #include "isa/program.hpp"
@@ -155,9 +152,9 @@ struct DebugEvent {
 
 /// Observer interface implemented by debug::FlightRecorder. Events produced
 /// during the per-group phase are buffered in the group's effect context and
-/// forwarded at the step barrier in group order — the same determinism
-/// contract as metrics — so an observer sees the exact same sequence for
-/// every cfg.host_threads value. All callbacks run on the stepping thread.
+/// forwarded at the step barrier in group order — the same order as the
+/// metrics — so a faulting step delivers the events of the groups below the
+/// faulting one and no others.
 class StepObserver {
  public:
   virtual ~StepObserver() = default;
@@ -227,9 +224,9 @@ class Machine {
   /// Each fragment flow receives its base lane offset in register r15 —
   /// the fragment convention used by sched:: and the fragment kernels —
   /// and all fragments are children of the spawning flow (JOINALL waits
-  /// for every fragment). The hook runs at SPAWN execution time — under
-  /// host_threads > 1 possibly on a worker thread — so it must be a pure
-  /// function of the thickness (no reads of mutable machine state).
+  /// for every fragment). The hook runs at SPAWN execution time, in the
+  /// middle of the group phase, so it must be a pure function of the
+  /// thickness (no reads of mutable machine state).
   using SpawnSplitter = std::function<std::vector<Word>(Word thickness)>;
   void set_spawn_splitter(SpawnSplitter hook) { splitter_ = std::move(hook); }
 
@@ -245,9 +242,8 @@ class Machine {
 
   /// The machine's metrics registry ("net/...", "mem/...", "sched/...",
   /// "machine/..." instruments). Per-group lane counts accumulate as plain
-  /// integers in each group's effect buffer during the parallel phase and
-  /// are added here at the step barrier in group order, so a snapshot is
-  /// bit-identical for every cfg.host_threads value.
+  /// integers in each group's effect buffer during the group phase and are
+  /// added here at the step barrier in group order.
   metrics::MetricsRegistry& metrics() { return metrics_; }
   const metrics::MetricsRegistry& metrics() const { return metrics_; }
   metrics::MetricsSnapshot metrics_snapshot() const {
@@ -280,7 +276,7 @@ class Machine {
   MachineState save_state() const;
   /// Restores a save_state() image. The machine must have been constructed
   /// with an equivalent config and loaded with the same program (checked via
-  /// fingerprints); host_threads and instrumentation knobs may differ.
+  /// fingerprints); the instrumentation knobs may differ.
   /// Legal at any time, including after a fault aborted a step mid-way.
   void restore_state(const MachineState& s);
 
@@ -332,8 +328,8 @@ class Machine {
   };
 
   /// A deferred SPAWN: the child flows are created (and placed) at the step
-  /// barrier, in group order, so flow ids and allocation decisions do not
-  /// depend on how host threads interleave the per-group phase.
+  /// barrier, in group order, so flow ids and allocation decisions read the
+  /// loads of the step's start, not of whichever group ran first.
   struct SpawnRequest {
     FlowId parent;
     std::size_t entry;
@@ -368,14 +364,14 @@ class Machine {
   /// and this context; everything cross-group (stats, shared-memory staging,
   /// spawns, join notifications, trace, debug prints, memory-term refs,
   /// lane counts) accumulates here and is merged at the step barrier in
-  /// group order — the determinism contract of the parallel stepping engine.
+  /// group order, stopping at the lowest faulting group.
   /// No member is a map or a registry: the per-step reset clears vectors
   /// and assigns values, with no lookups and no allocation.
   struct GroupCtx {
     mem::MemoryPort port;
     MachineStats delta;  ///< counter deltas (cycles/steps stay untouched)
     std::vector<std::pair<GroupId, std::uint32_t>> refs;  ///< (src, module)
-    /// Analytic network-term aggregates, maintained in the parallel phase
+    /// Analytic network-term aggregates, maintained in the group phase
     /// when cfg.detailed_network is off (the ordered `refs` log is then not
     /// needed): per-module reference counts, reference total, and the
     /// maximum source→module wire distance seen this step.
@@ -396,7 +392,7 @@ class Machine {
     LaneCounts lanes{};              ///< added at the barrier, group order
     std::vector<DebugEvent> events;  ///< forwarded at the barrier, group order
     /// Attribution bins for the profiler (cfg.profile): cycles of slot-term
-    /// work charged to (group, tcf, pc, term) during the parallel phase,
+    /// work charged to (group, tcf, pc, term) during the group phase,
     /// appended as they occur. The group sorts them into canonical key
     /// order and folds equal keys when it seals (fold_bins), so the barrier
     /// appends them in group order as they are.
@@ -417,32 +413,25 @@ class Machine {
   void on_flow_halted(TcfDescriptor& f);
   /// Step-synchronous halt: marks the flow halted and records a join notice
   /// in its group context; the parent's live-children counter is decremented
-  /// at the step barrier (deterministic under host parallelism).
+  /// at the step barrier, in group order.
   void halt_in_step(TcfDescriptor& f);
 
-  // step-synchronous execution: one driver (prologue, dispatch, merge
-  // loop; DESIGN.md §10.2)
+  /// One step-synchronous step (DESIGN.md §10.2): begin_step, every
+  /// group's share in group order, then the merge loop — groups in order
+  /// 0..P-1, stopping at the lowest faulting group — the deferred pass and
+  /// finish_step.
   bool step_synchronous();
   /// Prologue: promotes overflow, clears the profiler bins and fixes the
   /// step base. Returns false when no resident flow is ready (run over).
   bool begin_step();
-  /// Dispatch: runs every group's share of the step, inline without a pool,
-  /// else as a pool job whose groups publish on their seal channels and
-  /// which stays open for the merge loop.
-  void dispatch_groups();
   /// One group's share of the step into step_ctx_[g], its fault captured in
   /// the context.
   void run_group(GroupId g);
-  /// Merge loop: merges groups in order 0..P-1 (awaiting each seal while a
-  /// pool job is open), stops at the lowest faulting group after every
-  /// group finished executing, then runs the deferred pass and finish_step.
-  void merge_step();
   /// Runs one group's share of the current step into step_ctx_[g].
   void execute_group(GroupId g, Cycle step_base);
   /// First merge pass for one group: observer events, stats deltas, metric
   /// counters, network aggregates, port drain + prefix ticket mapping,
-  /// prints and trace. Touches no flow state, so the stepping thread may run
-  /// it for group g while higher groups are still executing.
+  /// prints and trace. Touches no flow state.
   void stream_merge_group(GroupId g);
   /// Second merge pass for one group, after every group finished: join
   /// notices (decrement other groups' parents) and spawn creation/placement
@@ -542,15 +531,7 @@ class Machine {
   std::vector<std::pair<GroupId, std::uint32_t>> step_refs_;  ///< (src, module)
 
   std::vector<GroupCtx> step_ctx_;  ///< one effect buffer per group
-  std::unique_ptr<common::ThreadPool> pool_;  ///< nullptr => inline groups
-  /// One seal channel per group (with pool_): the worker publishes after
-  /// sealing its GroupCtx; the merge loop consumes them in group order while
-  /// higher groups still execute.
-  std::unique_ptr<common::EffectChannel[]> channels_;
-  std::function<void(std::size_t)> group_job_;  ///< the pool job of a step
-  bool job_open_ = false;  ///< a step's pool job is running
-  Cycle step_base_ = 0;    ///< cycle the current step's slots start at
-  double phase_t0_ = 0;    ///< host-span start of the current step phase
+  Cycle step_base_ = 0;  ///< cycle the current step's slots start at
 
   /// dist_cache_[g][m] = topology distance from group g to module-owner
   /// group m % P, precomputed so the per-reference hot path is a table load.

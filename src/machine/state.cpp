@@ -45,9 +45,8 @@ std::uint64_t config_fingerprint(const MachineConfig& cfg) {
   fp.mix(static_cast<std::uint64_t>(cfg.operand_storage));
   fp.mix(cfg.register_spill_penalty);
   fp.mix(cfg.functional_units);
-  // host_threads, record_trace, sample_every, profile_host, profile:
-  // hosting and observation settings, not semantics — excluded so
-  // checkpoints move across them.
+  // record_trace, sample_every, profile_host, profile: observation
+  // settings, not semantics — excluded so checkpoints move across them.
   //
   // The heterogeneous shape is semantics: per-group T_p changes buffer
   // capacity, clocks and fills change every step's cost, NUMA rows change

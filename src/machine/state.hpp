@@ -12,9 +12,9 @@
 // contract.
 //
 // Checkpoints are guarded by two FNV-1a fingerprints: one over the machine
-// configuration (excluding host_threads and the instrumentation knobs, so a
-// checkpoint taken at --host-threads 8 restores into a 1-thread machine and
-// vice versa) and one over the loaded program.
+// configuration (excluding the instrumentation knobs, so a checkpoint taken
+// with --profile restores into a machine without it and vice versa) and one
+// over the loaded program.
 #pragma once
 
 #include <cstdint>
@@ -94,9 +94,9 @@ FlowState capture_flow_state(const TcfDescriptor& f);
 void install_flow_state(TcfDescriptor& f, const FlowState& fs);
 
 /// FNV-1a fingerprint of the semantically relevant configuration fields.
-/// host_threads, record_trace, sample_every and profile_host are excluded:
-/// they change how a run is *observed*, never what it computes, so
-/// checkpoints stay portable across host thread counts and telemetry knobs.
+/// record_trace, sample_every, profile_host and profile are excluded: they
+/// change how a run is *observed*, never what it computes, so checkpoints
+/// stay portable across telemetry knobs.
 std::uint64_t config_fingerprint(const MachineConfig& cfg);
 
 /// FNV-1a fingerprint over the program's instruction encodings and data

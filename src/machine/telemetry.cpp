@@ -16,7 +16,6 @@ MetaPairs run_metadata(const Machine& m, const MetaPairs& extra) {
   meta.emplace_back("variant", to_string(cfg.variant));
   meta.emplace_back("groups", std::to_string(cfg.groups));
   meta.emplace_back("slots_per_group", std::to_string(cfg.slots_per_group));
-  meta.emplace_back("host_threads", std::to_string(cfg.host_threads));
   meta.emplace_back("crcw", mem::to_string(cfg.crcw));
   meta.emplace_back("machine_shape", shape_summary(cfg));
   return meta;

@@ -5,10 +5,9 @@
 //  - metrics_json_document: run metadata + the machine's full metrics
 //    registry snapshot as a nested JSON object (one subtree per subsystem:
 //    "net", "mem", "sched", "machine") + the optional per-step time series
-//    (cfg.sample_every). The snapshot is bit-identical for every
-//    cfg.host_threads value — per-group lane counts are added at the step
-//    barrier in group order — so two runs of the same program at different
-//    host parallelism produce byte-identical "metrics" subtrees.
+//    (cfg.sample_every). The snapshot holds only simulated counts — no
+//    wall-clock value enters the registry — so two runs of the same program
+//    and config produce byte-identical "metrics" subtrees.
 //
 //  - trace_json_document: the Chrome trace-event / Perfetto rendering of the
 //    simulated schedule (cfg.record_trace) and the host-side phase timings

@@ -99,15 +99,14 @@ struct LaneRun {
 /// (pre-step) state — safe to perform concurrently, since nothing mutates
 /// the store mid-step — while writes and multioperations are buffered in
 /// issue order. Traffic accounting is order-insensitive, so the port
-/// pre-aggregates it per module during the parallel phase (the caller
+/// pre-aggregates it per module during the group phase (the caller
 /// supplies the per-module counts, which it already computed for the
 /// network term); the barrier-side drain then adds P short count vectors
 /// instead of replaying every access. Unit-stride write runs stay runs
 /// while they ascend without overlap; any other write is a per-lane
-/// record, and seal() sorts and collapses the records on the worker
-/// thread. Draining ports in a fixed group order keeps traffic counters,
-/// CRCW checks and multiprefix ticket numbering bit-identical to a
-/// sequential run.
+/// record, and seal() sorts and collapses the records at the end of the
+/// group's phase. Draining ports in a fixed group order keeps traffic
+/// counters, CRCW checks and multiprefix ticket numbering in group order.
 class MemoryPort {
  public:
   MemoryPort() = default;
@@ -141,8 +140,8 @@ class MemoryPort {
   /// to the last staged value (program order within the port); records
   /// already in strict (addr, lane) order are left as they are. Afterwards
   /// they are strictly ordered. Staged unit runs need nothing: they ascend
-  /// without overlap. Safe to call on a worker thread at the end of the
-  /// group phase; drain() requires it.
+  /// without overlap. Called at the end of the group phase; drain()
+  /// requires it.
   void seal();
 
   bool empty() const {

@@ -14,10 +14,10 @@
 // Backpressure contract: when the ring (or the log queue) is full the record
 // is dropped on the spot and a BusStats counter is bumped. The producer
 // never waits, so a run's simulated results — memory image, PRINT output,
-// metrics document, journal — are bit-identical with streaming on or off,
-// at every --host-threads value. Drops are host-timing noise, which is why
-// they are reported on the stream itself (run_end "obs" object) and never
-// enter the machine's metrics registry.
+// metrics document, journal — are bit-identical with streaming on or off.
+// Drops are host-timing noise, which is why they are reported on the stream
+// itself (run_end "obs" object) and never enter the machine's metrics
+// registry.
 //
 // Destinations: a file path, "-" for stdout, or "unix:PATH" — connect to a
 // listening UNIX stream socket (tcfmon --listen owns the listening side).

@@ -5,8 +5,8 @@
 // cost decomposition made exhaustive: a closed world of ten terms such that
 // the per-key totals sum *exactly* to MachineStats::cycles — the "cycles
 // conserve" invariant the profiler tests assert. Cells accumulate per
-// GroupCtx during the parallel phase and merge at the step barrier in group
-// order, so a profile is bit-identical for every --host-threads value.
+// GroupCtx during the group phase and merge at the step barrier in group
+// order, so a profile is a function of the program and config alone.
 //
 // On top of the raw cells, a bounded per-step record tape (slot / network /
 // fault-delay components of each step) drives the critical-path analyzer
@@ -199,7 +199,7 @@ struct Profile {
 /// `weights` (sum > 0) into integer shares that sum exactly to `total`,
 /// proportional to the weights. Remainder units go to the bins with the
 /// largest fractional remainders, ties resolved toward the lower index —
-/// a pure function of (total, weights), independent of host threading.
+/// a pure function of (total, weights).
 std::vector<Cycle> apportion(Cycle total, const std::vector<Cycle>& weights);
 
 }  // namespace tcfpn::prof

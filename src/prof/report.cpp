@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <iomanip>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -162,8 +163,8 @@ bool parse_what_if(std::string_view spec, WhatIf* out) {
   return true;
 }
 
-Cycle what_if_cycles(const Profile& p, Cycle total_cycles,
-                     const std::vector<WhatIf>& mods) {
+std::optional<Cycle> what_if_cycles(const Profile& p, Cycle total_cycles,
+                                    const std::vector<WhatIf>& mods) {
   double f_compute = 1.0, f_net = 1.0, f_fault = 1.0, f_fill = 1.0;
   for (const WhatIf& m : mods) {
     switch (m.term) {
@@ -188,7 +189,12 @@ Cycle what_if_cycles(const Profile& p, Cycle total_cycles,
   // tail) are not re-costable; they carry over unscaled — the Amdahl
   // serial fraction of the estimate.
   const Cycle other = total_cycles - std::min(total_cycles, stepped);
-  return other + static_cast<Cycle>(std::llround(recost));
+  // 2^64 is exact in a double; the negated test also rejects a NaN.
+  constexpr double kCycleRange = 18446744073709551616.0;
+  if (!(recost < kCycleRange)) return std::nullopt;
+  const Cycle scaled = static_cast<Cycle>(std::round(recost));
+  if (scaled > std::numeric_limits<Cycle>::max() - other) return std::nullopt;
+  return other + scaled;
 }
 
 bool hotspot_by_from_string(std::string_view name, HotspotBy* out) {
@@ -342,20 +348,32 @@ std::string report_steps(const Profile& p, const RunInfo& run,
          << "%)\n";
     }
   }
+  constexpr const char* kOutOfRange =
+      "out of the 64-bit cycle range (2^64 cycles or more)";
   for (const WhatIf& w : what_ifs) {
-    const Cycle re = what_if_cycles(p, run.cycles, {w});
     os << "what-if " << to_string(w.term) << ":" << fixed(w.factor, 2)
-       << "x -> " << re << " cycles ("
+       << "x -> ";
+    const std::optional<Cycle> re = what_if_cycles(p, run.cycles, {w});
+    if (!re) {
+      os << kOutOfRange << "\n";
+      continue;
+    }
+    os << *re << " cycles ("
        << fixed(run.cycles == 0
                     ? 0.0
-                    : static_cast<double>(re) /
+                    : static_cast<double>(*re) /
                           static_cast<double>(run.cycles),
                 2)
        << "x of " << run.cycles << ")\n";
   }
   if (what_ifs.size() > 1) {
-    const Cycle re = what_if_cycles(p, run.cycles, what_ifs);
-    os << "what-if combined -> " << re << " cycles\n";
+    const std::optional<Cycle> re = what_if_cycles(p, run.cycles, what_ifs);
+    os << "what-if combined -> ";
+    if (re) {
+      os << *re << " cycles\n";
+    } else {
+      os << kOutOfRange << "\n";
+    }
   }
   return os.str();
 }

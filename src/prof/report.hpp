@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -45,8 +46,10 @@ bool parse_what_if(std::string_view spec, WhatIf* out);
 /// fill·f_fill + max(slot·f_compute, net·f_net + fault·f_fault); cycles
 /// outside the recorded steps (switch/sched charges, truncated tail) are
 /// carried over unscaled. With empty `mods` this returns `total_cycles`.
-Cycle what_if_cycles(const Profile& p, Cycle total_cycles,
-                     const std::vector<WhatIf>& mods);
+/// Returns nullopt when the prediction is 2^64 cycles or more, which no
+/// Cycle can hold.
+std::optional<Cycle> what_if_cycles(const Profile& p, Cycle total_cycles,
+                                    const std::vector<WhatIf>& mods);
 
 /// Aggregation axis for the hotspots report.
 enum class HotspotBy : std::uint8_t { kPc = 0, kTcf, kGroup, kTerm };

@@ -6,10 +6,10 @@
 // faults — killed/stalled groups, dropped/delayed network replies, failed
 // local-memory blocks, flipped shared-memory bits — as a *pure function of
 // (seed, step, group)*. No host state, no wall clock, no allocation order
-// enters the derivation, so the schedule is bit-identical for every
-// --host-threads value and, crucially, re-arises unchanged when a rollback
-// replays the same steps (already-handled occurrences are filtered through
-// a fired set so recovery cannot livelock on its own fault).
+// enters the derivation, so the schedule is bit-identical across reruns
+// and, crucially, re-arises unchanged when a rollback replays the same
+// steps (already-handled occurrences are filtered through a fired set so
+// recovery cannot livelock on its own fault).
 //
 // Faults are injected at step boundaries only. The simulator commits all
 // effects at the barrier, so a boundary fault is the model-level analogue

@@ -20,8 +20,7 @@
 //      off: any fatal fault ends the run unrecovered.
 //
 // All handling happens at step boundaries, on barrier-side state, so the
-// fault schedule *and* the recovery path are bit-identical for every
-// --host-threads value.
+// fault schedule *and* the recovery path are bit-identical across reruns.
 #pragma once
 
 #include <cstdint>

@@ -3,13 +3,12 @@
 // beneficial to allocate horizontally T_application/P-wide TCFs from each
 // processor core rather than ... vertically").
 //
-// Threading contract under host-parallel stepping (machine.hpp): allocation
-// hooks run at the step barrier (deferred SPAWN placement) on the thread
-// that called Machine::step — never from the worker pool and never
-// concurrently — so they may freely read machine state. Spawn splitters run
-// at SPAWN execution time, possibly on a worker-pool thread, and therefore
+// Hook contract (machine.hpp): allocation hooks run at the step barrier
+// (deferred SPAWN placement), after every group executed the step, so they
+// may freely read machine state. Spawn splitters run
+// at SPAWN execution time, in the middle of a group's phase, and therefore
 // must stay pure functions of the thickness argument (as the ones installed
-// here are); placement then stays bit-identical for every host_threads.
+// here are); placement then follows group order alone.
 #pragma once
 
 #include <vector>

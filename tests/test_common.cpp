@@ -1,27 +1,16 @@
 // Unit tests for src/common: RNG determinism and distributions, statistics
-// accumulators, table rendering, trace rendering, check macros, thread-pool
-// exception propagation.
+// accumulators, table rendering, trace rendering, check macros and the
+// store-forwarding write buffer.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
-#include <cmath>
-#include <condition_variable>
-#include <cstdio>
-#include <cstdlib>
-#include <functional>
-#include <mutex>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/effect_channel.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "common/thread_pool.hpp"
 #include "common/trace.hpp"
 #include "machine/write_buffer.hpp"
 
@@ -231,261 +220,6 @@ TEST(Trace, BackwardsSpanThrows) {
   ScheduleTrace tr;
   tr.set_enabled(true);
   EXPECT_THROW(tr.add(0, 5, 3, 'A', "bad"), SimError);
-}
-
-// ---- ThreadPool: begin / try_run_one / end ----
-
-/// One whole job: begin, then end() as the completion barrier.
-void run_job(common::ThreadPool& pool, std::size_t n,
-             const std::function<void(std::size_t)>& fn) {
-  pool.begin(n, fn);
-  pool.end();
-}
-
-// A worker exception must be captured and rethrown by end() on the calling
-// thread — before the hardening it unwound a worker thread and
-// std::terminate'd the whole process.
-TEST(ThreadPool, WorkerExceptionRethrownAtBarrier) {
-  common::ThreadPool pool(4);
-  std::atomic<int> completed{0};
-  EXPECT_THROW(run_job(pool, 64,
-                       [&](std::size_t i) {
-                         if (i >= 5) TCFPN_FAULT("index ", i, " exploded");
-                         completed.fetch_add(1, std::memory_order_relaxed);
-                       }),
-               SimError);
-  // Every non-throwing index still ran: the job drains fully before end()
-  // rethrows.
-  EXPECT_EQ(completed.load(), 5);
-}
-
-// With several faulting indices the *lowest* one surfaces, independent of
-// which worker hit which index first — the deterministic-error contract.
-TEST(ThreadPool, LowestFaultingIndexWins) {
-  common::ThreadPool pool(8);
-  for (int round = 0; round < 20; ++round) {
-    try {
-      run_job(pool, 128, [&](std::size_t i) {
-        if (i % 2 == 1) TCFPN_FAULT("index ", i, " exploded");
-      });
-      FAIL() << "end() did not throw";
-    } catch (const SimError& e) {
-      EXPECT_NE(std::string(e.what()).find("index 1 exploded"),
-                std::string::npos)
-          << "surfaced: " << e.what();
-    }
-  }
-}
-
-// The pool stays usable after a throwing job: end() clears the error state,
-// later jobs run normally.
-TEST(ThreadPool, ReusableAfterException) {
-  common::ThreadPool pool(4);
-  EXPECT_THROW(run_job(pool, 8, [](std::size_t) { TCFPN_FAULT("boom"); }),
-               SimError);
-  std::atomic<int> sum{0};
-  run_job(pool, 100, [&](std::size_t i) {
-    sum.fetch_add(static_cast<int>(i), std::memory_order_relaxed);
-  });
-  EXPECT_EQ(sum.load(), 4950);
-}
-
-// Exceptions on the calling thread's own share take the same path.
-TEST(ThreadPool, SingleThreadPoolStillThrows) {
-  common::ThreadPool pool(1);
-  EXPECT_THROW(run_job(pool, 4,
-                       [](std::size_t i) {
-                         if (i == 2) TCFPN_FAULT("index ", i, " exploded");
-                       }),
-               SimError);
-}
-
-// The caller may do unrelated work between begin() and end(); every index
-// still runs exactly once, and end() is the completion barrier.
-TEST(ThreadPool, StreamingJobRunsEveryIndexOnce) {
-  common::ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(257);
-  for (auto& h : hits) h.store(0);
-  const std::function<void(std::size_t)> fn = [&](std::size_t i) {
-    hits[i].fetch_add(1, std::memory_order_relaxed);
-  };
-  pool.begin(hits.size(), fn);
-  pool.end();
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-// try_run_one lets the calling thread steal indices while the job is open;
-// with no workers at all it is the only executor and must drain the job.
-TEST(ThreadPool, CallerDrainsStreamingJobAlone) {
-  common::ThreadPool pool(1);  // no workers
-  std::atomic<int> sum{0};
-  const std::function<void(std::size_t)> fn = [&](std::size_t i) {
-    sum.fetch_add(static_cast<int>(i), std::memory_order_relaxed);
-  };
-  pool.begin(100, fn);
-  int stolen = 0;
-  while (pool.try_run_one()) ++stolen;
-  pool.end();
-  EXPECT_EQ(stolen, 100);
-  EXPECT_EQ(sum.load(), 4950);
-}
-
-// The lowest faulting index wins on every round of a reused pool, and the
-// pool still runs a clean job afterwards.
-TEST(ThreadPool, StreamingEndRethrowsLowestIndex) {
-  common::ThreadPool pool(8);
-  const std::function<void(std::size_t)> fn = [](std::size_t i) {
-    if (i % 3 == 2) TCFPN_FAULT("index ", i, " exploded");
-  };
-  for (int round = 0; round < 10; ++round) {
-    pool.begin(96, fn);
-    try {
-      pool.end();
-      FAIL() << "end() did not throw";
-    } catch (const SimError& e) {
-      EXPECT_NE(std::string(e.what()).find("index 2 exploded"),
-                std::string::npos)
-          << "surfaced: " << e.what();
-    }
-  }
-  std::atomic<int> ran{0};
-  run_job(pool, 32, [&](std::size_t) {
-    ran.fetch_add(1, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(ran.load(), 32);
-}
-
-// A generation straggler — a worker that saw job N's claim word late — must
-// not leak work into job N+1. Back-to-back streaming jobs through the same
-// pool are the stress: any cross-job claim shows up as a double-run.
-TEST(ThreadPool, BackToBackStreamingJobsDoNotCrossTalk) {
-  common::ThreadPool pool(4);
-  for (int round = 0; round < 200; ++round) {
-    std::atomic<int> count{0};
-    const std::function<void(std::size_t)> fn = [&](std::size_t) {
-      count.fetch_add(1, std::memory_order_relaxed);
-    };
-    pool.begin(7, fn);
-    pool.end();
-    EXPECT_EQ(count.load(), 7) << "round " << round;
-  }
-}
-
-// ---- EffectChannel: SPSC seal handoff ----
-
-// publish() must make every prior producer write visible to a consumer that
-// observed the seal — the happens-before edge the streaming merge rides on.
-TEST(EffectChannel, PublishHandsOffPayload) {
-  common::EffectChannel ch;
-  std::uint64_t payload = 0;
-  std::thread producer([&] {
-    payload = 0xfeedface;
-    ch.publish();
-  });
-  ch.await();
-  EXPECT_TRUE(ch.ready());
-  EXPECT_EQ(payload, 0xfeedfaceu);
-  producer.join();
-}
-
-TEST(EffectChannel, ResetRearmsForTheNextStep) {
-  common::EffectChannel ch;
-  EXPECT_FALSE(ch.ready());
-  ch.publish();
-  EXPECT_TRUE(ch.ready());
-  ch.reset();
-  EXPECT_FALSE(ch.ready());
-  ch.publish();  // second step publishes again after re-arm
-  EXPECT_TRUE(ch.ready());
-  ch.await();    // already sealed: returns immediately
-}
-
-// ---- Lost wake-ups: store-then-notify under a deadline ----
-//
-// EffectChannel::publish() and ThreadPool::begin() store a flag and then
-// notify. If that store does not order the notifier's waiter check after
-// it, a thread that tested the flag and went to sleep in between is never
-// woken, and the handoff hangs. The two ping-pongs below run 500 000 rounds
-// each; a round that makes no progress for the stall deadline ends the
-// process with a message instead of hanging the suite.
-
-constexpr int kHandoffRounds = 500'000;
-constexpr auto kHandoffStall = std::chrono::seconds(30);
-
-/// Ends the process when `round` stops advancing for `stall`.
-class Watchdog {
- public:
-  Watchdog(const char* what, std::chrono::seconds stall)
-      : thread_([this, what, stall] {
-          std::unique_lock<std::mutex> lock(mu_);
-          int seen = -1;
-          while (!cv_.wait_for(lock, stall, [this] { return done_; })) {
-            const int now = round.load();
-            if (now == seen) {
-              std::fprintf(stderr, "%s: round %d made no progress in %lld s "
-                           "(lost wake-up)\n", what, now,
-                           static_cast<long long>(stall.count()));
-              std::_Exit(1);
-            }
-            seen = now;
-          }
-        }) {}
-  ~Watchdog() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      done_ = true;
-    }
-    cv_.notify_one();
-    thread_.join();
-  }
-  Watchdog(const Watchdog&) = delete;
-  Watchdog& operator=(const Watchdog&) = delete;
-
-  std::atomic<int> round{0};
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool done_ = false;
-  std::thread thread_;
-};
-
-TEST(LostWakeup, ChannelPingPong) {
-  common::EffectChannel ping, pong;
-  Watchdog dog("EffectChannel ping-pong", kHandoffStall);
-  std::thread partner([&] {
-    for (int r = 0; r < kHandoffRounds; ++r) {
-      ping.await();
-      ping.reset();  // the other side publishes ping again only after pong
-      pong.publish();
-    }
-  });
-  for (int r = 0; r < kHandoffRounds; ++r) {
-    dog.round.store(r, std::memory_order_relaxed);
-    ping.publish();
-    pong.await();
-    pong.reset();
-  }
-  partner.join();
-}
-
-// The engine's own handshake: begin() must wake the worker, whose publish()
-// must wake the stepping thread. The stepping thread never steals the job,
-// so a lost wake on either side stalls the round.
-TEST(LostWakeup, PoolAndChannelPingPong) {
-  common::ThreadPool pool(2);
-  common::EffectChannel sealed;
-  const std::function<void(std::size_t)> job = [&](std::size_t) {
-    sealed.publish();
-  };
-  Watchdog dog("ThreadPool/EffectChannel ping-pong", kHandoffStall);
-  for (int r = 0; r < kHandoffRounds; ++r) {
-    dog.round.store(r, std::memory_order_relaxed);
-    sealed.reset();
-    pool.begin(1, job);
-    sealed.await();
-    pool.end();
-  }
 }
 
 // ---- WriteBuffer: the store-forwarding log ----

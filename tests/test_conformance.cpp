@@ -19,12 +19,6 @@
 namespace tcfpn::conformance {
 namespace {
 
-DiffOptions quick_opts() {
-  DiffOptions opt;
-  opt.host_threads = {1, 3};  // keep ctest cheap; tcffuzz sweeps {1, 8}
-  return opt;
-}
-
 // ----- checked-in corpus ---------------------------------------------------
 
 TEST(Corpus, ReplayAgreesWithOracle) {
@@ -33,7 +27,7 @@ TEST(Corpus, ReplayAgreesWithOracle) {
   for (const auto& path : files) {
     const DiffCase c = load_case(path);
     ASSERT_FALSE(c.lanes.empty()) << path;
-    const auto div = run_differential(c, quick_opts());
+    const auto div = run_differential(c, DiffOptions{});
     EXPECT_FALSE(div.has_value())
         << path << ": " << (div ? div->lane + ": " + div->detail : "");
   }
@@ -64,7 +58,7 @@ TEST(Corpus, RoundTripsThroughSerializer) {
     EXPECT_EQ(back.policy, c.policy) << path;
     EXPECT_EQ(back.expect_error, c.expect_error) << path;
     EXPECT_EQ(back.lanes.size(), c.lanes.size()) << path;
-    const auto div = run_differential(back, quick_opts());
+    const auto div = run_differential(back, DiffOptions{});
     EXPECT_FALSE(div.has_value()) << path;
   }
 }
@@ -103,7 +97,7 @@ TEST(Generator, ProgramsAreWellFormed) {
 }
 
 TEST(Generator, DifferentialSmoke) {
-  const auto opt = quick_opts();
+  const DiffOptions opt;
   for (std::uint64_t seed = 1; seed <= 100; ++seed) {
     GenOptions gopt;
     gopt.seed = seed;
@@ -135,20 +129,20 @@ void expect_injected_bug_shrinks(const DiffOptions& broken) {
     EXPECT_TRUE(run_differential(c, broken).has_value());
     // ...and must pass cleanly against the correct oracle (it documents an
     // oracle bug, not a machine bug).
-    EXPECT_FALSE(run_differential(c, quick_opts()).has_value());
+    EXPECT_FALSE(run_differential(c, DiffOptions{}).has_value());
     return;
   }
   FAIL() << "no seed tripped the injected oracle bug";
 }
 
 TEST(Shrinker, MinimizesCommonCrcwCheckBug) {
-  DiffOptions opt = quick_opts();
+  DiffOptions opt;
   opt.oracle_skip_common = true;
   expect_injected_bug_shrinks(opt);
 }
 
 TEST(Shrinker, MinimizesMultiprefixOrderBug) {
-  DiffOptions opt = quick_opts();
+  DiffOptions opt;
   opt.oracle_reverse_prefix = true;
   expect_injected_bug_shrinks(opt);
 }

@@ -1,9 +1,8 @@
 // Flight recorder, checkpoint and time-travel tests (DESIGN.md §8).
 //
 // The central contract: a checkpoint taken at any step boundary, pushed
-// through the binary serializer and restored into a *fresh* machine —
-// possibly running a different --host-threads value — continues to a final
-// state bit-identical to an uncheckpointed run. "Bit-identical" here means
+// through the binary serializer and restored into a *fresh* machine
+// continues to a final state bit-identical to an uncheckpointed run. "Bit-identical" here means
 // the shared-memory image, every MachineStats counter, the metrics snapshot
 // (including float-valued accumulator fields) and the debug output; the
 // strongest form compares the serialized bytes of the two final
@@ -48,7 +47,7 @@ isa::Program with_arrays(isa::Program p) {
   return p;
 }
 
-MachineConfig base_cfg(Variant v, std::uint32_t host_threads) {
+MachineConfig base_cfg(Variant v) {
   MachineConfig cfg;
   cfg.groups = v == Variant::kFixedThickness ? 1 : 4;
   cfg.slots_per_group = 8;
@@ -56,7 +55,6 @@ MachineConfig base_cfg(Variant v, std::uint32_t host_threads) {
   cfg.local_words = 1 << 10;
   cfg.variant = v;
   cfg.balanced_bound = 8;
-  cfg.host_threads = host_threads;
   return cfg;
 }
 
@@ -129,9 +127,8 @@ void expect_identical(const FinalSnapshot& ref, const FinalSnapshot& got,
 
 /// Boots a variant, steps `k` committed steps, and returns the serialized
 /// checkpoint (asserting the program was still mid-run at the snapshot).
-std::vector<std::uint8_t> checkpoint_at(Variant v, std::uint32_t host_threads,
-                                        std::uint64_t k) {
-  Machine m(base_cfg(v, host_threads));
+std::vector<std::uint8_t> checkpoint_at(Variant v, std::uint64_t k) {
+  Machine m(base_cfg(v));
   m.load(program_for(v));
   boot_for(v, m);
   while (m.stats().steps < k) {
@@ -143,13 +140,12 @@ std::vector<std::uint8_t> checkpoint_at(Variant v, std::uint32_t host_threads,
 
 class CheckpointRoundTrip : public ::testing::TestWithParam<Variant> {};
 
-// Satellite: snapshot at step k, restore, re-run to completion, compare to
-// an uncheckpointed run — at 1 and 8 host threads, and crossing between them
-// (the config fingerprint deliberately excludes host_threads).
-TEST_P(CheckpointRoundTrip, BitIdenticalAcrossHostThreads) {
+// Snapshot at step k, restore, re-run to completion, compare to an
+// uncheckpointed run.
+TEST_P(CheckpointRoundTrip, BitIdenticalAfterRestore) {
   const Variant v = GetParam();
 
-  Machine ref1(base_cfg(v, 1));
+  Machine ref1(base_cfg(v));
   ref1.load(program_for(v));
   boot_for(v, ref1);
   const FinalSnapshot ref = finish(ref1);
@@ -160,47 +156,18 @@ TEST_P(CheckpointRoundTrip, BitIdenticalAcrossHostThreads) {
   const std::uint64_t kSnapshotStep = std::max<std::uint64_t>(
       1, std::min<std::uint64_t>(3, ref.stats.steps - 1));
 
-  const struct {
-    std::uint32_t save_threads, restore_threads;
-  } cross[] = {{1, 1}, {1, 8}, {8, 1}, {8, 8}};
-  for (const auto [save_ht, restore_ht] : cross) {
-    const std::vector<std::uint8_t> bytes =
-        checkpoint_at(v, save_ht, kSnapshotStep);
+  const std::vector<std::uint8_t> bytes = checkpoint_at(v, kSnapshotStep);
 
-    // The serializer round trip itself is bit-exact.
-    const MachineState state = deserialize(bytes);
-    EXPECT_EQ(bytes, serialize(state)) << to_string(v) << ": serializer";
+  // The serializer round trip itself is bit-exact.
+  const MachineState state = deserialize(bytes);
+  EXPECT_EQ(bytes, serialize(state)) << to_string(v) << ": serializer";
 
-    // Restore into a fresh, never-booted machine and run to completion.
-    Machine m(base_cfg(v, restore_ht));
-    m.load(program_for(v));
-    m.restore_state(state);
-    EXPECT_EQ(m.stats().steps, kSnapshotStep);
-    expect_identical(ref, finish(m),
-                     std::string(to_string(v)) + ": saved @" +
-                         std::to_string(save_ht) + " restored @" +
-                         std::to_string(restore_ht));
-  }
-}
-
-// The journal tape is part of the same determinism contract: identical for
-// every --host-threads value, event for event.
-TEST_P(CheckpointRoundTrip, JournalBitIdenticalAcrossHostThreads) {
-  const Variant v = GetParam();
-  auto tape = [&](std::uint32_t host_threads) {
-    Machine m(base_cfg(v, host_threads));
-    FlightRecorder rec(RecorderConfig{.checkpoint_every = 0});
-    rec.attach(m);
-    m.load(program_for(v));
-    boot_for(v, m);
-    m.run();
-    std::vector<machine::DebugEvent> events;
-    for (const auto& e : rec.journal().entries()) events.push_back(e.event);
-    return events;
-  };
-  const auto one = tape(1);
-  ASSERT_FALSE(one.empty());
-  EXPECT_EQ(one, tape(8)) << to_string(v);
+  // Restore into a fresh, never-booted machine and run to completion.
+  Machine m(base_cfg(v));
+  m.load(program_for(v));
+  m.restore_state(state);
+  EXPECT_EQ(m.stats().steps, kSnapshotStep);
+  expect_identical(ref, finish(m), std::string(to_string(v)) + ": restored");
 }
 
 // Acceptance: the debugger can goto an arbitrary step and back-step via
@@ -211,7 +178,7 @@ TEST_P(CheckpointRoundTrip, DebuggerTimeTravelMatchesStraightLine) {
 
   // Straight-line serialized state after exactly `target` committed steps.
   auto straight_line = [&](std::uint64_t target) {
-    Machine m(base_cfg(v, 1));
+    Machine m(base_cfg(v));
     m.load(program_for(v));
     boot_for(v, m);
     while (m.stats().steps < target && m.step()) {
@@ -221,7 +188,7 @@ TEST_P(CheckpointRoundTrip, DebuggerTimeTravelMatchesStraightLine) {
   };
 
   // Total steps of the full run, for picking travel targets.
-  Machine probe(base_cfg(v, 1));
+  Machine probe(base_cfg(v));
   probe.load(program_for(v));
   boot_for(v, probe);
   probe.run();
@@ -229,7 +196,7 @@ TEST_P(CheckpointRoundTrip, DebuggerTimeTravelMatchesStraightLine) {
   ASSERT_GE(total, 2u) << to_string(v);
   const StepId mid = std::max<StepId>(1, total / 2);
 
-  DebugSession dbg(base_cfg(v, 1), program_for(v),
+  DebugSession dbg(base_cfg(v), program_for(v),
                    [&](Machine& m) { boot_for(v, m); },
                    RecorderConfig{.checkpoint_every = 2});
   std::ostringstream sink;
@@ -272,7 +239,7 @@ INSTANTIATE_TEST_SUITE_P(
 // ---- serializer and restore guard rails ----
 
 TEST(CheckpointFormat, RejectsCorruptInput) {
-  Machine m(base_cfg(Variant::kSingleInstruction, 1));
+  Machine m(base_cfg(Variant::kSingleInstruction));
   m.load(program_for(Variant::kSingleInstruction));
   m.boot(1);
   std::vector<std::uint8_t> bytes = serialize(m.save_state());
@@ -290,27 +257,29 @@ TEST(CheckpointFormat, RejectsCorruptInput) {
 }
 
 TEST(CheckpointFormat, RestoreChecksFingerprints) {
-  Machine m(base_cfg(Variant::kSingleInstruction, 1));
+  Machine m(base_cfg(Variant::kSingleInstruction));
   m.load(program_for(Variant::kSingleInstruction));
   m.boot(1);
   const MachineState state = m.save_state();
 
   // Different semantic configuration: the CRCW policy is fingerprinted.
-  MachineConfig other_cfg = base_cfg(Variant::kSingleInstruction, 1);
+  MachineConfig other_cfg = base_cfg(Variant::kSingleInstruction);
   other_cfg.crcw = mem::CrcwPolicy::kCommon;
   Machine other(other_cfg);
   other.load(program_for(Variant::kSingleInstruction));
   EXPECT_THROW(other.restore_state(state), SimError);
 
   // Different program: the instruction stream is fingerprinted.
-  Machine prog(base_cfg(Variant::kSingleInstruction, 1));
+  Machine prog(base_cfg(Variant::kSingleInstruction));
   prog.load(program_for(Variant::kMultiInstruction));
   EXPECT_THROW(prog.restore_state(state), SimError);
 
-  // host_threads is an observation knob, not semantics: no fault.
-  Machine ht(base_cfg(Variant::kSingleInstruction, 8));
-  ht.load(program_for(Variant::kSingleInstruction));
-  EXPECT_NO_THROW(ht.restore_state(state));
+  // profile is an observation knob, not semantics: no fault.
+  MachineConfig profiled_cfg = base_cfg(Variant::kSingleInstruction);
+  profiled_cfg.profile = true;
+  Machine profiled(profiled_cfg);
+  profiled.load(program_for(Variant::kSingleInstruction));
+  EXPECT_NO_THROW(profiled.restore_state(state));
 }
 
 // The heterogeneous per-group config is semantics — per-group T_p changes
@@ -318,24 +287,24 @@ TEST(CheckpointFormat, RestoreChecksFingerprints) {
 // change the memory term — so it must be part of the config fingerprint and
 // a checkpoint must not restore across a shape change (DESIGN.md §12).
 TEST(CheckpointFormat, RestoreChecksHeterogeneousShapeFingerprint) {
-  MachineConfig shaped_cfg = base_cfg(Variant::kSingleInstruction, 1);
+  MachineConfig shaped_cfg = base_cfg(Variant::kSingleInstruction);
   machine::apply_shape(shaped_cfg, "fat-thin");
   Machine shaped(shaped_cfg);
   shaped.load(program_for(Variant::kSingleInstruction));
   shaped.boot(1);
   const MachineState state = shaped.save_state();
 
-  // Same shape, different host threads: restores (and round-trips the
+  // Same shape, an observation knob changed: restores (and round-trips the
   // serializer) fine.
   MachineConfig same_cfg = shaped_cfg;
-  same_cfg.host_threads = 8;
+  same_cfg.record_trace = true;
   Machine same(same_cfg);
   same.load(program_for(Variant::kSingleInstruction));
   EXPECT_NO_THROW(same.restore_state(deserialize(serialize(state))));
 
   // Uniform machine with identical groups/slots: the shape tag alone must
   // reject the restore.
-  Machine uniform(base_cfg(Variant::kSingleInstruction, 1));
+  Machine uniform(base_cfg(Variant::kSingleInstruction));
   uniform.load(program_for(Variant::kSingleInstruction));
   EXPECT_THROW(uniform.restore_state(state), SimError);
 
@@ -348,7 +317,7 @@ TEST(CheckpointFormat, RestoreChecksHeterogeneousShapeFingerprint) {
 
   // And the mirror image: a uniform checkpoint must not restore into a
   // shaped machine.
-  Machine plain(base_cfg(Variant::kSingleInstruction, 1));
+  Machine plain(base_cfg(Variant::kSingleInstruction));
   plain.load(program_for(Variant::kSingleInstruction));
   plain.boot(1);
   const MachineState plain_state = plain.save_state();
@@ -371,7 +340,7 @@ isa::Program oob_store_program(Word shared_words) {
 }
 
 TEST(PostMortem, FaultCapturedAndDocumentValid) {
-  const MachineConfig cfg = base_cfg(Variant::kSingleInstruction, 1);
+  const MachineConfig cfg = base_cfg(Variant::kSingleInstruction);
   DebugSession dbg(cfg, oob_store_program(cfg.shared_words),
                    [](Machine& m) { m.boot(1); });
   std::ostringstream sink;

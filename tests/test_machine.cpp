@@ -496,11 +496,10 @@ TEST(MachineConfigChecks, BootValidation) {
 // ---- The shared-memory lane sweep against the reference oracle ----
 //
 // A thick LD or ST runs as one sweep over its lanes (exec_shared_lanes).
-// Each case runs a program on the machine at host_threads 1, 2 and 8 and on
-// conformance::run_oracle, and requires the same final shared memory, PRINT
-// stream, completion and fault (message and class), plus the same cycles,
-// steps and traffic counters at every host-thread count. The pinned cycle
-// counts are the ones the lane-by-lane implementation charged.
+// Each case runs a program on the machine and on conformance::run_oracle,
+// and requires the same final shared memory, PRINT stream, completion and
+// fault (message and class). The pinned cycle counts are the ones the
+// lane-by-lane implementation charged.
 
 MachineConfig sweep_cfg() {
   MachineConfig cfg;
@@ -525,7 +524,6 @@ struct SweepOutcome {
   std::vector<Word> shared;
   std::vector<Word> prints;
   Cycle cycles = 0;
-  StepId steps = 0;
   std::uint64_t shared_reads = 0;
   std::uint64_t shared_writes = 0;
   std::uint64_t store_forwards = 0;
@@ -553,7 +551,6 @@ SweepOutcome run_sweep_case(const isa::Program& prog, Word thickness,
   }
   o.prints = m.debug_output();
   o.cycles = m.stats().cycles;
-  o.steps = m.stats().steps;
   o.shared_reads = m.metrics().counter("mem/shared_reads").value();
   o.shared_writes = m.metrics().counter("mem/shared_writes").value();
   o.store_forwards = m.metrics().counter("mem/store_forwards").value();
@@ -572,10 +569,11 @@ std::int64_t first_difference(const std::vector<Word>& a,
   return a.size() == b.size() ? -1 : static_cast<std::int64_t>(a.size());
 }
 
-/// Runs `src` on the oracle and on the machine at host_threads 1, 2 and 8,
-/// checks them as described above, and returns the host_threads=1 outcome.
+/// Runs `src` on the oracle and on the machine, checks them as described
+/// above, and returns the machine's outcome.
 SweepOutcome expect_sweep_matches_oracle(const std::string& src,
-                                         Word thickness, MachineConfig cfg,
+                                         Word thickness,
+                                         const MachineConfig& cfg,
                                          const MachineSetup& setup = {}) {
   const isa::Program prog = isa::assemble(src);
   conformance::OracleOptions oo;
@@ -584,31 +582,15 @@ SweepOutcome expect_sweep_matches_oracle(const std::string& src,
   oo.local_words = cfg.local_words;
   const conformance::OracleResult want =
       conformance::run_oracle(prog, thickness, 0, false, oo);
-  SweepOutcome first;
-  for (const std::uint32_t ht : {1u, 2u, 8u}) {
-    SCOPED_TRACE("host_threads=" + std::to_string(ht));
-    cfg.host_threads = ht;
-    const SweepOutcome got = run_sweep_case(prog, thickness, cfg, setup);
-    EXPECT_EQ(got.fault, want.fault);
-    EXPECT_EQ(debug::classify_fault(got.fault),
-              debug::classify_fault(want.fault));
-    EXPECT_EQ(got.completed, want.completed);
-    EXPECT_EQ(first_difference(got.shared, want.shared), -1)
-        << "shared memory differs from the oracle";
-    EXPECT_EQ(got.prints, want.debug);
-    if (ht == 1) {
-      first = got;
-      continue;
-    }
-    EXPECT_EQ(got.cycles, first.cycles);
-    EXPECT_EQ(got.steps, first.steps);
-    EXPECT_EQ(got.shared_reads, first.shared_reads);
-    EXPECT_EQ(got.shared_writes, first.shared_writes);
-    EXPECT_EQ(got.store_forwards, first.store_forwards);
-    EXPECT_EQ(got.write_cells, first.write_cells);
-    EXPECT_EQ(got.concurrent_cells, first.concurrent_cells);
-  }
-  return first;
+  const SweepOutcome got = run_sweep_case(prog, thickness, cfg, setup);
+  EXPECT_EQ(got.fault, want.fault);
+  EXPECT_EQ(debug::classify_fault(got.fault),
+            debug::classify_fault(want.fault));
+  EXPECT_EQ(got.completed, want.completed);
+  EXPECT_EQ(first_difference(got.shared, want.shared), -1)
+      << "shared memory differs from the oracle";
+  EXPECT_EQ(got.prints, want.debug);
+  return got;
 }
 
 TEST(MachineSweep, LaneAndPlainAddressingAndR0MatchOracle) {

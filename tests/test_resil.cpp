@@ -1,10 +1,8 @@
 // Resilience subsystem tests (DESIGN.md §9).
 //
 // The central contracts:
-//  - the fault schedule and the whole recovery path are a pure function of
-//    (seed, step, group): a fault-injected run is bit-identical — journal
-//    tape, metrics snapshot, memory image, cycle counts — at --host-threads
-//    1, 2 and 8;
+//  - the fault schedule is a pure function of (seed, step, group), so it
+//    re-arises unchanged when a rollback replays the same steps;
 //  - checkpoint-rollback recovery is invisible: a run that took injected
 //    faults and rolled back ends with the same completion status, memory
 //    image and PRINT output as the fault-free run, on every variant;
@@ -47,7 +45,7 @@ isa::Program with_arrays(isa::Program p) {
   return p;
 }
 
-MachineConfig base_cfg(Variant v, std::uint32_t host_threads) {
+MachineConfig base_cfg(Variant v) {
   MachineConfig cfg;
   cfg.groups = v == Variant::kFixedThickness ? 1 : 4;
   cfg.slots_per_group = 8;
@@ -55,7 +53,6 @@ MachineConfig base_cfg(Variant v, std::uint32_t host_threads) {
   cfg.local_words = 1 << 10;
   cfg.variant = v;
   cfg.balanced_bound = 8;
-  cfg.host_threads = host_threads;
   return cfg;
 }
 
@@ -95,14 +92,13 @@ struct ResilSnapshot {
   ResilResult result;
   std::vector<Word> memory;
   MachineStats stats;
-  metrics::MetricsSnapshot metrics;
   std::vector<Word> debug;
   std::vector<machine::DebugEvent> journal;
 };
 
-ResilSnapshot run_resilient(Variant v, std::uint32_t host_threads,
-                            const FaultSpec& spec, RecoverMode mode) {
-  Machine m(base_cfg(v, host_threads));
+ResilSnapshot run_resilient(Variant v, const FaultSpec& spec,
+                            RecoverMode mode) {
+  Machine m(base_cfg(v));
   m.load(program_for(v));
   boot_for(v, m);
   ResilConfig rc;
@@ -116,7 +112,6 @@ ResilSnapshot run_resilient(Variant v, std::uint32_t host_threads,
     s.memory.push_back(m.shared().peek(a));
   }
   s.stats = m.stats();
-  s.metrics = m.metrics_snapshot();
   s.debug = m.debug_output();
   for (const auto& e : ex.recorder().journal().entries()) {
     s.journal.push_back(e.event);
@@ -126,7 +121,7 @@ ResilSnapshot run_resilient(Variant v, std::uint32_t host_threads,
 
 /// The fault-free reference for a variant (no injector, no recorder).
 ResilSnapshot run_clean(Variant v) {
-  Machine m(base_cfg(v, 1));
+  Machine m(base_cfg(v));
   m.load(program_for(v));
   boot_for(v, m);
   ResilSnapshot s;
@@ -143,46 +138,6 @@ ResilSnapshot run_clean(Variant v) {
 
 class ResilVariants : public ::testing::TestWithParam<Variant> {};
 
-// Determinism: the fault schedule and every recovery action happen at step
-// boundaries on barrier-side state, so a fault-injected run is bit-identical
-// at --host-threads 1, 2 and 8 — journal tape, metrics document, stats
-// (cycles included) and final memory image.
-TEST_P(ResilVariants, FaultedRunBitIdenticalAcrossHostThreads) {
-  const Variant v = GetParam();
-  // The default rates are tuned for long fuzz runs; the short kernels here
-  // need hotter ones, plus one scripted flip so the comparison can never be
-  // vacuous on a variant whose run is only a handful of steps.
-  FaultSpec spec = default_spec_for_seed(7);
-  spec.drop_rate = 0.05;
-  spec.delay_rate = 0.05;
-  spec.stall_rate = 0.03;
-  spec.flip_rate = 0.02;
-  spec.scripted.push_back({1, FaultKind::kBitFlip, kC});
-  const ResilSnapshot ref = run_resilient(v, 1, spec, RecoverMode::kRollback);
-  EXPECT_GE(ref.result.resil.faults_injected, 1u)
-      << machine::to_string(v) << ": schedule injected nothing — the "
-      << "determinism comparison would be vacuous";
-  for (std::uint32_t ht : {2u, 8u}) {
-    const ResilSnapshot got =
-        run_resilient(v, ht, spec, RecoverMode::kRollback);
-    const std::string what =
-        std::string(machine::to_string(v)) + " ht=" + std::to_string(ht);
-    EXPECT_EQ(ref.journal, got.journal) << what << ": journal tape";
-    EXPECT_TRUE(ref.metrics == got.metrics) << what << ": metrics snapshot";
-    EXPECT_TRUE(ref.stats == got.stats) << what << ": MachineStats";
-    EXPECT_EQ(ref.memory, got.memory) << what << ": shared-memory image";
-    EXPECT_EQ(ref.debug, got.debug) << what << ": debug output";
-    EXPECT_EQ(ref.result.run.completed, got.result.run.completed) << what;
-    EXPECT_EQ(ref.result.faulted, got.result.faulted) << what;
-    EXPECT_EQ(ref.result.resil.faults_injected,
-              got.result.resil.faults_injected) << what;
-    EXPECT_EQ(ref.result.resil.rollbacks, got.result.resil.rollbacks) << what;
-    EXPECT_EQ(ref.result.resil.retries, got.result.resil.retries) << what;
-    EXPECT_EQ(ref.result.resil.steps_lost, got.result.resil.steps_lost)
-        << what;
-  }
-}
-
 // Acceptance: a guaranteed-fatal scripted fault (a bit flip into the result
 // region) recovered by rollback ends bit-identical to the fault-free run —
 // completion, memory image, PRINT output — with at least one rollback
@@ -196,8 +151,7 @@ TEST_P(ResilVariants, RollbackRecoversBitIdenticalToFaultFree) {
   FaultSpec spec;
   spec.seed = 5;
   spec.scripted.push_back({1, FaultKind::kBitFlip, kC + 1});
-  const ResilSnapshot got =
-      run_resilient(v, 1, spec, RecoverMode::kRollback);
+  const ResilSnapshot got = run_resilient(v, spec, RecoverMode::kRollback);
   EXPECT_FALSE(got.result.faulted) << got.result.fault_message;
   EXPECT_TRUE(got.result.run.completed) << machine::to_string(v);
   EXPECT_EQ(got.result.resil.faults_injected, 1u) << machine::to_string(v);
@@ -217,8 +171,7 @@ TEST_P(ResilVariants, RandomScheduleRollbackMatchesFaultFree) {
   ASSERT_TRUE(clean.result.run.completed) << machine::to_string(v);
 
   const FaultSpec spec = default_spec_for_seed(11);
-  const ResilSnapshot got =
-      run_resilient(v, 1, spec, RecoverMode::kRollback);
+  const ResilSnapshot got = run_resilient(v, spec, RecoverMode::kRollback);
   EXPECT_FALSE(got.result.faulted) << got.result.fault_message;
   EXPECT_TRUE(got.result.run.completed) << machine::to_string(v);
   EXPECT_EQ(clean.memory, got.memory) << machine::to_string(v);
@@ -251,7 +204,7 @@ TEST_P(DegradeVariants, GroupKillDegradesAndCompletes) {
   ASSERT_TRUE(clean.result.run.completed) << machine::to_string(v);
   ASSERT_GE(clean.stats.steps, 2u) << machine::to_string(v);
 
-  Machine m(base_cfg(v, 1));
+  Machine m(base_cfg(v));
   m.load(program_for(v));
   boot_for(v, m);
   ResilConfig rc;
@@ -304,8 +257,8 @@ TEST(Resil, DroppedReplyRetriesWithExponentialBackoff) {
   spec.seed = 3;
   spec.scripted.push_back({1, FaultKind::kNetDrop, 0});
   const ResilSnapshot clean = run_clean(Variant::kSingleInstruction);
-  const ResilSnapshot got = run_resilient(Variant::kSingleInstruction, 1,
-                                          spec, RecoverMode::kRollback);
+  const ResilSnapshot got =
+      run_resilient(Variant::kSingleInstruction, spec, RecoverMode::kRollback);
   EXPECT_TRUE(got.result.run.completed);
   EXPECT_EQ(got.result.resil.retries, spec.retries);
   EXPECT_EQ(got.result.resil.rollbacks, 0u);
@@ -329,15 +282,15 @@ TEST(Resil, StallPastWatchdogEscalatesToRollback) {
   spec.stall_cycles = 512;   // every draw (1x..8x) exceeds the watchdog
   spec.watchdog_cycles = 256;
   spec.scripted.push_back({1, FaultKind::kGroupStall, 2});
-  const ResilSnapshot got = run_resilient(Variant::kSingleInstruction, 1,
-                                          spec, RecoverMode::kRollback);
+  const ResilSnapshot got =
+      run_resilient(Variant::kSingleInstruction, spec, RecoverMode::kRollback);
   EXPECT_TRUE(got.result.run.completed);
   EXPECT_EQ(got.result.resil.watchdog_escalations, 1u);
   EXPECT_GE(got.result.resil.rollbacks, 1u);
 }
 
 TEST(Resil, MemFailDegradeRetiresGroupAndBlocksAccess) {
-  Machine m(base_cfg(Variant::kSingleInstruction, 1));
+  Machine m(base_cfg(Variant::kSingleInstruction));
   m.load(program_for(Variant::kSingleInstruction));
   m.boot(1);
   ResilConfig rc;
@@ -363,7 +316,7 @@ TEST(Resil, MemFailDegradeRetiresGroupAndBlocksAccess) {
 // least-loaded-survivor rehoming rule has no "next group" to fall off the
 // end onto.
 TEST(RetireGroup, HighestNumberedGroupRetiresAndRunCompletes) {
-  Machine m(base_cfg(Variant::kSingleInstruction, 1));
+  Machine m(base_cfg(Variant::kSingleInstruction));
   m.load(program_for(Variant::kSingleInstruction));
   m.boot(1);
   while (!m.done() && m.stats().steps < 2) m.step();
@@ -384,7 +337,7 @@ TEST(RetireGroup, HighestNumberedGroupRetiresAndRunCompletes) {
 // deaths were detected in: both orders rehome onto the same survivors.
 TEST(RetireGroup, TwoGroupsSameStepRetireDeterministically) {
   auto run_with_order = [](GroupId first, GroupId second) {
-    Machine m(base_cfg(Variant::kSingleInstruction, 1));
+    Machine m(base_cfg(Variant::kSingleInstruction));
     m.load(program_for(Variant::kSingleInstruction));
     m.boot(1);
     while (!m.done() && m.stats().steps < 2) m.step();
@@ -411,7 +364,7 @@ TEST(RetireGroup, TwoGroupsSameStepRetireDeterministically) {
 // The last surviving group can never be retired: degrade-to-zero is refused
 // loudly instead of wedging the machine with no group to run anything on.
 TEST(RetireGroup, LastSurvivorRefusesToRetire) {
-  Machine m(base_cfg(Variant::kSingleInstruction, 1));
+  Machine m(base_cfg(Variant::kSingleInstruction));
   m.load(program_for(Variant::kSingleInstruction));
   m.boot(1);
   while (!m.done() && m.stats().steps < 2) m.step();
@@ -429,8 +382,8 @@ TEST(Resil, OffModeDiesOnFatalFault) {
   FaultSpec spec;
   spec.seed = 8;
   spec.scripted.push_back({1, FaultKind::kGroupKill, 1});
-  const ResilSnapshot got = run_resilient(Variant::kSingleInstruction, 1,
-                                          spec, RecoverMode::kOff);
+  const ResilSnapshot got =
+      run_resilient(Variant::kSingleInstruction, spec, RecoverMode::kOff);
   EXPECT_TRUE(got.result.faulted);
   EXPECT_FALSE(got.result.run.completed);
   EXPECT_NE(got.result.fault_message.find("recovery is off"),
@@ -442,7 +395,7 @@ TEST(Resil, KillingLastSurvivorIsFatalInDegradeMode) {
   FaultSpec spec;
   spec.seed = 9;
   spec.scripted.push_back({1, FaultKind::kGroupKill, 0});
-  const ResilSnapshot got = run_resilient(Variant::kFixedThickness, 1, spec,
+  const ResilSnapshot got = run_resilient(Variant::kFixedThickness, spec,
                                           RecoverMode::kDegrade);
   EXPECT_TRUE(got.result.faulted);
   EXPECT_NE(got.result.fault_message.find("no surviving group"),

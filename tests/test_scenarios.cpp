@@ -1,7 +1,7 @@
 // Oracle-backed TCF scenario workloads (scenarios/*.tcf) run differentially
-// across machine variants, host-thread counts and machine shapes. The acceptance bar everywhere is bit-identity: full shared memory
-// and the PRINT stream must match the sequential oracle exactly, and runs
-// within a lane must agree down to the cycle count across host threads.
+// across machine variants and machine shapes. The acceptance bar everywhere
+// is bit-identity: full shared memory and the PRINT stream must match the
+// sequential oracle exactly.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -39,7 +39,7 @@ TEST(Scenarios, SuiteLoadsAllFiveWorkloads) {
 // ---- full sweeps per machine shape ----
 //
 // Each sweep covers: single-instruction + balanced:16 + balanced:4096
-// lanes, host threads {1, 2, 8}, and the placement-aware LPT lane. The
+// lanes and the placement-aware LPT lane. The
 // fault_seed additionally runs every variant lane under an injected fault
 // schedule recovered by checkpoint rollback — on heterogeneous shapes this
 // also exercises the per-group-config checkpoint fingerprint.

@@ -2,35 +2,29 @@
 """Compare a fresh bench run against the committed baseline.
 
 Handles two document kinds, keyed on the top-level shape:
-  * BENCH_parallel_step.json — the host-parallel stepping bench;
+  * BENCH_parallel_step.json — the stepping-engine bench;
   * BENCH_scenarios.json ("bench": "tcfpn-scenarios-v1") — the scenario
     workload suite across heterogeneous machine shapes. Rows are keyed by
     (scenario, shape, variant); the simulated cycle/step columns (and the
     Table-1 term split) must match the committed baseline EXACTLY, every
-    row must report oracle_match and bit_identical, and the three
-    canonical shapes (uniform, fat-thin, gpu) must all be covered.
+    row must report oracle_match, and the three canonical shapes (uniform,
+    fat-thin, gpu) must all be covered.
 
 Usage:
     cp BENCH_parallel_step.json /tmp/committed.json   # bench overwrites cwd
     ./build/bench/bench_parallel_step
     check_bench.py /tmp/committed.json BENCH_parallel_step.json
 
-Checks, oversubscription-aware (stdlib only):
+Checks (stdlib only):
   * both documents parse and describe the same workload and variant;
   * simulated_cycles and simulated_steps match EXACTLY — the simulated
     machine is deterministic, so any drift is a semantics change, not noise;
-  * every run row reports bit_identical (the bench's own cross-thread
-    differential passed);
-  * both documents cover the same host-thread counts;
-  * the fresh 8-thread speedup meets the floor (default 2.0x) when the
-    runner actually has >= 8 hardware threads — an oversubscribed row
-    measures the host scheduler, not the engine, and is never judged;
-  * wall-clock comparison against the committed row only when BOTH rows ran
-    non-oversubscribed (committed baselines may come from smaller machines),
-    with a generous tolerance since runners differ;
+  * the run's wall clock stays within --tolerance of the committed one,
+    a generous factor since runners differ;
   * the streaming telemetry lane (DESIGN.md §13) is present, bit-identical,
     actually produced a stream, and its best-of-3 wall-clock overhead stays
-    within --max-stream-overhead (default 5%).
+    within --max-stream-overhead (default 5%) when the runner has a spare
+    core for the sink thread.
 
 Exit status 0 on success; 1 with a diagnostic on the first failure.
 """
@@ -52,23 +46,10 @@ def load(path: str) -> dict:
     except (OSError, ValueError) as e:
         fail(f"{path}: {e}")
     for key in ("workload", "variant", "simulated_cycles", "simulated_steps",
-                "runs"):
+                "wall_clock_s"):
         if key not in doc:
             fail(f"{path}: missing '{key}'")
-    if not isinstance(doc["runs"], list) or not doc["runs"]:
-        fail(f"{path}: empty runs array")
     return doc
-
-
-def rows_by_threads(doc: dict, path: str) -> dict:
-    rows = {}
-    for row in doc["runs"]:
-        for key in ("host_threads", "wall_clock_s", "speedup",
-                    "bit_identical", "oversubscribed"):
-            if key not in row:
-                fail(f"{path}: run row missing '{key}': {row}")
-        rows[row["host_threads"]] = row
-    return rows
 
 
 SCENARIO_SCHEMA = "tcfpn-scenarios-v1"
@@ -76,7 +57,7 @@ SCENARIO_ROW_KEYS = ("scenario", "shape", "machine_shape", "variant",
                      "total_slots", "simulated_cycles", "simulated_steps",
                      "fill_cycles", "slot_cycles", "mem_cycles",
                      "switch_cycles", "utilization", "wall_clock_s",
-                     "oracle_match", "bit_identical")
+                     "oracle_match")
 SCENARIO_SHAPES = {"uniform", "fat-thin", "gpu"}
 # Semantics columns: deterministic simulation output, compared exactly.
 SCENARIO_EXACT = ("machine_shape", "total_slots", "simulated_cycles",
@@ -122,9 +103,6 @@ def check_scenarios(committed_path: str, fresh_path: str) -> None:
         c, f = committed[key], fresh[key]
         if not f["oracle_match"]:
             fail(f"{key}: fresh run diverged from the sequential oracle")
-        if not f["bit_identical"]:
-            fail(f"{key}: fresh run was not bit-identical across host "
-                 "threads")
         for col in SCENARIO_EXACT:
             if c[col] != f[col]:
                 fail(f"{key}: {col} drifted: committed {c[col]} vs fresh "
@@ -140,12 +118,8 @@ def main() -> None:
     ap.add_argument("fresh", help="the just-produced BENCH_parallel_step.json")
     ap.add_argument("--tolerance", type=float, default=3.0,
                     help="allowed wall-clock slowdown factor vs the committed "
-                         "row when both ran non-oversubscribed (default 3.0; "
-                         "runners differ, this catches order-of-magnitude "
-                         "regressions only)")
-    ap.add_argument("--min-speedup", type=float, default=2.0,
-                    help="8-thread speedup floor on non-oversubscribed "
-                         "runners (default 2.0)")
+                         "run (default 3.0; runners differ, this catches "
+                         "order-of-magnitude regressions only)")
     ap.add_argument("--max-stream-overhead", type=float, default=0.05,
                     help="allowed wall-clock overhead of the streaming "
                          "telemetry lane, as a fraction (default 0.05 = 5%%; "
@@ -178,28 +152,11 @@ def main() -> None:
             fail(f"{key} drifted: committed {committed[key]} vs fresh "
                  f"{fresh[key]} — the simulated schedule changed")
 
-    crows = rows_by_threads(committed, args.committed)
-    frows = rows_by_threads(fresh, args.fresh)
-    if set(crows) != set(frows):
-        fail(f"host-thread coverage changed: committed {sorted(crows)} vs "
-             f"fresh {sorted(frows)}")
-
-    for ht, row in sorted(frows.items()):
-        if not row["bit_identical"]:
-            fail(f"fresh run at {ht} host threads was not bit-identical to "
-                 "the single-threaded reference")
-
-    judged = 0
-    for ht in sorted(frows):
-        c, f = crows[ht], frows[ht]
-        if c["oversubscribed"] or f["oversubscribed"]:
-            continue  # scheduler noise, not engine performance
-        judged += 1
-        limit = c["wall_clock_s"] * args.tolerance
-        if f["wall_clock_s"] > limit:
-            fail(f"{ht}-thread wall clock regressed: {f['wall_clock_s']:.3f}s "
-                 f"vs committed {c['wall_clock_s']:.3f}s "
-                 f"(tolerance {args.tolerance:.1f}x)")
+    limit = committed["wall_clock_s"] * args.tolerance
+    if fresh["wall_clock_s"] > limit:
+        fail(f"wall clock regressed: {fresh['wall_clock_s']:.3f}s vs "
+             f"committed {committed['wall_clock_s']:.3f}s "
+             f"(tolerance {args.tolerance:.1f}x)")
 
     # Streaming telemetry lane (DESIGN.md §13): the bus must stay within the
     # overhead budget AND leave the simulated run bit-identical. The block is
@@ -224,25 +181,15 @@ def main() -> None:
     if streaming["oversubscribed"]:
         # The sink thread had no spare core: wall clock measured the host
         # scheduler time-slicing two threads on one core, not the
-        # producer-side cost — same non-judgment rule as the scaling rows.
+        # producer-side cost.
         print("check_bench: single-core host; streaming overhead not judged")
     elif streaming["overhead"] > args.max_stream_overhead:
         fail(f"streaming overhead {streaming['overhead'] * 100:.2f}% exceeds "
              f"the {args.max_stream_overhead * 100:.1f}% budget")
 
-    eight = frows.get(8)
-    if eight is not None and not eight["oversubscribed"]:
-        print(f"check_bench: 8-thread speedup {eight['speedup']:.3f}x")
-        if eight["speedup"] < args.min_speedup:
-            fail(f"8-thread speedup {eight['speedup']:.3f}x is below the "
-                 f"{args.min_speedup:.1f}x floor")
-    else:
-        hc = eight["hardware_concurrency"] if eight else "?"
-        print(f"check_bench: runner has {hc} hardware threads; "
-              "8-thread speedup not judged")
-
     print(f"check_bench: OK ({fresh['simulated_cycles']} simulated cycles, "
-          f"{len(frows)} thread counts, {judged} wall-clock rows judged)")
+          f"{fresh['simulated_steps']} steps, wall clock "
+          f"{fresh['wall_clock_s']:.3f}s)")
 
 
 if __name__ == "__main__":

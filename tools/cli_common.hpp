@@ -66,8 +66,6 @@ inline void usage(const char* tool, const char* what) {
       "  --bound=B         balanced-variant operation bound (default 16)\n"
       "  --topology=NAME   mesh2d (default), ring, hypercube, crossbar\n"
       "  --fu=N            functional units per processor (default 1)\n"
-      "  --host-threads=N  host threads driving the step loop (default 1);\n"
-      "                    simulated results are identical for every N\n"
       "  --trace           print the ASCII execution schedule\n"
       "  --listing         print the compiled/assembled instruction listing\n"
       "  --no-stats        suppress the statistics block\n"
@@ -227,11 +225,6 @@ inline bool parse_args(int argc, char** argv, const char* tool,
       }
     } else if (parse_flag(arg, "fu", &v)) {
       if (!parse_uint_as(v, "fu", 1, 1024, &opt->cfg.functional_units)) {
-        return false;
-      }
-    } else if (parse_flag(arg, "host-threads", &v)) {
-      if (!parse_uint_as(v, "host-threads", 1, 1024,
-                         &opt->cfg.host_threads)) {
         return false;
       }
     } else if (parse_flag(arg, "sample-every", &v)) {
@@ -479,7 +472,6 @@ class StreamSession {
                     {"variant", machine::to_string(opt.cfg.variant)},
                     {"groups", std::to_string(opt.cfg.groups)},
                     {"slots", std::to_string(opt.cfg.slots_per_group)},
-                    {"host_threads", std::to_string(opt.cfg.host_threads)},
                     {"stream_every", std::to_string(opt.stream_every)}};
     std::string err;
     bus_ = obs::Bus::open(cfg, &err);

@@ -1,9 +1,9 @@
 // tcffuzz — differential conformance fuzzer for the PRAM-NUMA simulator.
 //
 // Generates seeded random TCF programs, runs each through the sequential
-// reference oracle and every applicable machine variant / frontend /
-// host-thread count, and reports the first divergence as a delta-debugged
-// minimal reproducer in the corpus format (tests/corpus/*.s).
+// reference oracle and every applicable machine variant and frontend, and
+// reports the first divergence as a delta-debugged minimal reproducer in
+// the corpus format (tests/corpus/*.s).
 //
 // Exit codes: 0 all runs agree, 1 divergence found, 2 usage error.
 
@@ -48,7 +48,6 @@ void usage() {
       "  --seed=S          first seed; run i uses seed S+i (default 1)\n"
       "  --max-stmts=N     statement budget per generated body (default 18)\n"
       "  --variants=CSV    restrict machine lanes to these variants\n"
-      "  --host-threads=CSV host-thread counts to sweep (default 1,8)\n"
       "  --fault-seed=S    also run every machine lane under the deterministic\n"
       "                    fault schedule for seed S+i with rollback recovery;\n"
       "                    recovered runs must match the fault-free oracle\n"
@@ -73,9 +72,8 @@ void usage() {
 bool parse(int argc, char** argv, FuzzOptions* o) {
   // Accept both `--flag=value` and `--flag value` for the value options.
   static const char* kValueFlags[] = {
-      "--runs",    "--seed",   "--max-stmts",  "--variants",
-      "--host-threads", "--save", "--replay", "--inject-bug",
-      "--fault-seed",   "--shape-seed"};
+      "--runs",       "--seed",       "--max-stmts", "--variants", "--save",
+      "--replay",     "--inject-bug", "--fault-seed", "--shape-seed"};
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     for (const char* f : kValueFlags) {
@@ -129,19 +127,6 @@ bool parse(int argc, char** argv, FuzzOptions* o) {
         return false;
       }
       o->inject_bug = v;
-    } else if (cli::parse_flag(arg, "host-threads", &v)) {
-      o->diff.host_threads.clear();
-      std::size_t pos = 0;
-      while (pos <= v.size()) {
-        const std::size_t comma = std::min(v.find(',', pos), v.size());
-        std::uint64_t ht = 0;
-        if (!cli::parse_uint(v.substr(pos, comma - pos), "host-threads", 1,
-                             64, &ht)) {
-          return false;
-        }
-        o->diff.host_threads.push_back(static_cast<std::uint32_t>(ht));
-        pos = comma + 1;
-      }
     } else if (cli::parse_flag(arg, "variants", &v)) {
       std::size_t pos = 0;
       while (pos <= v.size()) {

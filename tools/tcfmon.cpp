@@ -156,11 +156,10 @@ void paint(const MonState& st) {
   if (st.header_seen) {
     const JsonValue* run = st.header.get("run");
     std::printf(
-        "  variant %s, P=%s Tp=%s, host-threads %s, cadence %s steps\n",
+        "  variant %s, P=%s Tp=%s, cadence %s steps\n",
         run->get_string("variant", "?").c_str(),
         run->get_string("groups", "?").c_str(),
         run->get_string("slots", "?").c_str(),
-        run->get_string("host_threads", "?").c_str(),
         run->get_string("stream_every", "?").c_str());
   }
   std::printf(

@@ -10,8 +10,8 @@
 // Accepts any input tcfrun/tcfasm accepts, plus tcffuzz corpus entries
 // (`; tcffuzz corpus v1` header) — a corpus reproducer profiles with its
 // recorded CRCW policy and boot directives. The profile is deterministic:
-// the same program and machine configuration produce byte-identical reports
-// at every --host-threads value.
+// the same program and machine configuration produce byte-identical
+// reports.
 //
 // Exit codes: 0 = completed, 1 = the profiled program faulted or hit the
 // step limit (requested reports are still rendered from the partial
