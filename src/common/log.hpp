@@ -18,7 +18,9 @@
 //
 // This core lives in src/common (below src/machine) so the machine and the
 // subsystems can log without depending on the bus; the bus plugs in from
-// above. Thread-safe: concurrent log() calls serialize per line.
+// above. Thread-safe: concurrent log() calls serialize per line. log()
+// calls the forwarder while holding its mutex, so a forwarder must never
+// log itself (obs::Bus formats and writes the line, and does not).
 #pragma once
 
 #include <functional>

@@ -1,8 +1,8 @@
 #include "common/metrics.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
-#include <sstream>
 
 #include "common/check.hpp"
 
@@ -219,148 +219,144 @@ void MetricsRegistry::merge(const MetricsRegistry& other) {
 // Snapshot
 // --------------------------------------------------------------------------
 
-MetricsSnapshot MetricsSnapshot::diff(const MetricsSnapshot& before,
-                                      const MetricsSnapshot& after) {
-  MetricsSnapshot out;
-  for (const auto& [path, a] : after.entries) {
-    MetricValue v = a;
-    const auto it = before.entries.find(path);
-    if (it != before.entries.end() && it->second.kind == a.kind) {
-      const MetricValue& b = it->second;
-      switch (a.kind) {
-        case InstrumentKind::kCounter:
-          v.count = a.count >= b.count ? a.count - b.count : 0;
-          break;
-        case InstrumentKind::kGauge:
-          break;  // levels don't subtract
-        case InstrumentKind::kAccumulator:
-          v.count = a.count >= b.count ? a.count - b.count : 0;
-          v.sum = a.sum - b.sum;
-          break;  // min/max/mean/variance stay the window-less values
-        case InstrumentKind::kHistogram:
-          v.count = a.count >= b.count ? a.count - b.count : 0;
-          for (std::size_t i = 0;
-               i < v.buckets.size() && i < b.buckets.size(); ++i) {
-            v.buckets[i] = a.buckets[i] >= b.buckets[i]
-                               ? a.buckets[i] - b.buckets[i]
-                               : 0;
-          }
-          break;
+MetricValue diff(const MetricValue& before, const MetricValue& after) {
+  MetricValue v = after;
+  if (before.kind != after.kind) return v;
+  const auto minus = [](std::uint64_t a, std::uint64_t b) {
+    return a >= b ? a - b : 0;
+  };
+  switch (after.kind) {
+    case InstrumentKind::kCounter:
+      v.count = minus(after.count, before.count);
+      break;
+    case InstrumentKind::kGauge:
+      break;  // levels don't subtract
+    case InstrumentKind::kAccumulator:
+      v.count = minus(after.count, before.count);
+      v.sum = after.sum - before.sum;
+      break;  // min/max/mean/variance stay the window-less values
+    case InstrumentKind::kHistogram:
+      v.count = minus(after.count, before.count);
+      for (std::size_t i = 0;
+           i < v.buckets.size() && i < before.buckets.size(); ++i) {
+        v.buckets[i] = minus(after.buckets[i], before.buckets[i]);
       }
-    }
-    out.entries.emplace(path, std::move(v));
+      break;
   }
-  return out;
+  return v;
+}
+
+void append_number(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    // The instruments never produce inf/nan; keep the exporter total anyway.
+    out += "null";
+    return;
+  }
+  char buf[32];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v,
+                                std::chars_format::general, 17)
+                      .ptr);
 }
 
 namespace {
-
-std::string fmt_double(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  std::string s(buf);
-  // JSON has no inf/nan literals; the instruments never produce them, but
-  // keep the exporter total anyway.
-  if (s.find("inf") != std::string::npos ||
-      s.find("nan") != std::string::npos) {
-    return "null";
-  }
-  return s;
-}
-
-void emit_value(std::ostringstream& os, const MetricValue& v,
-                const std::string& pad) {
-  os << to_json_leaf(v, pad);
-}
 
 using Iter = std::map<std::string, MetricValue>::const_iterator;
 
 /// Emits the entries of [it, end) that live under `prefix` (which is either
 /// empty or ends in '/') as one JSON object; advances `it` past them.
-void emit_tree(std::ostringstream& os, Iter& it, const Iter end,
+void emit_tree(std::string& out, Iter& it, const Iter end,
                const std::string& prefix, int depth, int indent) {
   const std::string pad(static_cast<std::size_t>(indent + 2 * depth), ' ');
   const std::string inner(static_cast<std::size_t>(indent + 2 * (depth + 1)),
                           ' ');
-  os << "{";
+  out += '{';
   bool first = true;
   while (it != end && it->first.rfind(prefix, 0) == 0) {
     const std::string rest = it->first.substr(prefix.size());
     const std::size_t slash = rest.find('/');
-    if (!first) os << ",";
-    os << "\n";
+    if (!first) out += ',';
+    out += '\n';
     first = false;
+    out += inner;
+    out += '"';
     if (slash == std::string::npos) {
-      os << inner << "\"" << json_escape(rest) << "\": ";
-      emit_value(os, it->second, inner);
+      json_escape(out, rest);
+      out += "\": ";
+      to_json_leaf(out, it->second, inner);
       ++it;
     } else {
       const std::string head = rest.substr(0, slash);
-      os << inner << "\"" << json_escape(head) << "\": ";
-      emit_tree(os, it, end, prefix + head + "/", depth + 1, indent);
+      json_escape(out, head);
+      out += "\": ";
+      emit_tree(out, it, end, prefix + head + "/", depth + 1, indent);
     }
   }
-  if (!first) os << "\n" << pad;
-  os << "}";
+  if (!first) {
+    out += '\n';
+    out += pad;
+  }
+  out += '}';
 }
 
 }  // namespace
 
 std::string MetricsSnapshot::to_json(int indent) const {
-  std::ostringstream os;
+  std::string out;
   Iter it = entries.begin();
-  emit_tree(os, it, entries.end(), "", 0, indent);
-  return os.str();
+  emit_tree(out, it, entries.end(), "", 0, indent);
+  return out;
 }
 
-std::string to_json_leaf(const MetricValue& v, const std::string& pretty_pad) {
-  std::ostringstream os;
-  os << "{\"type\": \"" << to_string(v.kind) << "\"";
+void to_json_leaf(std::string& out, const MetricValue& v,
+                  std::string_view pretty_pad) {
+  out += "{\"type\": \"";
+  out += to_string(v.kind);
+  out += '"';
   switch (v.kind) {
     case InstrumentKind::kCounter:
-      os << ", \"value\": " << v.count;
+      append_field(out, "value", v.count);
       break;
     case InstrumentKind::kGauge:
-      if (v.gauge_set) os << ", \"value\": " << fmt_double(v.value);
-      else os << ", \"value\": null";
+      if (v.gauge_set) append_field(out, "value", v.value);
+      else out += ", \"value\": null";
       break;
     case InstrumentKind::kAccumulator:
-      os << ", \"count\": " << v.count;
+      append_field(out, "count", v.count);
       if (v.count > 0) {
-        os << ", \"sum\": " << fmt_double(v.sum)
-           << ", \"min\": " << fmt_double(v.min)
-           << ", \"max\": " << fmt_double(v.max)
-           << ", \"mean\": " << fmt_double(v.mean)
-           << ", \"variance\": " << fmt_double(v.variance);
+        append_field(out, "sum", v.sum);
+        append_field(out, "min", v.min);
+        append_field(out, "max", v.max);
+        append_field(out, "mean", v.mean);
+        append_field(out, "variance", v.variance);
       }
       break;
     case InstrumentKind::kHistogram: {
-      os << ", \"count\": " << v.count << ", \"lo\": " << fmt_double(v.lo)
-         << ", \"hi\": " << fmt_double(v.hi) << ",";
+      append_field(out, "count", v.count);
+      append_field(out, "lo", v.lo);
+      append_field(out, "hi", v.hi);
       if (pretty_pad.empty()) {
-        os << " \"buckets\": [";
+        out += ", \"buckets\": [";
       } else {
-        os << "\n" << pretty_pad << "  \"buckets\": [";
+        out += ",\n";
+        out += pretty_pad;
+        out += "  \"buckets\": [";
       }
       for (std::size_t i = 0; i < v.buckets.size(); ++i) {
-        if (i) os << ", ";
-        os << v.buckets[i];
+        if (i) out += ", ";
+        append_number(out, v.buckets[i]);
       }
-      os << "]";
+      out += ']';
       break;
     }
   }
-  os << "}";
-  return os.str();
+  out += '}';
 }
 
 // --------------------------------------------------------------------------
 // JSON helpers
 // --------------------------------------------------------------------------
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
+void json_escape(std::string& out, std::string_view s) {
   for (char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -378,6 +374,12 @@ std::string json_escape(std::string_view s) {
         }
     }
   }
+}
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  json_escape(out, s);
   return out;
 }
 

@@ -21,14 +21,18 @@
 // group order and never the order in which the groups ran.
 //
 // snapshot() freezes all instruments into plain values; diff() subtracts the
-// monotone parts of two snapshots (per-phase attribution); to_json() nests
-// the path hierarchy into the machine-readable export behind --metrics-json.
+// monotone parts of two frozen leaves (the stream's window deltas); to_json()
+// nests the path hierarchy into the machine-readable export behind
+// --metrics-json.
 #pragma once
 
+#include <charconv>
+#include <concepts>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -103,6 +107,12 @@ struct RawInstrument {
   std::vector<std::uint64_t> buckets;   ///< histogram buckets
 };
 
+/// One leaf of a window: `after` less the monotone parts of `before`
+/// (counter value, accumulator count and sum, histogram count and buckets).
+/// Gauges and the non-subtractable accumulator moments (min/max/mean/
+/// variance) keep `after`'s values, and so does a leaf whose kind changed.
+MetricValue diff(const MetricValue& before, const MetricValue& after);
+
 /// Raw registry image: path -> raw instrument state, ordered by path.
 using RawMetrics = std::map<std::string, RawInstrument>;
 
@@ -112,13 +122,6 @@ struct MetricsSnapshot {
 
   bool operator==(const MetricsSnapshot&) const = default;
   bool empty() const { return entries.empty(); }
-
-  /// Subtracts the monotone parts (counter values, accumulator count/sum,
-  /// histogram buckets) of `before` from `after`; gauges and the
-  /// non-subtractable accumulator moments (min/max/mean/variance) keep
-  /// `after`'s values. Entries missing from `before` pass through unchanged.
-  static MetricsSnapshot diff(const MetricsSnapshot& before,
-                              const MetricsSnapshot& after);
 
   /// Nested JSON: path segments become nested objects, each leaf a typed
   /// object ({"type":"counter","value":N}, ...). `indent` is the base
@@ -185,17 +188,39 @@ class MetricsRegistry {
   std::map<std::string, Entry> entries_;
 };
 
-/// One instrument leaf as a JSON object ({"type": "counter", "value": N},
-/// ...). With `pretty_pad` empty the whole object stays on one line (the
-/// NDJSON stream export); otherwise histogram buckets break onto their own
-/// line indented under `pretty_pad` (the nested --metrics-json tree). Both
-/// paths emit identical values, which is what lets the stream validator
-/// compare the two exports leaf-for-leaf.
-std::string to_json_leaf(const MetricValue& v,
-                         const std::string& pretty_pad = "");
+/// Appends one instrument leaf as a JSON object ({"type": "counter",
+/// "value": N}, ...) to `out`. With `pretty_pad` empty the whole object
+/// stays on one line (the NDJSON stream export); otherwise histogram buckets
+/// break onto their own line indented under `pretty_pad` (the nested
+/// --metrics-json tree). Both paths emit identical values, which is what
+/// lets the stream validator compare the two exports leaf-for-leaf.
+void to_json_leaf(std::string& out, const MetricValue& v,
+                  std::string_view pretty_pad = {});
+
+/// Appends an integer in decimal (std::to_chars).
+template <std::integral Int>
+void append_number(std::string& out, Int v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+/// Appends a double with the digits of printf's "%.17g" (std::to_chars,
+/// general, precision 17). JSON has no inf/nan literals, so a non-finite
+/// value appends null.
+void append_number(std::string& out, double v);
+
+/// Appends `, "key": v` — one member after the first of a JSON object.
+template <typename Number>
+void append_field(std::string& out, std::string_view key, Number v) {
+  out += ", \"";
+  out += key;
+  out += "\": ";
+  append_number(out, v);
+}
 
 /// Escapes a string for embedding inside a JSON string literal (quotes not
-/// included).
+/// included): the appending form and the returning one.
+void json_escape(std::string& out, std::string_view s);
 std::string json_escape(std::string_view s);
 
 /// Minimal structural JSON validator (objects, arrays, strings, numbers,

@@ -1,12 +1,14 @@
 #include "obs/bus.hpp"
 
 #include <fcntl.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
-#include <chrono>
+#include <climits>
 #include <cstring>
 #include <utility>
 
@@ -60,21 +62,9 @@ int open_destination(const std::string& dest, bool* close_fd, bool* is_socket,
   return fd;
 }
 
-// Sockets use send(MSG_NOSIGNAL) so a hung-up tcfmon surfaces as EPIPE
-// instead of killing the producer with SIGPIPE. Retries short writes/EINTR.
-bool write_all(int fd, bool is_socket, const char* data, std::size_t len) {
-  while (len > 0) {
-    const ssize_t n =
-        is_socket ? ::send(fd, data, len, MSG_NOSIGNAL) : ::write(fd, data, len);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data += n;
-    len -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
+// A line that would push the unwritten bytes past this bound is dropped.
+// About 600 metrics lines of a 26-instrument registry.
+constexpr std::size_t kMaxPendingBytes = std::size_t{1} << 20;
 
 }  // namespace
 
@@ -86,146 +76,136 @@ std::unique_ptr<Bus> Bus::open(const Config& cfg, std::string* error) {
   bus->fd_ = fd;
   bus->is_socket_ = is_socket;
   bus->close_fd_ = close_fd;
+  bus->emit(&bus->stats_.dropped_records, [&](std::uint64_t) {
+    header_line(bus->pending_, cfg.run_meta);
+  });
   if (cfg.forward_logs) {
     Bus* raw = bus.get();
-    set_log_forwarder([raw](LogLine&& line) { raw->push_log(std::move(line)); });
+    set_log_forwarder([raw](LogLine&& line) { raw->push_log(line); });
   }
-  bus->sink_ = std::thread([raw = bus.get()] { raw->sink_main(); });
   return bus;
 }
 
-Bus::Bus(const Config& cfg) : cfg_(cfg), ring_(cfg.ring_capacity) {}
-
 Bus::~Bus() {
   if (cfg_.forward_logs) set_log_forwarder(nullptr);
-  if (!finished_.load(std::memory_order_acquire)) shutdown_sink();
+  if (!finished_) flush(/*wait=*/true);
   if (close_fd_ && fd_ >= 0) ::close(fd_);
 }
 
-void Bus::publish(StreamRecord&& rec) {
-  if (finished_.load(std::memory_order_relaxed)) return;
-  pushed_.fetch_add(1, std::memory_order_relaxed);
-  if (!ring_.try_push(std::move(rec)))
-    dropped_records_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void Bus::push_log(LogLine&& line) {
-  if (finished_.load(std::memory_order_relaxed)) return;
-  std::lock_guard<std::mutex> lk(log_mu_);
-  if (log_queue_.size() >= cfg_.log_capacity) {
-    dropped_logs_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  log_queue_.push_back(std::move(line));
-}
-
-void Bus::write_line(const std::string& line) {
+template <typename Format>
+bool Bus::emit(std::uint64_t* dropped, Format&& format) {
   if (fd_ < 0) {  // destination already failed; count and move on
-    write_errors_.fetch_add(1, std::memory_order_relaxed);
-    return;
+    ++stats_.write_errors;
+    return false;
   }
-  std::string framed = line;
-  framed.push_back('\n');
-  if (!write_all(fd_, is_socket_, framed.data(), framed.size())) {
-    write_errors_.fetch_add(1, std::memory_order_relaxed);
-    // Dead destination (consumer hung up, disk full): stop writing but keep
-    // draining so the producer side stays oblivious.
-    if (close_fd_) ::close(fd_);
-    close_fd_ = false;
-    fd_ = -1;
-    return;
+  const std::size_t mark = pending_.size();
+  format(next_seq_);
+  pending_ += '\n';
+  if (pending_.size() - sent_ > kMaxPendingBytes) {
+    pending_.resize(mark);
+    ++*dropped;
+    return false;
   }
-  written_.fetch_add(1, std::memory_order_relaxed);
+  ++next_seq_;
+  ++stats_.written;
+  flush(/*wait=*/false);
+  return true;
 }
 
-bool Bus::drain_some() {
-  bool any = false;
-  StreamRecord rec;
-  for (int i = 0; i < 256 && ring_.try_pop(rec); ++i) {
-    any = true;
-    switch (rec.kind) {
-      case RecordKind::kMetrics: {
-        const metrics::MetricsSnapshot delta =
-            metrics::MetricsSnapshot::diff(last_cumulative_, rec.metrics);
-        write_line(metrics_line(next_seq_++, rec.step, rec.cycles, delta));
-        last_cumulative_ = std::move(rec.metrics);
-        break;
-      }
-      case RecordKind::kSample:
-        write_line(sample_line(next_seq_++, rec.sample));
-        break;
-      case RecordKind::kEvents:
-        write_line(events_line(next_seq_++, rec.step, rec.events));
-        break;
-      case RecordKind::kLog:
-        write_line(log_line(next_seq_++, rec.log));
-        break;
-    }
-  }
-  std::deque<LogLine> logs;
-  {
-    std::lock_guard<std::mutex> lk(log_mu_);
-    logs.swap(log_queue_);
-  }
-  for (LogLine& l : logs) {
-    any = true;
-    write_line(log_line(next_seq_++, l));
-  }
-  return any;
+void Bus::metrics(StepId step, Cycle cycles,
+                  metrics::MetricsSnapshot cumulative) {
+  if (finished_) return;
+  ++stats_.pushed;
+  const bool accepted = emit(&stats_.dropped_records, [&](std::uint64_t seq) {
+    metrics_line(pending_, seq, step, cycles, cumulative, last_cumulative_);
+  });
+  if (accepted) last_cumulative_ = std::move(cumulative);
 }
 
-void Bus::sink_main() {
-  write_line(header_line(cfg_.run_meta));
-  next_seq_ = 1;
-  while (true) {
-    if (paused_.load(std::memory_order_acquire)) {
-      if (stop_.load(std::memory_order_acquire)) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      continue;
+void Bus::sample(const machine::StepSample& s) {
+  if (finished_) return;
+  ++stats_.pushed;
+  emit(&stats_.dropped_records,
+       [&](std::uint64_t seq) { sample_line(pending_, seq, s); });
+}
+
+void Bus::events(StepId step, const EventCounts& counts) {
+  if (finished_) return;
+  ++stats_.pushed;
+  emit(&stats_.dropped_records,
+       [&](std::uint64_t seq) { events_line(pending_, seq, step, counts); });
+}
+
+void Bus::push_log(const LogLine& line) {
+  if (finished_) return;
+  emit(&stats_.dropped_logs,
+       [&](std::uint64_t seq) { log_line(pending_, seq, line); });
+}
+
+void Bus::flush(bool wait) {
+  while (fd_ >= 0 && sent_ < pending_.size()) {
+    std::size_t len = pending_.size() - sent_;
+    if (!wait && !is_socket_) {
+      // Never wait: write only into an fd that says it has room, and no
+      // more than the PIPE_BUF bytes a writable pipe is sure to take.
+      pollfd p{fd_, POLLOUT, 0};
+      if (::poll(&p, 1, 0) != 1) break;
+      len = std::min<std::size_t>(len, PIPE_BUF);
     }
-    const bool any = drain_some();
-    if (!any) {
-      if (stop_.load(std::memory_order_acquire)) break;
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    // Sockets use send(MSG_NOSIGNAL) so a hung-up tcfmon surfaces as EPIPE
+    // instead of killing the producer with SIGPIPE.
+    const char* data = pending_.data() + sent_;
+    const ssize_t n =
+        is_socket_
+            ? ::send(fd_, data, len, MSG_NOSIGNAL | (wait ? 0 : MSG_DONTWAIT))
+            : ::write(fd_, data, len);
+    if (n >= 0) {
+      sent_ += static_cast<std::size_t>(n);
+    } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      if (!wait) break;
+      pollfd p{fd_, POLLOUT, 0};
+      ::poll(&p, 1, -1);
+    } else if (errno != EINTR) {
+      fail();
     }
+  }
+  if (sent_ == pending_.size()) {
+    pending_.clear();
+    sent_ = 0;
+  } else if (sent_ > pending_.size() / 2) {
+    pending_.erase(0, sent_);
+    sent_ = 0;
   }
 }
 
-void Bus::shutdown_sink() {
-  stop_.store(true, std::memory_order_release);
-  if (sink_.joinable()) sink_.join();
+void Bus::fail() {
+  // Dead destination (consumer hung up, disk full): stop writing, and keep
+  // accepting calls so the producer side stays oblivious.
+  ++stats_.write_errors;
+  if (close_fd_) ::close(fd_);
+  close_fd_ = false;
+  fd_ = -1;
+  pending_.clear();
+  sent_ = 0;
 }
 
 void Bus::finish(StepId step, Cycle cycles, bool completed,
                  const std::string& fault,
                  const metrics::MetricsSnapshot& cumulative,
                  const machine::MachineStats& stats) {
-  if (finished_.exchange(true, std::memory_order_acq_rel)) return;
+  if (finished_) return;
+  finished_ = true;
   if (cfg_.forward_logs) set_log_forwarder(nullptr);
-  // Let the sink drain everything queued before it sees stop_ — unless a
-  // test left it paused, in which case resume first.
-  paused_.store(false, std::memory_order_release);
-  shutdown_sink();
-  // Sink joined: this thread is now the only consumer. Flush stragglers,
-  // then close the stream with the cumulative record.
-  while (drain_some()) {
+  if (fd_ < 0) {
+    ++stats_.write_errors;
+    return;
   }
-  write_line(run_end_line(next_seq_++, step, cycles, completed, fault,
-                          cumulative, stats, this->stats()));
-}
-
-void Bus::pause() { paused_.store(true, std::memory_order_release); }
-
-void Bus::resume() { paused_.store(false, std::memory_order_release); }
-
-BusStats Bus::stats() const {
-  BusStats s;
-  s.pushed = pushed_.load(std::memory_order_relaxed);
-  s.written = written_.load(std::memory_order_relaxed);
-  s.dropped_records = dropped_records_.load(std::memory_order_relaxed);
-  s.dropped_logs = dropped_logs_.load(std::memory_order_relaxed);
-  s.write_errors = write_errors_.load(std::memory_order_relaxed);
-  return s;
+  // The run_end line is never dropped: it carries the drop counts.
+  run_end_line(pending_, next_seq_++, step, cycles, completed, fault,
+               cumulative, stats, stats_);
+  pending_ += '\n';
+  ++stats_.written;
+  flush(/*wait=*/true);
 }
 
 }  // namespace tcfpn::obs

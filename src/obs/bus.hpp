@@ -1,53 +1,50 @@
-// The streaming telemetry bus (DESIGN.md §13): a lock-free SPSC ring between
-// the deterministic stepping engine and a dedicated sink thread that
-// serializes records into the versioned "tcfpn-stream-v1" NDJSON stream.
+// The streaming telemetry bus (DESIGN.md §13): formats each record into the
+// versioned "tcfpn-stream-v1" NDJSON stream on the thread that steps the
+// machine, and writes whatever the destination accepts without waiting.
 //
-// Division of labour:
+//   StreamObserver   metrics() / sample() / events()   format one line into
+//   obs::log(...)    push_log() via the LogForwarder   the pending buffer,
+//                                                      assign its seq, then
+//                                                      write what the fd
+//                                                      takes right now
 //
-//   stepping thread      publish(StreamRecord&&)   SPSC ring, never blocks
-//   any thread           obs::log(...)             mutex-guarded bounded
-//                                                  queue (installed as the
-//                                                  process LogForwarder)
-//   sink thread          pop → serialize → write   all string formatting and
-//                                                  I/O happens here
+// The bus starts no thread and holds no lock: every call, the forwarded
+// log lines included, comes from the thread that runs the machine, so the
+// stream of a rerun is byte-identical.
 //
-// Backpressure contract: when the ring (or the log queue) is full the record
-// is dropped on the spot and a BusStats counter is bumped. The producer
-// never waits, so a run's simulated results — memory image, PRINT output,
-// metrics document, journal — are bit-identical with streaming on or off.
-// Drops are host-timing noise, which is why they are reported on the stream
-// itself (run_end "obs" object) and never enter the machine's metrics
-// registry.
+// Backpressure contract: the producer never waits. A socket is written with
+// send(MSG_DONTWAIT); any other fd only after poll(POLLOUT, 0) says it is
+// writable, at most PIPE_BUF bytes per write. Bytes the destination does
+// not take stay pending; a line that would push the pending buffer past a
+// fixed bound is dropped whole and counted, so framing never breaks. A run's
+// simulated results — memory image, PRINT output, metrics document,
+// journal — are therefore bit-identical with streaming on or off. Drops
+// depend on how fast the consumer reads, which is why they are reported on
+// the stream itself (run_end "obs" object) and never enter the machine's
+// metrics registry. Only finish() waits: it writes the run_end line and
+// everything still pending.
 //
 // Destinations: a file path, "-" for stdout, or "unix:PATH" — connect to a
 // listening UNIX stream socket (tcfmon --listen owns the listening side).
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 
 #include "obs/record.hpp"
-#include "obs/ring.hpp"
 
 namespace tcfpn::obs {
 
 class Bus {
  public:
   struct Config {
-    std::string destination;        ///< path, "-", or "unix:PATH"
-    MetaPairs run_meta;             ///< header "run" object (tool, program…)
-    std::size_t ring_capacity = 4096;
-    std::size_t log_capacity = 1024;
-    bool forward_logs = true;       ///< install the process LogForwarder
+    std::string destination;   ///< path, "-", or "unix:PATH"
+    MetaPairs run_meta;        ///< header "run" object (tool, program…)
+    bool forward_logs = true;  ///< install the process LogForwarder
   };
 
-  /// Opens the destination and starts the sink thread. Returns nullptr and
+  /// Opens the destination and writes the header line. Returns nullptr and
   /// fills `error` when the destination cannot be opened.
   static std::unique_ptr<Bus> open(const Config& cfg, std::string* error);
 
@@ -55,66 +52,55 @@ class Bus {
   Bus(const Bus&) = delete;
   Bus& operator=(const Bus&) = delete;
 
-  /// Stepping thread only (SPSC producer). Never blocks: on a full ring the
-  /// record is dropped and dropped_records is bumped.
-  void publish(StreamRecord&& rec);
+  /// One metrics window: the line carries the delta of `cumulative` against
+  /// the last cumulative snapshot the bus accepted, so a dropped window
+  /// merges into the next instead of losing counts. An accepted snapshot is
+  /// kept for the next delta, which is why it is taken by value.
+  void metrics(StepId step, Cycle cycles,
+               metrics::MetricsSnapshot cumulative);
+  void sample(const machine::StepSample& s);
+  void events(StepId step, const EventCounts& counts);
 
-  /// Any thread. Enqueues a log line for the stream (bounded; drops bump
-  /// dropped_logs). Called by the installed LogForwarder.
-  void push_log(LogLine&& line);
+  /// One log line (called by the installed LogForwarder). Drops bump
+  /// dropped_logs instead of dropped_records.
+  void push_log(const LogLine& line);
 
-  /// Drains everything still queued, writes the run_end line, and joins the
-  /// sink thread. Idempotent; the destructor calls it without a run_end if
-  /// the caller never did (truncated stream — consumers treat a missing
-  /// run_end as "producer died").
+  /// Writes the run_end line and everything still pending, waiting for the
+  /// destination if it must. Idempotent; the destructor without finish()
+  /// writes what is pending and no run_end (truncated stream — consumers
+  /// treat a missing run_end as "producer died").
   void finish(StepId step, Cycle cycles, bool completed,
               const std::string& fault,
               const metrics::MetricsSnapshot& cumulative,
               const machine::MachineStats& stats);
 
-  /// Test hook: a paused sink stops popping (the ring fills and the
-  /// never-block contract forces drops), resume() lets it drain again.
-  void pause();
-  void resume();
-
-  /// Racy snapshot of the bus's own counters.
-  BusStats stats() const;
+  BusStats stats() const { return stats_; }
 
  private:
-  explicit Bus(const Config& cfg);
+  explicit Bus(const Config& cfg) : cfg_(cfg) {}
 
-  void sink_main();
-  void write_line(const std::string& line);  // sink thread only
-  bool drain_some();                         // sink thread only
-  void shutdown_sink();
+  /// Appends the line `format(seq)` writes into pending_ and accepts it —
+  /// assigning its seq — unless that would overflow the pending bound, in
+  /// which case the line is dropped whole and *dropped is bumped.
+  template <typename Format>
+  bool emit(std::uint64_t* dropped, Format&& format);
+
+  /// Writes pending bytes: with `wait`, all of them; otherwise what the
+  /// destination accepts right now.
+  void flush(bool wait);
+  void fail();  ///< dead destination: count it, stop writing
 
   Config cfg_;
   int fd_ = -1;
   bool is_socket_ = false;
   bool close_fd_ = false;
+  bool finished_ = false;
 
-  SpscRing<StreamRecord> ring_;
-
-  mutable std::mutex log_mu_;
-  std::deque<LogLine> log_queue_;
-
-  std::thread sink_;
-  std::atomic<bool> stop_{false};
-  std::atomic<bool> paused_{false};
-  std::atomic<bool> finished_{false};
-
-  // Sink-thread state: seq numbering and the previous cumulative snapshot
-  // (metrics records carry cumulative state; the sink emits window deltas,
-  // so dropped records merge windows instead of losing counts).
+  std::string pending_;      ///< framed lines not yet written…
+  std::size_t sent_ = 0;     ///< …from this offset on
   std::uint64_t next_seq_ = 0;
   metrics::MetricsSnapshot last_cumulative_;
-
-  // BusStats, split by writer for cheap updates.
-  std::atomic<std::uint64_t> pushed_{0};
-  std::atomic<std::uint64_t> written_{0};
-  std::atomic<std::uint64_t> dropped_records_{0};
-  std::atomic<std::uint64_t> dropped_logs_{0};
-  std::atomic<std::uint64_t> write_errors_{0};
+  BusStats stats_;
 };
 
 }  // namespace tcfpn::obs

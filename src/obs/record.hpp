@@ -1,11 +1,6 @@
-// Typed records carried by the streaming telemetry bus, and their
-// serialization into the versioned "tcfpn-stream-v1" NDJSON wire format
-// (DESIGN.md §13).
-//
-// The engine side builds StreamRecords at the step barrier (cheap typed
-// state: a metrics snapshot move, a StepSample, an event-count window) and
-// pushes them through the SPSC ring; all string formatting happens on the
-// sink thread, so the stepping thread never pays serialization.
+// The "tcfpn-stream-v1" NDJSON wire format of the streaming telemetry bus
+// (DESIGN.md §13): the line serializers obs::Bus formats each line with,
+// on the stepping thread, straight into its pending byte buffer.
 //
 // Wire format: one JSON object per line ("\n"-framed). Line types:
 //
@@ -14,7 +9,7 @@
 //   metrics       {"type":"metrics","seq":N,"step":S,"cycles":C,
 //                  "delta":{"net/packets":{...},...}}
 //                 flat path→instrument map, the *window* since the previous
-//                 metrics line actually written (drops merge windows; the
+//                 metrics line actually accepted (drops merge windows; the
 //                 leaf schema matches the --metrics-json document)
 //   sample        {"type":"sample","seq":N,"step":S,...} one StepSample
 //   events        {"type":"events","seq":N,"step":S,
@@ -26,7 +21,7 @@
 //                  "stats":{...},"obs":{"pushed":..,"written":..,
 //                  "dropped_records":..,"dropped_logs":..}}  last line
 //
-// seq is assigned by the sink at write time, so it is contiguous from 0
+// seq is assigned when the bus accepts a line, so it is contiguous from 0
 // regardless of drops; step is monotone non-decreasing across metrics /
 // sample / events lines (the emitter suppresses rollback-replay windows).
 // The final run_end carries the *cumulative* machine metrics, taken after
@@ -54,60 +49,46 @@ inline constexpr std::size_t kEventKindCount =
     static_cast<std::size_t>(machine::DebugEventKind::kGroupRetired) + 1;
 using EventCounts = std::array<std::uint64_t, kEventKindCount>;
 
-enum class RecordKind : std::uint8_t {
-  kMetrics,  ///< cumulative snapshot; sink turns it into a window delta
-  kSample,   ///< one StepSample point
-  kEvents,   ///< event-count window
-  kLog,      ///< one structured log line
-};
-
-/// One bus record. Which payload field is meaningful depends on `kind`;
-/// the unused ones stay empty (moved-from maps are cheap).
-struct StreamRecord {
-  RecordKind kind = RecordKind::kSample;
-  StepId step = 0;
-  Cycle cycles = 0;
-  metrics::MetricsSnapshot metrics;  ///< kMetrics: cumulative at `step`
-  machine::StepSample sample;        ///< kSample
-  EventCounts events{};              ///< kEvents
-  LogLine log;                       ///< kLog
-};
-
 /// Counters the bus keeps about itself. `dropped_records` is the
-/// never-block backpressure outcome: records the ring had no room for.
-/// These deliberately live OUTSIDE the machine's metrics registry — drops
-/// depend on host timing, and the simulated metrics document must stay
-/// bit-identical with streaming on or off — so they are reported on the
-/// stream itself (run_end "obs" object) and by Bus::stats().
+/// never-wait backpressure outcome: records the pending buffer had no room
+/// for. These deliberately live OUTSIDE the machine's metrics registry —
+/// drops depend on how fast the destination drains, and the simulated
+/// metrics document must stay bit-identical with streaming on or off — so
+/// they are reported on the stream itself (run_end "obs" object) and by
+/// Bus::stats().
 struct BusStats {
-  std::uint64_t pushed = 0;           ///< records offered by the engine side
-  std::uint64_t written = 0;          ///< records serialized to the stream
-  std::uint64_t dropped_records = 0;  ///< ring full → record dropped
-  std::uint64_t dropped_logs = 0;     ///< log queue full → line dropped
+  std::uint64_t pushed = 0;           ///< records offered by the observer
+  std::uint64_t written = 0;          ///< lines accepted onto the stream
+  std::uint64_t dropped_records = 0;  ///< buffer full → record dropped
+  std::uint64_t dropped_logs = 0;     ///< buffer full → log line dropped
   std::uint64_t write_errors = 0;     ///< destination write failures
 };
 
 using MetaPairs = std::vector<std::pair<std::string, std::string>>;
 
-/// Serializes a snapshot as a single-line flat JSON object:
-/// {"net/packets":{"type":"counter","value":7},...}. Leaf objects use the
-/// same schema as the nested --metrics-json tree (emit_value), so a
-/// consumer can compare the two exports value-for-value.
-std::string flat_metrics_json(const metrics::MetricsSnapshot& snap);
+/// Appends `snap` less `since` as a single-line flat JSON object:
+/// {"net/packets":{"type":"counter","value":7},...}. Each leaf is
+/// metrics::diff of the two; a leaf absent from `since` passes through, so
+/// an empty `since` writes `snap` itself. Leaf objects use the same schema
+/// as the nested --metrics-json tree (to_json_leaf), so a consumer can
+/// compare the two exports value-for-value.
+void flat_metrics_json(std::string& out, const metrics::MetricsSnapshot& snap,
+                       const metrics::MetricsSnapshot& since);
 
-// ---- line serializers (sink side; each returns one line, no trailing \n,
-// no raw control characters — everything string passes through json_escape)
-std::string header_line(const MetaPairs& run_meta);
-std::string metrics_line(std::uint64_t seq, StepId step, Cycle cycles,
-                         const metrics::MetricsSnapshot& window);
-std::string sample_line(std::uint64_t seq, const machine::StepSample& s);
-std::string events_line(std::uint64_t seq, StepId step,
-                        const EventCounts& counts);
-std::string log_line(std::uint64_t seq, const LogLine& l);
-std::string run_end_line(std::uint64_t seq, StepId step, Cycle cycles,
-                         bool completed, const std::string& fault,
-                         const metrics::MetricsSnapshot& cumulative,
-                         const machine::MachineStats& stats,
-                         const BusStats& bus);
+// ---- line serializers: each appends one line to `out`, no trailing \n, no
+// raw control characters — every string passes through json_escape
+void header_line(std::string& out, const MetaPairs& run_meta);
+void metrics_line(std::string& out, std::uint64_t seq, StepId step,
+                  Cycle cycles, const metrics::MetricsSnapshot& cumulative,
+                  const metrics::MetricsSnapshot& since);
+void sample_line(std::string& out, std::uint64_t seq,
+                 const machine::StepSample& s);
+void events_line(std::string& out, std::uint64_t seq, StepId step,
+                 const EventCounts& counts);
+void log_line(std::string& out, std::uint64_t seq, const LogLine& l);
+void run_end_line(std::string& out, std::uint64_t seq, StepId step,
+                  Cycle cycles, bool completed, const std::string& fault,
+                  const metrics::MetricsSnapshot& cumulative,
+                  const machine::MachineStats& stats, const BusStats& bus);
 
 }  // namespace tcfpn::obs

@@ -1,7 +1,5 @@
 #include "obs/stream_observer.hpp"
 
-#include <utility>
-
 namespace tcfpn::obs {
 
 StreamObserver::StreamObserver(Bus& bus, StepId every)
@@ -48,12 +46,7 @@ void StreamObserver::on_fault(const std::string& message, machine::Machine& m) {
   // The machine's mid-step state is not consistent here; only flush the
   // event window already collected (stats are read-only and legal).
   if (window_has_events_) {
-    StreamRecord rec;
-    rec.kind = RecordKind::kEvents;
-    rec.step = m.stats().steps;
-    rec.cycles = m.stats().cycles;
-    rec.events = window_events_;
-    bus_.publish(std::move(rec));
+    bus_.events(m.stats().steps, window_events_);
     window_events_ = EventCounts{};
     window_has_events_ = false;
   }
@@ -61,34 +54,11 @@ void StreamObserver::on_fault(const std::string& message, machine::Machine& m) {
 
 void StreamObserver::emit_window(machine::Machine& m, StepId step) {
   const machine::MachineStats& st = m.stats();
-  {
-    StreamRecord rec;
-    rec.kind = RecordKind::kMetrics;
-    rec.step = step;
-    rec.cycles = st.cycles;
-    rec.metrics = m.metrics_snapshot();
-    bus_.publish(std::move(rec));
-  }
-  {
-    StreamRecord rec;
-    rec.kind = RecordKind::kSample;
-    rec.step = step;
-    rec.cycles = st.cycles;
-    rec.sample.step = step;
-    rec.sample.cycles = st.cycles;
-    rec.sample.operations = st.operations;
-    rec.sample.busy_slots = st.busy_slots;
-    rec.sample.idle_slots = st.idle_slots;
-    rec.sample.live_flows = m.live_flows();
-    bus_.publish(std::move(rec));
-  }
+  bus_.metrics(step, st.cycles, m.metrics_snapshot());
+  bus_.sample({step, st.cycles, st.operations, st.busy_slots, st.idle_slots,
+               m.live_flows()});
   if (window_has_events_) {
-    StreamRecord rec;
-    rec.kind = RecordKind::kEvents;
-    rec.step = step;
-    rec.cycles = st.cycles;
-    rec.events = window_events_;
-    bus_.publish(std::move(rec));
+    bus_.events(step, window_events_);
     window_events_ = EventCounts{};
     window_has_events_ = false;
   }

@@ -4,9 +4,9 @@
 // whatever observer was already installed (a debug::FlightRecorder, the
 // resilience layer's recorder) and forwards every callback to it unchanged,
 // so attaching the stream changes nothing about recording, replay, or the
-// simulated run. On top of the forwarding it builds cheap typed records at
-// the step cadence and offers them to the Bus — a snapshot move and a few
-// integer copies on the stepping thread; all formatting happens on the sink.
+// simulated run. On top of the forwarding it hands the Bus one window per
+// step cadence — a cumulative metrics snapshot, a StepSample and the event
+// counts — and the bus formats each line on the spot.
 //
 // Emission windows are keyed by the *step number*, and a window is only
 // emitted when its step is strictly greater than the last emitted step.

@@ -36,6 +36,15 @@ std::string fixed(double v, int places = 1) {
   return os.str();
 }
 
+/// A what-if factor as printed: two decimals below 1e6 ("0.50"), %g form
+/// from there on ("1e+300"), so a huge factor stays one short token.
+std::string factor_text(double f) {
+  if (f < 1e6) return fixed(f, 2);
+  std::ostringstream os;
+  os << f;
+  return os.str();
+}
+
 /// Per-term totals split into flow-attributed and machine-level cells.
 struct TermTotals {
   std::array<Cycle, kNumTerms> total{};
@@ -351,7 +360,7 @@ std::string report_steps(const Profile& p, const RunInfo& run,
   constexpr const char* kOutOfRange =
       "out of the 64-bit cycle range (2^64 cycles or more)";
   for (const WhatIf& w : what_ifs) {
-    os << "what-if " << to_string(w.term) << ":" << fixed(w.factor, 2)
+    os << "what-if " << to_string(w.term) << ":" << factor_text(w.factor)
        << "x -> ";
     const std::optional<Cycle> re = what_if_cycles(p, run.cycles, {w});
     if (!re) {

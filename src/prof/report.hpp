@@ -46,8 +46,9 @@ bool parse_what_if(std::string_view spec, WhatIf* out);
 /// fill·f_fill + max(slot·f_compute, net·f_net + fault·f_fault); cycles
 /// outside the recorded steps (switch/sched charges, truncated tail) are
 /// carried over unscaled. With empty `mods` this returns `total_cycles`.
-/// Returns nullopt when the prediction is 2^64 cycles or more, which no
-/// Cycle can hold.
+/// A term given more than once takes its last factor (tcfprof rejects a
+/// repeated --what-if term before it gets here). Returns nullopt when the
+/// prediction is 2^64 cycles or more, which no Cycle can hold.
 std::optional<Cycle> what_if_cycles(const Profile& p, Cycle total_cycles,
                                     const std::vector<WhatIf>& mods);
 
@@ -62,7 +63,9 @@ std::string report_summary(const Profile& p, const RunInfo& run);
 std::string report_hotspots(const Profile& p, const RunInfo& run,
                             HotspotBy by, std::size_t top);
 /// Per-step critical-path report: limited-by percentages, limiting groups,
-/// and one what-if line per requested multiplier.
+/// and one what-if line per requested multiplier. A factor prints with two
+/// decimals below 1e6 ("net:0.50x") and in %g form from there on
+/// ("compute:1e+300x").
 std::string report_steps(const Profile& p, const RunInfo& run,
                          const std::vector<WhatIf>& what_ifs);
 

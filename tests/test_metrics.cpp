@@ -4,7 +4,13 @@
 // JSON emitter/validator pair.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/metrics.hpp"
@@ -97,16 +103,16 @@ TEST(MetricsSnapshotTest, DiffSubtractsMonotoneParts) {
   const MetricsSnapshot before = reg.snapshot();
   n.add(7);
   h.add(3.0);
-  reg.counter("x/fresh").add(2);  // registered after `before`
   const MetricsSnapshot after = reg.snapshot();
 
-  const MetricsSnapshot d = MetricsSnapshot::diff(before, after);
-  EXPECT_EQ(d.entries.at("x/n").count, 7u);
-  EXPECT_EQ(d.entries.at("x/h").count, 1u);
-  EXPECT_EQ(d.entries.at("x/h").buckets[0], 0u);
-  EXPECT_EQ(d.entries.at("x/h").buckets[1], 1u);
-  // Entries absent from `before` pass through unchanged.
-  EXPECT_EQ(d.entries.at("x/fresh").count, 2u);
+  const auto leaf = [&](const char* path) {
+    return diff(before.entries.at(path), after.entries.at(path));
+  };
+  EXPECT_EQ(leaf("x/n").count, 7u);
+  const MetricValue dh = leaf("x/h");
+  EXPECT_EQ(dh.count, 1u);
+  EXPECT_EQ(dh.buckets[0], 0u);
+  EXPECT_EQ(dh.buckets[1], 1u);
 }
 
 // ---- Merge ---------------------------------------------------------------
@@ -141,6 +147,31 @@ TEST(MetricsRegistryTest, MergeKindMismatchFaults) {
 }
 
 // ---- JSON emitter & validator --------------------------------------------
+
+// Both exports write doubles with std::to_chars; the bytes must stay those
+// of printf's "%.17g", and a non-finite value writes null.
+TEST(MetricsJsonTest, DoublesWriteThePrintfG17Digits) {
+  std::mt19937_64 rng(21);
+  std::vector<double> values = {0.0, -0.0, 1.0, -2.5, 0.1, 1e17, 1e-300,
+                                4.9e-324, 1.7976931348623157e308,
+                                0.24999999999999958, 4.4358974358974361};
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t bits = rng();
+    double d;
+    std::memcpy(&d, &bits, sizeof d);
+    values.push_back(d);  // every exponent, subnormals, inf and nan included
+    values.push_back(static_cast<double>(bits >> 20));  // integral values
+  }
+  values.push_back(std::numeric_limits<double>::infinity());
+  values.push_back(std::numeric_limits<double>::quiet_NaN());
+  for (const double v : values) {
+    char want[40];
+    std::snprintf(want, sizeof want, "%.17g", v);
+    std::string got;
+    append_number(got, v);
+    EXPECT_EQ(got, std::isfinite(v) ? std::string(want) : "null") << want;
+  }
+}
 
 TEST(MetricsJsonTest, EscapeHandlesControlAndQuotes) {
   EXPECT_EQ(json_escape("plain"), "plain");

@@ -1,13 +1,18 @@
-// Tests for the streaming telemetry bus (src/obs, DESIGN.md §13): the SPSC
-// ring, the tcfpn-stream-v1 line serializers and the njson consumer parser,
-// the Bus end-to-end against a file destination, and the backpressure
-// contract — a tiny ring under a held sink MUST drop records, MUST count
-// them, and MUST NOT perturb the simulated run: the machine ends
+// Tests for the streaming telemetry bus (src/obs, DESIGN.md §13): the
+// tcfpn-stream-v1 line serializers and the njson consumer parser, the Bus
+// end-to-end against a file destination, and the backpressure contract — a
+// consumer that does not read MUST make the bus drop lines, the bus MUST
+// count them, and the simulated run MUST NOT notice: the machine ends
 // bit-identical to a no-stream run.
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
+
+#include <cstring>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -18,72 +23,12 @@
 #include "obs/bus.hpp"
 #include "obs/njson.hpp"
 #include "obs/record.hpp"
-#include "obs/ring.hpp"
 #include "obs/stream_observer.hpp"
 #include "tcf/builder.hpp"
 #include "tcf/kernels.hpp"
 
 namespace tcfpn::obs {
 namespace {
-
-// ---- SpscRing -------------------------------------------------------------
-
-TEST(SpscRingTest, FifoOrderAndCapacity) {
-  SpscRing<int> ring(4);
-  EXPECT_EQ(ring.capacity(), 4u);
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(ring.try_push(int(i)));
-  EXPECT_FALSE(ring.try_push(99));  // full: never blocks, never overwrites
-  int v = -1;
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(ring.try_pop(v));
-    EXPECT_EQ(v, i);
-  }
-  EXPECT_FALSE(ring.try_pop(v));
-}
-
-TEST(SpscRingTest, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(SpscRing<int>(1).capacity(), 1u);
-  EXPECT_EQ(SpscRing<int>(3).capacity(), 4u);
-  EXPECT_EQ(SpscRing<int>(5).capacity(), 8u);
-}
-
-TEST(SpscRingTest, WrapAroundKeepsOrder) {
-  SpscRing<int> ring(2);
-  int v = -1;
-  for (int round = 0; round < 100; ++round) {
-    EXPECT_TRUE(ring.try_push(2 * round));
-    EXPECT_TRUE(ring.try_push(2 * round + 1));
-    ASSERT_TRUE(ring.try_pop(v));
-    EXPECT_EQ(v, 2 * round);
-    ASSERT_TRUE(ring.try_pop(v));
-    EXPECT_EQ(v, 2 * round + 1);
-  }
-}
-
-TEST(SpscRingTest, CrossThreadTransferIsLossCountable) {
-  SpscRing<std::uint64_t> ring(64);
-  constexpr std::uint64_t kItems = 100'000;
-  std::atomic<std::uint64_t> dropped{0};
-  std::uint64_t received = 0, last = 0;
-  std::thread consumer([&] {
-    std::uint64_t v;
-    while (received + dropped.load(std::memory_order_acquire) < kItems) {
-      if (ring.try_pop(v)) {
-        // Values arrive in push order even when some were dropped.
-        EXPECT_GE(v, last);
-        last = v;
-        ++received;
-      }
-    }
-  });
-  for (std::uint64_t i = 0; i < kItems; ++i) {
-    if (!ring.try_push(std::uint64_t(i)))
-      dropped.fetch_add(1, std::memory_order_release);
-  }
-  consumer.join();
-  EXPECT_EQ(received + dropped.load(), kItems);
-  EXPECT_GT(received, 0u);
-}
 
 // ---- line serializers -----------------------------------------------------
 
@@ -94,6 +39,14 @@ metrics::MetricsSnapshot sample_snapshot() {
   reg.accumulator("mem/depth").add(3.0);
   reg.histogram("net/latency", 0.0, 8.0, 4).add(2.0);
   return reg.snapshot();
+}
+
+/// The one line `serialize` appends to an empty buffer.
+template <typename Serializer, typename... Args>
+std::string line_of(Serializer serialize, const Args&... args) {
+  std::string out;
+  serialize(out, args...);
+  return out;
 }
 
 void expect_one_valid_line(const std::string& line) {
@@ -107,18 +60,21 @@ void expect_one_valid_line(const std::string& line) {
 }
 
 TEST(StreamRecordTest, EveryLineKindIsSingleLineValidJson) {
-  expect_one_valid_line(header_line({{"tool", "test"}, {"input", "x.tcf"}}));
-  expect_one_valid_line(metrics_line(1, 8, 96, sample_snapshot()));
+  expect_one_valid_line(line_of(
+      header_line, MetaPairs{{"tool", "test"}, {"input", "x.tcf"}}));
+  expect_one_valid_line(line_of(metrics_line, 1, 8, 96, sample_snapshot(),
+                                metrics::MetricsSnapshot{}));
   machine::StepSample s{8, 96, 100, 40, 24, 3};
-  expect_one_valid_line(sample_line(2, s));
+  expect_one_valid_line(line_of(sample_line, 2, s));
   EventCounts counts{};
   counts[static_cast<std::size_t>(machine::DebugEventKind::kPrint)] = 2;
   counts[static_cast<std::size_t>(machine::DebugEventKind::kSpawn)] = 1;
-  expect_one_valid_line(events_line(3, 8, counts));
-  expect_one_valid_line(
-      log_line(4, {LogLevel::kWarn, "obs/test", "plain message"}));
-  expect_one_valid_line(run_end_line(5, 100, 1200, true, "", sample_snapshot(),
-                                     machine::MachineStats{}, BusStats{}));
+  expect_one_valid_line(line_of(events_line, 3, 8, counts));
+  expect_one_valid_line(line_of(
+      log_line, 4, LogLine{LogLevel::kWarn, "obs/test", "plain message"}));
+  expect_one_valid_line(line_of(run_end_line, 5, 100, 1200, true,
+                                std::string(), sample_snapshot(),
+                                machine::MachineStats{}, BusStats{}));
 }
 
 TEST(StreamRecordTest, HostileLogPayloadStaysOneFramedLine) {
@@ -127,8 +83,8 @@ TEST(StreamRecordTest, HostileLogPayloadStaysOneFramedLine) {
   const std::string hostile =
       std::string("line1\nline2\r\n\ttab \"quoted\" back\\slash ") +
       std::string(1, '\0') + "\x1b[2J bell\x07 done";
-  const std::string line =
-      log_line(7, {LogLevel::kError, "obs/hostile", hostile});
+  const std::string line = line_of(
+      log_line, 7, LogLine{LogLevel::kError, "obs/hostile", hostile});
   expect_one_valid_line(line);
   // The payload must round-trip exactly through the consumer parser.
   JsonValue v;
@@ -141,7 +97,7 @@ TEST(StreamRecordTest, HostileLogPayloadStaysOneFramedLine) {
 TEST(StreamRecordTest, EventsLineOmitsZeroCounts) {
   EventCounts counts{};
   counts[static_cast<std::size_t>(machine::DebugEventKind::kRollback)] = 4;
-  const std::string line = events_line(1, 10, counts);
+  const std::string line = line_of(events_line, 1, 10, counts);
   JsonValue v;
   ASSERT_TRUE(parse_json(line, &v));
   const JsonValue* c = v.get("counts");
@@ -153,11 +109,21 @@ TEST(StreamRecordTest, EventsLineOmitsZeroCounts) {
 TEST(StreamRecordTest, FlatMetricsMatchesSnapshotLeafForLeaf) {
   const metrics::MetricsSnapshot snap = sample_snapshot();
   JsonValue v;
-  ASSERT_TRUE(parse_json(flat_metrics_json(snap), &v));
+  ASSERT_TRUE(parse_json(
+      line_of(flat_metrics_json, snap, metrics::MetricsSnapshot{}), &v));
   ASSERT_TRUE(v.is_object());
   EXPECT_EQ(v.object().size(), snap.entries.size());
   EXPECT_EQ(v.get("net/packets")->get_number("value"), 7.0);
   EXPECT_EQ(v.get("sched/load")->get_number("value"), 0.75);
+  EXPECT_EQ(v.get("net/latency")->get_number("count"), 1.0);
+
+  // A window: leaves in `since` subtract, leaves absent from it pass
+  // through unchanged.
+  metrics::MetricsSnapshot since;
+  since.entries["net/packets"] = {metrics::InstrumentKind::kCounter, 3};
+  ASSERT_TRUE(parse_json(line_of(flat_metrics_json, snap, since), &v));
+  EXPECT_EQ(v.object().size(), snap.entries.size());
+  EXPECT_EQ(v.get("net/packets")->get_number("value"), 4.0);
   EXPECT_EQ(v.get("net/latency")->get_number("count"), 1.0);
 }
 
@@ -210,13 +176,7 @@ TEST(BusTest, WritesHeaderRecordsAndRunEndWithContiguousSeq) {
   auto bus = Bus::open(cfg, &err);
   ASSERT_NE(bus, nullptr) << err;
 
-  for (int i = 1; i <= 5; ++i) {
-    StreamRecord rec;
-    rec.kind = RecordKind::kSample;
-    rec.step = static_cast<StepId>(i);
-    rec.sample.step = static_cast<StepId>(i);
-    bus->publish(std::move(rec));
-  }
+  for (StepId i = 1; i <= 5; ++i) bus->sample({i, 10 * i, 0, 0, 0, 0});
   bus->push_log({LogLevel::kInfo, "obs/test", "hello"});
   bus->finish(5, 50, true, "", sample_snapshot(), machine::MachineStats{});
   const BusStats stats = bus->stats();
@@ -258,8 +218,9 @@ constexpr Word kN = 48;
 constexpr Addr kA = 100, kC = 700, kSum = 900;
 
 /// SPAWN/JOINALL/PPADD/PRINT program: cross-group traffic plus debug events,
-/// so the stream carries every record kind.
-isa::Program stream_workload() {
+/// so the stream carries every record kind; then `spin` rounds of a scalar
+/// countdown loop to lengthen the run.
+isa::Program stream_workload(Word spin) {
   tcf::AsmBuilder s;
   using namespace tcf;
   auto worker = s.make_label("worker");
@@ -268,6 +229,13 @@ isa::Program stream_workload() {
   s.joinall();
   s.ld(r2, r0, static_cast<Word>(kSum));
   s.print(r2);
+  if (spin > 0) {
+    auto loop = s.make_label("spin");
+    s.ldi(r7, spin);
+    s.bind(loop);
+    s.sub(r7, r7, Word{1});
+    s.bnez(r7, loop);
+  }
   s.halt();
   s.bind(worker);
   s.tid(r2);
@@ -305,29 +273,27 @@ machine::MachineConfig stream_cfg() {
   return cfg;
 }
 
-/// Runs the workload; with `stream_path` non-empty the full streaming stack
-/// is attached (cadence 1 so every step emits). `ring_capacity` 0 means the
-/// default; `hold_sink` pauses the sink for the whole run, so a tiny ring
-/// must overflow and the never-block policy must drop.
-RunFingerprint run_workload(const std::string& stream_path,
-                            std::size_t ring_capacity, bool hold_sink,
-                            BusStats* bus_stats = nullptr) {
+/// Runs the workload; with `destination` non-empty the full streaming stack
+/// is attached (cadence 1 so every step emits). `before_finish` runs after
+/// the run and before Bus::finish, which waits until the destination has
+/// taken every pending byte.
+RunFingerprint run_workload(const std::string& destination, Word spin = 0,
+                            BusStats* bus_stats = nullptr,
+                            const std::function<void()>& before_finish = {}) {
   machine::Machine m(stream_cfg());
-  m.load(stream_workload());
+  m.load(stream_workload(spin));
   m.boot(1);
 
   std::unique_ptr<Bus> bus;
   std::unique_ptr<StreamObserver> observer;
-  if (!stream_path.empty()) {
+  if (!destination.empty()) {
     Bus::Config cfg;
-    cfg.destination = stream_path;
+    cfg.destination = destination;
     cfg.run_meta = {{"tool", "test_obs"}};
     cfg.forward_logs = false;
-    if (ring_capacity > 0) cfg.ring_capacity = ring_capacity;
     std::string err;
     bus = Bus::open(cfg, &err);
     EXPECT_NE(bus, nullptr) << err;
-    if (hold_sink) bus->pause();
     observer = std::make_unique<StreamObserver>(*bus, 1);
     observer->attach(m);
   }
@@ -336,6 +302,7 @@ RunFingerprint run_workload(const std::string& stream_path,
 
   if (bus) {
     observer->detach();
+    if (before_finish) before_finish();
     bus->finish(m.stats().steps, m.stats().cycles, run.completed, "",
                 m.metrics_snapshot(), m.stats());
     if (bus_stats != nullptr) *bus_stats = bus->stats();
@@ -352,25 +319,67 @@ RunFingerprint run_workload(const std::string& stream_path,
   return fp;
 }
 
-TEST(StreamBackpressureTest, TinyRingDropsButRunStaysBitIdentical) {
-  const RunFingerprint baseline = run_workload("", 0, false);
+// Countdown rounds for the stalled-consumer run: two steps each, and at
+// cadence 1 every step offers three lines — about 4 MB over the run's 2,014
+// steps, far past what the socket buffer and the bus's pending bound hold.
+constexpr Word kSpin = 1000;
+
+TEST(StreamBackpressureTest, StalledSocketDropsButRunStaysBitIdentical) {
+  const RunFingerprint baseline = run_workload("", kSpin);
   ASSERT_TRUE(baseline.completed);
 
-  const std::string path = testing::TempDir() + "/backpressure.stream";
+  // A listener that nobody reads while the run streams into it.
+  const std::string sock = testing::TempDir() + "/stalled.sock";
+  ::unlink(sock.c_str());
+  const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  ASSERT_LT(sock.size(), sizeof addr.sun_path);
+  std::memcpy(addr.sun_path, sock.c_str(), sock.size() + 1);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof addr),
+            0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+
+  // Read only once the run is over, so that finish() can write the rest;
+  // the bus closing its socket ends the read.
+  std::string text;
+  std::thread reader;
   BusStats stats;
   const RunFingerprint streamed =
-      run_workload(path, /*ring_capacity=*/2, /*hold_sink=*/true, &stats);
-  // The never-block contract, both halves: records were lost…
+      run_workload("unix:" + sock, kSpin, &stats, [&] {
+        reader = std::thread([&] {
+          const int conn = ::accept(listener, nullptr, nullptr);
+          char buf[1 << 16];
+          for (ssize_t n; (n = ::read(conn, buf, sizeof buf)) > 0;)
+            text.append(buf, static_cast<std::size_t>(n));
+          ::close(conn);
+        });
+      });
+  if (reader.joinable()) reader.join();
+  ::close(listener);
+  ::unlink(sock.c_str());
+
+  // The never-wait contract, both halves: records were lost…
   EXPECT_GT(stats.dropped_records, 0u);
   EXPECT_EQ(stats.pushed,
             stats.dropped_records + (stats.written - 2 /* header + run_end */));
+  EXPECT_EQ(stats.write_errors, 0u);
   // …and the simulated run never noticed.
   EXPECT_TRUE(streamed == baseline) << "streamed run diverged";
-  // The truncated stream is still a valid one: header first, run_end
-  // last, contiguous seq, and the run_end cumulative metrics intact.
-  const std::vector<std::string> lines = split_lines(read_file(path));
-  ASSERT_GE(lines.size(), 2u);
-  JsonValue last;
+  // The thinned stream is still a valid one: header first, contiguous seq,
+  // run_end last with the drop count.
+  const std::vector<std::string> lines = split_lines(text);
+  ASSERT_EQ(lines.size(), stats.written);
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    JsonValue v;
+    ASSERT_TRUE(parse_json(lines[i], &v)) << lines[i];
+    EXPECT_EQ(v.get_number("seq"), static_cast<double>(i));
+  }
+  JsonValue first, last;
+  ASSERT_TRUE(parse_json(lines.front(), &first));
+  EXPECT_EQ(first.get_string("type"), "header");
   ASSERT_TRUE(parse_json(lines.back(), &last));
   EXPECT_EQ(last.get_string("type"), "run_end");
   EXPECT_EQ(last.get("obs")->get_number("dropped_records"),
@@ -380,9 +389,7 @@ TEST(StreamBackpressureTest, TinyRingDropsButRunStaysBitIdentical) {
 TEST(StreamObserverTest, FullStreamHasMonotoneStepsAndMatchesRun) {
   const std::string path = testing::TempDir() + "/full.stream";
   BusStats stats;
-  const RunFingerprint fp =
-      run_workload(path, /*ring_capacity=*/1 << 14, /*hold_sink=*/false,
-                   &stats);
+  const RunFingerprint fp = run_workload(path, /*spin=*/0, &stats);
   ASSERT_TRUE(fp.completed);
   EXPECT_EQ(stats.dropped_records, 0u);
 

@@ -421,6 +421,32 @@ TEST(ProfWhatIf, HugeFactorsConvertOrLeaveTheCycleRange) {
   EXPECT_EQ(lines[2], "what-if combined " + range);
 }
 
+// A factor of 1e6 or more prints in %g form, one short token; below that
+// the two-decimal form stays, so existing "net:0.50x" lines do not move.
+TEST(ProfWhatIf, HugeFactorsPrintCompactly) {
+  const ProfRun r = run_variant(Variant::kSingleInstruction);
+  ASSERT_TRUE(r.completed);
+  prof::RunInfo info;
+  info.program = "compact";
+  info.cycles = r.stats.cycles;
+  const std::string report = prof::report_steps(
+      r.profile, info,
+      {{prof::Term::kCompute, 1e300}, {prof::Term::kNet, 0.5},
+       {prof::Term::kFill, 999999.5}, {prof::Term::kFault, 1234567.0}});
+  std::vector<std::string> lines;
+  std::istringstream in(report);
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("what-if ", 0) == 0) lines.push_back(line);
+  }
+  ASSERT_EQ(lines.size(), 5u) << report;
+  EXPECT_EQ(lines[0].rfind("what-if compute:1e+300x -> ", 0), 0u) << lines[0];
+  EXPECT_LT(lines[0].size(), 100u) << lines[0];
+  EXPECT_EQ(lines[1].rfind("what-if net:0.50x -> ", 0), 0u) << lines[1];
+  EXPECT_EQ(lines[2].rfind("what-if fill:999999.50x -> ", 0), 0u) << lines[2];
+  EXPECT_EQ(lines[3].rfind("what-if fault:1.23457e+06x -> ", 0), 0u)
+      << lines[3];
+}
+
 // ---- folded stacks + JSON export ----
 
 TEST(ProfExport, FoldedLinesAndJsonConserve) {

@@ -59,8 +59,8 @@ void prof_usage() {
       "  --top=N           hotspot rows to show (default 10)\n"
       "  --by=KIND         hotspot axis: pc (default), tcf, group, term\n"
       "  --what-if=SPEC    Amdahl what-if multiplier for the steps report,\n"
-      "                    e.g. net:0.5x or compute:2x (repeatable; scalable\n"
-      "                    terms: compute, net, fault, fill)\n"
+      "                    e.g. net:0.5x or compute:2x (repeatable, once per\n"
+      "                    term; scalable terms: compute, net, fault, fill)\n"
       "  --html=F          destination for --report=html (default\n"
       "                    profile.html; '-' for stdout)\n"
       "  --json=F          destination for --report=json (default stdout)\n"
@@ -168,6 +168,13 @@ int main(int argc, char** argv) {
                      "scalable terms: compute, net, fault, fill)\n",
                      v.c_str());
         return 2;
+      }
+      for (const prof::WhatIf& prev : po.what_ifs) {
+        if (prev.term == w.term) {
+          std::fprintf(stderr, "tcfprof: --what-if: term %s given twice\n",
+                       prof::to_string(w.term));
+          return 2;
+        }
       }
       po.what_ifs.push_back(w);
     } else if (cli::parse_flag(arg, "html", &v)) {
