@@ -100,42 +100,69 @@ bool MetricsRegistry::contains(const std::string& path) const {
   return entries_.find(path) != entries_.end();
 }
 
+namespace {
+
+/// Writes `e`'s frozen value into `v`: a fresh leaf that keeps `v`'s
+/// bucket storage.
+template <typename Entry>
+void freeze(const Entry& e, MetricValue& v) {
+  std::vector<std::uint64_t> buckets = std::move(v.buckets);
+  buckets.clear();
+  v = MetricValue{};
+  v.kind = e.kind;
+  switch (e.kind) {
+    case InstrumentKind::kCounter:
+      v.count = e.counter->value();
+      break;
+    case InstrumentKind::kGauge:
+      v.value = e.gauge->value();
+      v.gauge_set = e.gauge->is_set();
+      break;
+    case InstrumentKind::kAccumulator:
+      v.count = e.accumulator->count();
+      if (v.count > 0) {
+        v.sum = e.accumulator->sum();
+        v.min = e.accumulator->min();
+        v.max = e.accumulator->max();
+        v.mean = e.accumulator->mean();
+        v.variance = e.accumulator->variance();
+      }
+      break;
+    case InstrumentKind::kHistogram:
+      v.count = e.histogram->count();
+      v.lo = e.histogram->lo();
+      v.hi = e.histogram->hi();
+      buckets.reserve(e.histogram->buckets());
+      for (std::size_t i = 0; i < e.histogram->buckets(); ++i) {
+        buckets.push_back(e.histogram->bucket_count(i));
+      }
+      break;
+  }
+  v.buckets = std::move(buckets);
+}
+
+}  // namespace
+
 MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot snap;
-  for (const auto& [path, e] : entries_) {
-    MetricValue v;
-    v.kind = e.kind;
-    switch (e.kind) {
-      case InstrumentKind::kCounter:
-        v.count = e.counter->value();
-        break;
-      case InstrumentKind::kGauge:
-        v.value = e.gauge->value();
-        v.gauge_set = e.gauge->is_set();
-        break;
-      case InstrumentKind::kAccumulator:
-        v.count = e.accumulator->count();
-        if (v.count > 0) {
-          v.sum = e.accumulator->sum();
-          v.min = e.accumulator->min();
-          v.max = e.accumulator->max();
-          v.mean = e.accumulator->mean();
-          v.variance = e.accumulator->variance();
-        }
-        break;
-      case InstrumentKind::kHistogram:
-        v.count = e.histogram->count();
-        v.lo = e.histogram->lo();
-        v.hi = e.histogram->hi();
-        v.buckets.reserve(e.histogram->buckets());
-        for (std::size_t i = 0; i < e.histogram->buckets(); ++i) {
-          v.buckets.push_back(e.histogram->bucket_count(i));
-        }
-        break;
-    }
-    snap.entries.emplace(path, std::move(v));
-  }
+  snapshot_into(snap);
   return snap;
+}
+
+void MetricsRegistry::snapshot_into(MetricsSnapshot& snap) const {
+  if (snap.entries.size() == entries_.size()) {
+    auto out = snap.entries.begin();
+    auto in = entries_.begin();
+    for (; in != entries_.end() && in->first == out->first; ++in, ++out) {
+      freeze(in->second, out->second);
+    }
+    if (in == entries_.end()) return;
+  }
+  snap.entries.clear();
+  for (const auto& [path, e] : entries_) {
+    freeze(e, snap.entries.emplace_hint(snap.entries.end(), path, MetricValue{})
+                  ->second);
+  }
 }
 
 RawMetrics MetricsRegistry::save_raw() const {
@@ -252,6 +279,14 @@ void append_number(std::string& out, double v) {
     out += "null";
     return;
   }
+  // "%.17g" writes an integral value below 1e17 as its plain digits, -0
+  // aside. Most leaves (counts, ranges, sums) are integral, and the integer
+  // path skips the general form's digit search.
+  if (std::fabs(v) < 1e15 && v == std::trunc(v) &&
+      !(v == 0 && std::signbit(v))) {
+    append_number(out, static_cast<std::int64_t>(v));
+    return;
+  }
   char buf[32];
   out.append(buf, std::to_chars(buf, buf + sizeof buf, v,
                                 std::chars_format::general, 17)
@@ -357,23 +392,30 @@ void to_json_leaf(std::string& out, const MetricValue& v,
 // --------------------------------------------------------------------------
 
 void json_escape(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
+  // Plain characters are copied in runs; only an escape breaks a run.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char* esc = nullptr;
+    switch (s[i]) {
+      case '"': esc = "\\\""; break;
+      case '\\': esc = "\\\\"; break;
+      case '\n': esc = "\\n"; break;
+      case '\r': esc = "\\r"; break;
+      case '\t': esc = "\\t"; break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+        if (static_cast<unsigned char>(s[i]) >= 0x20) continue;
+    }
+    out.append(s.data() + run, i - run);
+    run = i + 1;
+    if (esc != nullptr) {
+      out += esc;
+    } else {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\u%04x", s[i]);
+      out += buf;
     }
   }
+  out.append(s.data() + run, s.size() - run);
 }
 
 std::string json_escape(std::string_view s) {

@@ -153,6 +153,10 @@ class MetricsRegistry {
   bool empty() const { return entries_.empty(); }
 
   MetricsSnapshot snapshot() const;
+  /// Makes `snap` equal snapshot(). When `snap` already holds exactly this
+  /// registry's paths — a stream's previous window — its leaves are
+  /// overwritten in place and nothing is allocated; otherwise it is rebuilt.
+  void snapshot_into(MetricsSnapshot& snap) const;
 
   /// Bit-exact image of every instrument's internal state.
   RawMetrics save_raw() const;

@@ -6,11 +6,9 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <climits>
 #include <cstring>
-#include <utility>
 
 namespace tcfpn::obs {
 
@@ -88,7 +86,7 @@ std::unique_ptr<Bus> Bus::open(const Config& cfg, std::string* error) {
 
 Bus::~Bus() {
   if (cfg_.forward_logs) set_log_forwarder(nullptr);
-  if (!finished_) flush(/*wait=*/true);
+  if (!finished_) write_out(pending_.size(), /*wait=*/true);
   if (close_fd_ && fd_ >= 0) ::close(fd_);
 }
 
@@ -102,24 +100,33 @@ bool Bus::emit(std::uint64_t* dropped, Format&& format) {
   format(next_seq_);
   pending_ += '\n';
   if (pending_.size() - sent_ > kMaxPendingBytes) {
-    pending_.resize(mark);
-    ++*dropped;
-    return false;
+    // Over the bound. The consumer may have read since the last write, so
+    // first hand it the lines before this one; drop this one only if it
+    // still does not fit.
+    write_out(mark, /*wait=*/false);
+    if (fd_ < 0) return false;  // the destination died: fail() counted it
+    if (pending_.size() - sent_ > kMaxPendingBytes) {
+      pending_.resize(mark);
+      compact();
+      ++*dropped;
+      return false;
+    }
   }
   ++next_seq_;
   ++stats_.written;
-  flush(/*wait=*/false);
+  write_out(pending_.size(), /*wait=*/false);
+  compact();
   return true;
 }
 
 void Bus::metrics(StepId step, Cycle cycles,
-                  metrics::MetricsSnapshot cumulative) {
+                  const metrics::MetricsSnapshot& cumulative) {
   if (finished_) return;
   ++stats_.pushed;
   const bool accepted = emit(&stats_.dropped_records, [&](std::uint64_t seq) {
     metrics_line(pending_, seq, step, cycles, cumulative, last_cumulative_);
   });
-  if (accepted) last_cumulative_ = std::move(cumulative);
+  if (accepted) last_cumulative_ = cumulative;
 }
 
 void Bus::sample(const machine::StepSample& s) {
@@ -142,15 +149,19 @@ void Bus::push_log(const LogLine& line) {
        [&](std::uint64_t seq) { log_line(pending_, seq, line); });
 }
 
-void Bus::flush(bool wait) {
-  while (fd_ >= 0 && sent_ < pending_.size()) {
-    std::size_t len = pending_.size() - sent_;
+void Bus::write_out(std::size_t end, bool wait) {
+  // Without `wait` nothing goes out before PIPE_BUF bytes are pending: one
+  // write per PIPE_BUF instead of one per line. A shorter tail waits for
+  // the next line or for finish().
+  const std::size_t least = wait ? 1 : PIPE_BUF;
+  while (fd_ >= 0 && end - sent_ >= least) {
+    std::size_t len = end - sent_;
     if (!wait && !is_socket_) {
       // Never wait: write only into an fd that says it has room, and no
       // more than the PIPE_BUF bytes a writable pipe is sure to take.
       pollfd p{fd_, POLLOUT, 0};
       if (::poll(&p, 1, 0) != 1) break;
-      len = std::min<std::size_t>(len, PIPE_BUF);
+      len = PIPE_BUF;
     }
     // Sockets use send(MSG_NOSIGNAL) so a hung-up tcfmon surfaces as EPIPE
     // instead of killing the producer with SIGPIPE.
@@ -169,6 +180,9 @@ void Bus::flush(bool wait) {
       fail();
     }
   }
+}
+
+void Bus::compact() {
   if (sent_ == pending_.size()) {
     pending_.clear();
     sent_ = 0;
@@ -205,7 +219,7 @@ void Bus::finish(StepId step, Cycle cycles, bool completed,
                cumulative, stats, stats_);
   pending_ += '\n';
   ++stats_.written;
-  flush(/*wait=*/true);
+  write_out(pending_.size(), /*wait=*/true);
 }
 
 }  // namespace tcfpn::obs

@@ -6,23 +6,27 @@
 //   obs::log(...)    push_log() via the LogForwarder   the pending buffer,
 //                                                      assign its seq, then
 //                                                      write what the fd
-//                                                      takes right now
+//                                                      takes right now, a
+//                                                      PIPE_BUF at a time
 //
 // The bus starts no thread and holds no lock: every call, the forwarded
 // log lines included, comes from the thread that runs the machine, so the
 // stream of a rerun is byte-identical.
 //
-// Backpressure contract: the producer never waits. A socket is written with
-// send(MSG_DONTWAIT); any other fd only after poll(POLLOUT, 0) says it is
-// writable, at most PIPE_BUF bytes per write. Bytes the destination does
-// not take stay pending; a line that would push the pending buffer past a
-// fixed bound is dropped whole and counted, so framing never breaks. A run's
-// simulated results — memory image, PRINT output, metrics document,
-// journal — are therefore bit-identical with streaming on or off. Drops
-// depend on how fast the consumer reads, which is why they are reported on
-// the stream itself (run_end "obs" object) and never enter the machine's
-// metrics registry. Only finish() waits: it writes the run_end line and
-// everything still pending.
+// Backpressure contract: the producer never waits. Lines are written once
+// PIPE_BUF bytes of them are pending: a socket is offered all of them with
+// send(MSG_DONTWAIT); any other fd is written only after poll(POLLOUT, 0)
+// says it is writable, one PIPE_BUF chunk per write. Bytes the destination
+// does not take, and a tail shorter than PIPE_BUF, stay pending. A line
+// that would push the pending buffer past a fixed bound is dropped whole
+// and counted, so framing never breaks; the bytes before it are offered to
+// the destination once more first, so a consumer that reads again gets the
+// rest of the run. A run's simulated results — memory image, PRINT output,
+// metrics document, journal — are therefore bit-identical with streaming on
+// or off. Drops depend on how fast the consumer reads, which is why they
+// are reported on the stream itself (run_end "obs" object) and never enter
+// the machine's metrics registry. Only finish() waits: it writes the
+// run_end line and everything still pending.
 //
 // Destinations: a file path, "-" for stdout, or "unix:PATH" — connect to a
 // listening UNIX stream socket (tcfmon --listen owns the listening side).
@@ -55,9 +59,9 @@ class Bus {
   /// One metrics window: the line carries the delta of `cumulative` against
   /// the last cumulative snapshot the bus accepted, so a dropped window
   /// merges into the next instead of losing counts. An accepted snapshot is
-  /// kept for the next delta, which is why it is taken by value.
+  /// copied for the next delta.
   void metrics(StepId step, Cycle cycles,
-               metrics::MetricsSnapshot cumulative);
+               const metrics::MetricsSnapshot& cumulative);
   void sample(const machine::StepSample& s);
   void events(StepId step, const EventCounts& counts);
 
@@ -80,14 +84,17 @@ class Bus {
   explicit Bus(const Config& cfg) : cfg_(cfg) {}
 
   /// Appends the line `format(seq)` writes into pending_ and accepts it —
-  /// assigning its seq — unless that would overflow the pending bound, in
-  /// which case the line is dropped whole and *dropped is bumped.
+  /// assigning its seq — unless that would overflow the pending bound even
+  /// after writing what the destination takes now, in which case the line
+  /// is dropped whole and *dropped is bumped.
   template <typename Format>
   bool emit(std::uint64_t* dropped, Format&& format);
 
-  /// Writes pending bytes: with `wait`, all of them; otherwise what the
+  /// Writes the pending bytes before offset `end`: with `wait`, all of
+  /// them; otherwise, once PIPE_BUF of them are pending, what the
   /// destination accepts right now.
-  void flush(bool wait);
+  void write_out(std::size_t end, bool wait);
+  void compact();  ///< frees the written prefix of pending_
   void fail();  ///< dead destination: count it, stop writing
 
   Config cfg_;

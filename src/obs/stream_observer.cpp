@@ -54,7 +54,8 @@ void StreamObserver::on_fault(const std::string& message, machine::Machine& m) {
 
 void StreamObserver::emit_window(machine::Machine& m, StepId step) {
   const machine::MachineStats& st = m.stats();
-  bus_.metrics(step, st.cycles, m.metrics_snapshot());
+  m.metrics().snapshot_into(snapshot_);
+  bus_.metrics(step, st.cycles, snapshot_);
   bus_.sample({step, st.cycles, st.operations, st.busy_slots, st.idle_slots,
                m.live_flows()});
   if (window_has_events_) {

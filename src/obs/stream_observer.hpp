@@ -51,6 +51,7 @@ class StreamObserver : public machine::StepObserver {
 
   Bus& bus_;
   StepId every_;
+  metrics::MetricsSnapshot snapshot_;  ///< refreshed in place each window
   machine::Machine* m_ = nullptr;
   machine::StepObserver* next_ = nullptr;
 

@@ -1,13 +1,13 @@
 # Regression: a run that faults mid-way must still produce its telemetry.
 #
-# Invoked via `cmake -DTCFRUN=<path> -DPROG=<fault_div.tcf>
+# Invoked via `cmake -DTCFRUN=<path> -DTCFPROF=<path> -DPROG=<fault_div.tcf>
 # -DPROG_OK=<vecadd.tcf> -DOUT=<dir> -P`.
 # Asserts the exit-code contract (1 = fault, 2 = exporter destination
 # failure or usage error), that the metrics/trace documents record the
 # fault in the run metadata, and that --post-mortem emits a
 # tcfpn-postmortem-v1 document.
 
-foreach(var TCFRUN PROG PROG_OK OUT)
+foreach(var TCFRUN TCFPROF PROG PROG_OK OUT)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "check_fault_export: -D${var}=... is required")
   endif()
@@ -117,5 +117,38 @@ execute_process(
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "--topology=hypercube --groups=4: expected exit 0, got ${rc}\n${err}")
 endif()
+
+# 6. tcfprof --what-if: a term given twice is a usage error (exit 2, no
+#    report) rather than a silently dropped factor; distinct terms each get
+#    a line and combine.
+execute_process(
+  COMMAND "${TCFPROF}" "${PROG_OK}" "--what-if=compute:2x"
+          "--what-if=compute:3x" "--report=steps"
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "repeated --what-if term: expected exit 2, got ${rc}\n${out}${err}")
+endif()
+if(NOT err MATCHES "tcfprof: --what-if: term compute given twice")
+  message(FATAL_ERROR "repeated --what-if term: stderr lacks the diagnostic:\n${err}")
+endif()
+if(NOT out STREQUAL "")
+  message(FATAL_ERROR "repeated --what-if term: the report ran anyway:\n${out}")
+endif()
+execute_process(
+  COMMAND "${TCFPROF}" "${PROG_OK}" "--what-if=compute:2x"
+          "--what-if=net:0.5x" "--report=steps"
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "distinct --what-if terms: expected exit 0, got ${rc}\n${err}")
+endif()
+foreach(want "\nwhat-if compute:2\\.00x -> [0-9]+ cycles"
+             "\nwhat-if net:0\\.50x -> [0-9]+ cycles"
+             "\nwhat-if combined -> [0-9]+ cycles")
+  if(NOT out MATCHES "${want}")
+    message(FATAL_ERROR "distinct --what-if terms: no match for '${want}' in:\n${out}")
+  endif()
+endforeach()
 
 message(STATUS "check_fault_export: all assertions passed")

@@ -115,6 +115,37 @@ TEST(MetricsSnapshotTest, DiffSubtractsMonotoneParts) {
   EXPECT_EQ(dh.buckets[1], 1u);
 }
 
+// snapshot_into reuses the leaves of a snapshot with the same paths and
+// rebuilds one without; either way the result equals snapshot().
+TEST(MetricsSnapshotTest, SnapshotIntoEqualsSnapshot) {
+  MetricsRegistry reg;
+  reg.counter("a/count").add(3);
+  reg.gauge("a/level");  // registered, never set
+  Accumulator& acc = reg.accumulator("a/depth");
+  Histogram& h = reg.histogram("a/lat", 0.0, 10.0, 5);
+  MetricsSnapshot snap;
+  reg.snapshot_into(snap);
+  EXPECT_TRUE(snap == reg.snapshot());
+
+  const std::uint64_t* buckets = snap.entries.at("a/lat").buckets.data();
+  acc.add(2.0);
+  h.add(4.0);
+  reg.gauge("a/level").set(1.5);
+  reg.snapshot_into(snap);  // same paths: refreshed in place
+  EXPECT_TRUE(snap == reg.snapshot());
+  EXPECT_EQ(snap.entries.at("a/lat").buckets.data(), buckets);
+
+  reg.counter("a/b").add();  // a new path: rebuilt
+  reg.snapshot_into(snap);
+  EXPECT_TRUE(snap == reg.snapshot());
+  MetricsSnapshot other = MetricsRegistry().snapshot();
+  other.entries["z/gone"].count = 9;  // a different path, same count
+  MetricsRegistry one;
+  one.counter("z/kept").add(2);
+  one.snapshot_into(other);
+  EXPECT_TRUE(other == one.snapshot());
+}
+
 // ---- Merge ---------------------------------------------------------------
 
 TEST(MetricsRegistryTest, MergeFoldsEveryKind) {
@@ -152,15 +183,18 @@ TEST(MetricsRegistryTest, MergeKindMismatchFaults) {
 // of printf's "%.17g", and a non-finite value writes null.
 TEST(MetricsJsonTest, DoublesWriteThePrintfG17Digits) {
   std::mt19937_64 rng(21);
-  std::vector<double> values = {0.0, -0.0, 1.0, -2.5, 0.1, 1e17, 1e-300,
+  std::vector<double> values = {0.0, -0.0, 1.0, -1.0, -2.5, 0.1, 1e17, 1e-300,
                                 4.9e-324, 1.7976931348623157e308,
-                                0.24999999999999958, 4.4358974358974361};
+                                0.24999999999999958, 4.4358974358974361,
+                                1e15 - 1, 1e15, -1e15 + 1, -1e15, 1e16 + 2,
+                                9007199254740993.0, 99999999999999984.0};
   for (int i = 0; i < 20000; ++i) {
     const std::uint64_t bits = rng();
     double d;
     std::memcpy(&d, &bits, sizeof d);
     values.push_back(d);  // every exponent, subnormals, inf and nan included
     values.push_back(static_cast<double>(bits >> 20));  // integral values
+    values.push_back(-static_cast<double>(bits >> 14));
   }
   values.push_back(std::numeric_limits<double>::infinity());
   values.push_back(std::numeric_limits<double>::quiet_NaN());

@@ -10,6 +10,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstring>
 #include <fstream>
 #include <functional>
@@ -120,7 +121,7 @@ TEST(StreamRecordTest, FlatMetricsMatchesSnapshotLeafForLeaf) {
   // A window: leaves in `since` subtract, leaves absent from it pass
   // through unchanged.
   metrics::MetricsSnapshot since;
-  since.entries["net/packets"] = {metrics::InstrumentKind::kCounter, 3};
+  since.entries["net/packets"].count = 3;  // a counter, the default kind
   ASSERT_TRUE(parse_json(line_of(flat_metrics_json, snap, since), &v));
   EXPECT_EQ(v.object().size(), snap.entries.size());
   EXPECT_EQ(v.get("net/packets")->get_number("value"), 4.0);
@@ -324,23 +325,44 @@ RunFingerprint run_workload(const std::string& destination, Word spin = 0,
 // steps, far past what the socket buffer and the bus's pending bound hold.
 constexpr Word kSpin = 1000;
 
+/// A listening UNIX stream socket at `path`, or -1.
+int listen_unix(const std::string& path) {
+  ::unlink(path.c_str());
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  if (path.size() >= sizeof addr.sun_path) return -1;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0 ||
+      ::listen(fd, 1) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Accepts one connection on `listener` and appends everything read from it
+/// to `text` (adding the byte count to `read_bytes`) until the peer closes.
+void read_all(int listener, std::string& text,
+              std::atomic<std::size_t>* read_bytes = nullptr) {
+  const int conn = ::accept(listener, nullptr, nullptr);
+  char buf[1 << 16];
+  for (ssize_t n; (n = ::read(conn, buf, sizeof buf)) > 0;) {
+    text.append(buf, static_cast<std::size_t>(n));
+    if (read_bytes != nullptr) *read_bytes += static_cast<std::size_t>(n);
+  }
+  ::close(conn);
+}
+
 TEST(StreamBackpressureTest, StalledSocketDropsButRunStaysBitIdentical) {
   const RunFingerprint baseline = run_workload("", kSpin);
   ASSERT_TRUE(baseline.completed);
 
   // A listener that nobody reads while the run streams into it.
   const std::string sock = testing::TempDir() + "/stalled.sock";
-  ::unlink(sock.c_str());
-  const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  const int listener = listen_unix(sock);
   ASSERT_GE(listener, 0);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  ASSERT_LT(sock.size(), sizeof addr.sun_path);
-  std::memcpy(addr.sun_path, sock.c_str(), sock.size() + 1);
-  ASSERT_EQ(::bind(listener, reinterpret_cast<const sockaddr*>(&addr),
-                   sizeof addr),
-            0);
-  ASSERT_EQ(::listen(listener, 1), 0);
 
   // Read only once the run is over, so that finish() can write the rest;
   // the bus closing its socket ends the read.
@@ -349,13 +371,7 @@ TEST(StreamBackpressureTest, StalledSocketDropsButRunStaysBitIdentical) {
   BusStats stats;
   const RunFingerprint streamed =
       run_workload("unix:" + sock, kSpin, &stats, [&] {
-        reader = std::thread([&] {
-          const int conn = ::accept(listener, nullptr, nullptr);
-          char buf[1 << 16];
-          for (ssize_t n; (n = ::read(conn, buf, sizeof buf)) > 0;)
-            text.append(buf, static_cast<std::size_t>(n));
-          ::close(conn);
-        });
+        reader = std::thread([&] { read_all(listener, text); });
       });
   if (reader.joinable()) reader.join();
   ::close(listener);
@@ -384,6 +400,69 @@ TEST(StreamBackpressureTest, StalledSocketDropsButRunStaysBitIdentical) {
   EXPECT_EQ(last.get_string("type"), "run_end");
   EXPECT_EQ(last.get("obs")->get_number("dropped_records"),
             static_cast<double>(stats.dropped_records));
+}
+
+// A consumer that stalls and then reads again gets the rest of the run: once
+// it has drained the socket, the next line offered to the bus finds room,
+// however full the pending buffer was when the stall ended.
+TEST(StreamBackpressureTest, ResumedConsumerGetsTheRestOfTheRun) {
+  const std::string sock = testing::TempDir() + "/resumed.sock";
+  const int listener = listen_unix(sock);
+  ASSERT_GE(listener, 0);
+
+  machine::Machine m(stream_cfg());
+  m.load(stream_workload(kSpin));
+  m.boot(1);
+  Bus::Config cfg;
+  cfg.destination = "unix:" + sock;
+  cfg.forward_logs = false;
+  std::string err;
+  std::unique_ptr<Bus> bus = Bus::open(cfg, &err);
+  ASSERT_NE(bus, nullptr) << err;
+  StreamObserver observer(*bus, 1);
+  observer.attach(m);
+
+  // The stall: nobody reads for the first kStalledSteps steps, enough to
+  // fill the socket buffer and the bus's pending bound.
+  constexpr StepId kStalledSteps = 1000;
+  ASSERT_FALSE(m.run(kStalledSteps).completed);
+  ASSERT_GT(bus->stats().dropped_records, 0u);
+
+  // The consumer resumes; the run goes on once it has read a line's worth,
+  // so the socket has room again.
+  std::string text;
+  std::atomic<std::size_t> read_bytes{0};
+  std::thread reader([&] { read_all(listener, text, &read_bytes); });
+  while (read_bytes.load() < 4096) std::this_thread::yield();
+  const machine::RunResult run = m.run();
+  observer.detach();
+  bus->finish(m.stats().steps, m.stats().cycles, run.completed, "",
+              m.metrics_snapshot(), m.stats());
+  const BusStats stats = bus->stats();
+  bus.reset();  // closes the socket, which ends the read
+  reader.join();
+  ::close(listener);
+  ::unlink(sock.c_str());
+  ASSERT_TRUE(run.completed);
+
+  EXPECT_GT(stats.dropped_records, 0u);
+  EXPECT_EQ(stats.write_errors, 0u);
+  const std::vector<std::string> lines = split_lines(text);
+  ASSERT_EQ(lines.size(), stats.written);
+  // Metrics windows after the stall reached the consumer, before run_end.
+  std::size_t after_stall = 0;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    JsonValue v;
+    ASSERT_TRUE(parse_json(lines[i], &v)) << lines[i];
+    EXPECT_EQ(v.get_number("seq"), static_cast<double>(i));
+    if (i + 1 == lines.size()) {
+      EXPECT_EQ(v.get_string("type"), "run_end");
+    } else if (v.get_string("type") == "metrics" &&
+               v.get_number("step") > static_cast<double>(kStalledSteps)) {
+      ++after_stall;
+    }
+  }
+  EXPECT_GT(after_stall, 0u);
 }
 
 TEST(StreamObserverTest, FullStreamHasMonotoneStepsAndMatchesRun) {
