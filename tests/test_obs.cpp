@@ -294,7 +294,10 @@ RunFingerprint run_workload(const std::string& destination, Word spin = 0,
     cfg.forward_logs = false;
     std::string err;
     bus = Bus::open(cfg, &err);
-    EXPECT_NE(bus, nullptr) << err;
+    if (bus == nullptr) {
+      ADD_FAILURE() << err;
+      return {};
+    }
     observer = std::make_unique<StreamObserver>(*bus, 1);
     observer->attach(m);
   }
@@ -376,6 +379,7 @@ TEST(StreamBackpressureTest, StalledSocketDropsButRunStaysBitIdentical) {
   if (reader.joinable()) reader.join();
   ::close(listener);
   ::unlink(sock.c_str());
+  ASSERT_TRUE(streamed.completed);
 
   // The never-wait contract, both halves: records were lost…
   EXPECT_GT(stats.dropped_records, 0u);
