@@ -13,11 +13,11 @@
 //
 // Determinism contract (DESIGN.md §4): registries support merge() in a
 // caller-chosen order, because floating-point accumulator merges are
-// order-sensitive bit-wise. The machine layer keeps its registry off the
-// parallel group phase entirely: groups count lane operations as plain
-// integers in their per-step effect buffers (Machine::GroupCtx), added into
-// the registry at the step barrier in group order, and every accumulator
-// and histogram is fed on the barrier side only — so metric values follow
+// order-sensitive bit-wise. The machine layer keeps its registry out of
+// the groups' execution: a group counts lane operations as plain integers
+// in the effect buffer (Machine::GroupCtx), added into the registry when
+// the group finishes, in group order, and every accumulator and histogram
+// is fed outside the groups' execution only — so metric values follow
 // group order and never the order in which the groups ran.
 //
 // snapshot() freezes all instruments into plain values; diff() subtracts the

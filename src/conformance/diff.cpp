@@ -428,7 +428,7 @@ std::optional<Divergence> run_differential(const DiffCase& c,
         -> std::optional<Divergence> {
       const Observed got = from_outcome(out);
       if (auto d = compare(want, got, /*aligned=*/false, false)) {
-        return Divergence{name, *d};
+        return Divergence{name, *d, std::nullopt};
       }
       return std::nullopt;
     };
@@ -478,8 +478,9 @@ std::optional<Divergence> run_differential(const DiffCase& c,
         }
       }
     } catch (const SimError& e) {
-      return Divergence{"frontend", std::string("unexpected fault [") +
-                                        e.what() + "]"};
+      return Divergence{"frontend",
+                        std::string("unexpected fault [") + e.what() + "]",
+                        std::nullopt};
     }
   }
 

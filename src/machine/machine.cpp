@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <limits>
 
 #include "common/log.hpp"
@@ -33,11 +34,11 @@ constexpr std::uint64_t kLaneOpGuard = 4'000'000;  // runaway-lane guard (XMT)
 // a few tens of MB even for million-step runs.
 constexpr std::size_t kMaxHostSpans = 1u << 20;
 
-// Sorts one group's profiler bins into canonical key order and folds equal
-// keys into one bin, summing their cycles. The fold is not cosmetic: the
-// apportionment of a slot term below the step's work shares remainders per
-// bin, so eight unit bins of one key would not get what one bin of eight
-// gets.
+// Sorts a step's profiler bins into canonical key order (group first) and
+// folds equal keys into one bin, summing their cycles. The fold is not
+// cosmetic: the apportionment of a slot term below the step's work shares
+// remainders per bin, so eight unit bins of one key would not get what one
+// bin of eight gets.
 void fold_bins(std::vector<std::pair<prof::Key, Cycle>>& bins) {
   std::sort(bins.begin(), bins.end(),
             [](const auto& x, const auto& y) { return x.first < y.first; });
@@ -75,10 +76,10 @@ const char* to_string(DebugEventKind k) {
   return "?";
 }
 
-void Machine::emit(GroupCtx& ctx, DebugEventKind kind, const TcfDescriptor& f,
-                   Word a, Word b) {
+void Machine::emit(DebugEventKind kind, const TcfDescriptor& f, Word a,
+                   Word b) {
   if (observer_ == nullptr) return;
-  ctx.events.push_back(DebugEvent{kind, stats_.steps, f.id, f.home, a, b});
+  ctx_.events.push_back(DebugEvent{kind, stats_.steps, f.id, f.home, a, b});
 }
 
 void Machine::emit_now(DebugEventKind kind, FlowId flow, GroupId group, Word a,
@@ -134,13 +135,8 @@ Machine::Machine(MachineConfig cfg)
   groups_.resize(cfg_.groups);
   dead_.assign(cfg_.groups, 0);
   recompute_step_fill();
-  step_ctx_.resize(cfg_.groups);
-  for (auto& ctx : step_ctx_) {
-    ctx.port.attach(&shared_);
-    ctx.net_loads.assign(shared_.modules(), 0);
-    ctx.run_modules.assign(shared_.modules(), 0);
-  }
   net_loads_.assign(shared_.modules(), 0);
+  run_modules_.assign(shared_.modules(), 0);
   dist_cache_.resize(cfg_.groups);
   for (GroupId g = 0; g < cfg_.groups; ++g) {
     dist_cache_[g].resize(shared_.modules());
@@ -149,9 +145,8 @@ Machine::Machine(MachineConfig cfg)
     }
   }
   // The machine-level registry also carries the lane counters (fed directly
-  // by the single-threaded XMT path, and by the groups' lane counts at the
-  // barrier) plus the commit-side memory and router instruments — all of
-  // which are only touched at the step barrier.
+  // by the XMT path, and by each group's lane counts when it finishes) plus
+  // the commit-side memory and router instruments.
   for (std::size_t k = 0; k < kLaneKinds; ++k) {
     gm_[k] = &metrics_.counter(kLaneCounterPaths[k]);
   }
@@ -169,23 +164,11 @@ Machine::Machine(MachineConfig cfg)
 }
 
 void Machine::GroupCtx::reset() {
-  port.clear();
   delta = MachineStats{};
-  refs.clear();
-  if (net_refs != 0) {
-    std::fill(net_loads.begin(), net_loads.end(), 0);
-    net_refs = 0;
-    net_max_dist = 0;
-  }
-  prefix_reqs.clear();
-  spawns.clear();
-  halted.clear();
-  prints.clear();
-  trace.clear();
-  error = nullptr;
   lanes = {};
   events.clear();
-  prof_bins.clear();
+  prints.clear();
+  trace.clear();
 }
 
 double Machine::host_clock_us() {
@@ -481,7 +464,7 @@ void Machine::on_flow_halted(TcfDescriptor& f) {
 
 void Machine::halt_in_step(TcfDescriptor& f) {
   f.status = FlowStatus::kHalted;
-  emit(step_ctx_[f.home], DebugEventKind::kFlowHalted, f);
+  emit(DebugEventKind::kFlowHalted, f);
   if (f.parent == kNoFlow) return;
   TcfDescriptor& p = flow(f.parent);
   if (p.home == f.home) {
@@ -492,10 +475,10 @@ void Machine::halt_in_step(TcfDescriptor& f) {
     --p.live_children;
     return;
   }
-  // Cross-group: the join notice travels through the group context and
-  // lands at the barrier, in group order, so the parent's group sees the
-  // same count whether it runs before or after this one.
-  step_ctx_[f.home].halted.push_back(f.id);
+  // Cross-group: the join notice lands in the deferred pass, in group
+  // order, so the parent's group sees the same count whether it runs
+  // before or after this one.
+  step_halted_.push_back(f.id);
 }
 
 std::size_t Machine::live_flows() const {
@@ -541,25 +524,31 @@ bool Machine::step() {
 bool Machine::step_synchronous() {
   if (!begin_step()) return false;
 
-  // Each group executes against its own effect buffer (GroupCtx): it reads
-  // only committed shared memory and its own flows. Every group executes
-  // the step, also when a lower group faults in it; the fault surfaces in
-  // the merge loop.
+  // Groups run in group order 0..P-1, the order the oracle commits the
+  // effects in. A group reads only committed shared memory and its own
+  // flows; it stages its shared-memory traffic straight into shared_, which
+  // shows nothing before commit_step, and holds back in ctx_ what a fault
+  // must not show. ctx_ merges as soon as its group finishes, unless a
+  // group has faulted: then the groups below the lowest faulting one have
+  // merged and no other has. Every group executes the step, also after a
+  // fault; the first fault is rethrown once all have run.
   double t0 = cfg_.profile_host ? host_clock_us() : 0;
-  for (GroupId g = 0; g < cfg_.groups; ++g) run_group(g);
+  std::exception_ptr fault;
+  for (GroupId g = 0; g < cfg_.groups; ++g) {
+    ctx_.reset();
+    try {
+      execute_group(g, step_base_);
+    } catch (...) {
+      if (!fault) fault = std::current_exception();
+    }
+    if (!fault) merge_group();
+  }
   if (cfg_.profile_host) {
     host_span("machine/group_phase", t0);
     t0 = host_clock_us();
   }
-
-  // Merge in group order 0..P-1, the order the oracle commits the effects
-  // in. The lowest faulting group wins: lower groups merge, the step never
-  // reaches the deferred pass, and the errors of groups above it are lost.
-  for (GroupId g = 0; g < cfg_.groups; ++g) {
-    if (step_ctx_[g].error) std::rethrow_exception(step_ctx_[g].error);
-    stream_merge_group(g);
-  }
-  for (GroupId g = 0; g < cfg_.groups; ++g) deferred_merge_group(g);
+  if (fault) std::rethrow_exception(fault);
+  merge_deferred();
   if (cfg_.profile_host) host_span("machine/merge_effects", t0);
   finish_step();
   return true;
@@ -575,38 +564,27 @@ bool Machine::begin_step() {
   }
   if (!any_ready) return false;
 
-  // A fault may have aborted the previous step after some groups streamed
+  // A fault may have aborted the previous step after some groups appended
   // their profiler bins; never let them leak into this step's apportionment.
   step_bins_.clear();
   step_base_ = stats_.cycles + step_fill_;
   return true;
 }
 
-void Machine::run_group(GroupId g) {
-  auto& ctx = step_ctx_[g];
-  ctx.reset();
-  try {
-    execute_group(g, step_base_);
-  } catch (...) {
-    ctx.error = std::current_exception();
-  }
-}
-
 void Machine::execute_group(GroupId g, Cycle step_base) {
   auto& grp = groups_[g];
-  auto& ctx = step_ctx_[g];
   grp.step_ops = 0;
   // Flows spawned/woken during the step join the next one; nothing is
-  // admitted to the resident list until the barrier, so no snapshot copy is
-  // needed.
+  // admitted to the resident list until the step ends, so no snapshot copy
+  // is needed.
   const std::vector<FlowId>& active = grp.resident;
 
   auto record = [&](const TcfDescriptor& f, std::uint64_t ops) {
     if (ops == 0 || !trace_.enabled()) return;
-    ctx.trace.push_back(TraceSpan{g, step_base + grp.step_ops - ops,
-                                  step_base + grp.step_ops,
-                                  static_cast<char>('A' + f.id % 26),
-                                  "flow " + std::to_string(f.id)});
+    ctx_.trace.push_back(TraceSpan{g, step_base + grp.step_ops - ops,
+                                   step_base + grp.step_ops,
+                                   static_cast<char>('A' + f.id % 26),
+                                   "flow " + std::to_string(f.id)});
   };
 
   if (cfg_.variant == Variant::kBalanced) {
@@ -642,110 +620,47 @@ void Machine::execute_group(GroupId g, Cycle step_base) {
       record(f, ops);
     }
   }
-  // Pre-sort the staged write records and fold the profiler bins while
-  // the group's data is hot, so the barrier-side commit rarely sorts.
-  ctx.port.seal();
-  fold_bins(ctx.prof_bins);
 }
 
-bool Machine::group_quiet(const GroupCtx& ctx) const {
-  return ctx.events.empty() && ctx.refs.empty() && ctx.net_refs == 0 &&
-         ctx.port.empty() && ctx.prefix_reqs.empty() && ctx.spawns.empty() &&
-         ctx.halted.empty() && ctx.prints.empty() && ctx.trace.empty() &&
-         // Tested inline: std::array's == compiles to a memcmp call here,
-         // which measurably slowed the step loop.
-         std::all_of(ctx.lanes.begin(), ctx.lanes.end(),
-                     [](std::uint64_t n) { return n == 0; });
-}
-
-void Machine::stream_merge_group(GroupId g) {
-  auto& ctx = step_ctx_[g];
-
-  stats_.tcf_instructions += ctx.delta.tcf_instructions;
-  stats_.operations += ctx.delta.operations;
-  stats_.instruction_fetches += ctx.delta.instruction_fetches;
-  stats_.spawns += ctx.delta.spawns;
-  stats_.joins += ctx.delta.joins;
-  stats_.branch_cost_cycles += ctx.delta.branch_cost_cycles;
-
-  // Profiler bins stream before the quiet-group fast path: a register-only
-  // group step has no cross-group effects but it did execute operations,
-  // and those cycles must reach the apportionment in finish_step.
-  if (cfg_.profile && !ctx.prof_bins.empty()) {
-    step_bins_.insert(step_bins_.end(), ctx.prof_bins.begin(),
-                      ctx.prof_bins.end());
-  }
-
-  if (group_quiet(ctx)) {
-    // Register-only group step: besides the stat deltas just added there is
-    // nothing to merge — every buffer is empty and every lane count zero,
-    // so the counter adds, port drain and ref transfer are all no-ops and
-    // can be skipped wholesale.
-    ++merge_skips_;
-    return;
-  }
-
-  // Flight-recorder events buffered during the group phase surface here,
-  // in group order.
+void Machine::merge_group() {
+  stats_.tcf_instructions += ctx_.delta.tcf_instructions;
+  stats_.operations += ctx_.delta.operations;
+  stats_.instruction_fetches += ctx_.delta.instruction_fetches;
+  stats_.spawns += ctx_.delta.spawns;
+  stats_.joins += ctx_.delta.joins;
+  stats_.branch_cost_cycles += ctx_.delta.branch_cost_cycles;
+  // Integer adds into the bound counters: the merge order cannot move a bit.
+  for (std::size_t k = 0; k < kLaneKinds; ++k) gm_[k]->add(ctx_.lanes[k]);
   if (observer_ != nullptr) {
-    for (const DebugEvent& ev : ctx.events) observer_->on_event(ev);
+    for (const DebugEvent& ev : ctx_.events) observer_->on_event(ev);
   }
-
-  // The group's lane counts land in the machine registry's bound counters.
-  // Integer adds: the merge order cannot move a bit.
-  for (std::size_t k = 0; k < kLaneKinds; ++k) gm_[k]->add(ctx.lanes[k]);
-
-  // Memory-term references: the detailed router is injection-order
-  // sensitive, so it gets the full per-reference sequence (group by group,
-  // flows in resident order); the analytic bound only needs the per-module
-  // aggregates the group already summed in the group phase.
-  if (cfg_.detailed_network) {
-    step_refs_.insert(step_refs_.end(), ctx.refs.begin(), ctx.refs.end());
-  } else if (ctx.net_refs != 0) {
-    for (std::size_t m = 0; m < net_loads_.size(); ++m) {
-      net_loads_[m] += ctx.net_loads[m];
-    }
-    net_refs_ += ctx.net_refs;
-    net_max_dist_ = std::max(net_max_dist_, ctx.net_max_dist);
-  }
-
-  // Drain the group's staged shared-memory traffic; multiprefix tickets
-  // are assigned here, in drain order, exactly as a sequential run would.
-  const std::size_t ticket_base = shared_.drain(ctx.port);
-  for (const auto& req : ctx.prefix_reqs) {
-    pending_prefixes_.push_back(
-        PendingPrefix{req.flow, req.lane, req.rd, ticket_base + req.local});
-  }
-
-  debug_out_.insert(debug_out_.end(), ctx.prints.begin(), ctx.prints.end());
-  for (auto& span : ctx.trace) {
+  debug_out_.insert(debug_out_.end(), ctx_.prints.begin(), ctx_.prints.end());
+  for (auto& span : ctx_.trace) {
     trace_.add(span.row, span.begin, span.end, span.glyph,
                std::move(span.label));
   }
 }
 
-void Machine::deferred_merge_group(GroupId g) {
-  auto& ctx = step_ctx_[g];
-  if (ctx.halted.empty() && ctx.spawns.empty()) return;
-
+void Machine::merge_deferred() {
   // Join notices: a child halting this step reaches a parent on another
-  // group only at the barrier, so JOINALL outcomes never depend on group
-  // order. finish_step wakes satisfied joiners right after. Deferred past
-  // the streaming pass: a step that faults never reaches this pass, so its
-  // cross-group join notices and spawns never land.
-  for (FlowId id : ctx.halted) {
+  // group only here, so JOINALL outcomes never depend on group order.
+  // finish_step wakes satisfied joiners right after. A step that faults
+  // never reaches this pass, so its cross-group join notices and spawns
+  // never land.
+  for (FlowId id : step_halted_) {
     const TcfDescriptor& child = *flows_[id];
     if (child.parent == kNoFlow) continue;
     TcfDescriptor& p = flow(child.parent);
     TCFPN_CHECK(p.live_children > 0, "child halt underflows parent counter");
     --p.live_children;
   }
+  step_halted_.clear();
 
   // Deferred SPAWN placement: creating and placing children in group
   // order fixes flow ids and allocation decisions. Placement reads other
   // groups' loads and grows flows_, so it must wait until every group
   // finished executing.
-  for (const auto& sp : ctx.spawns) {
+  for (const auto& sp : step_spawns_) {
     Word base = 0;
     for (Word part : sp.fragments) {
       TcfDescriptor& child = make_flow(sp.entry, part, 0, sp.parent);
@@ -770,6 +685,7 @@ void Machine::deferred_merge_group(GroupId g) {
       base += part;
     }
   }
+  step_spawns_.clear();
 }
 
 std::uint64_t Machine::run_flow_slice(TcfDescriptor& f,
@@ -780,7 +696,7 @@ std::uint64_t Machine::run_flow_slice(TcfDescriptor& f,
 
   const isa::Instr& instr = fetch(f);
   const isa::OpInfo& info = isa::op_info(instr.op);
-  auto& delta = step_ctx_[f.home].delta;
+  auto& delta = ctx_.delta;
 
   if (info.is_control || instr.op == isa::Opcode::kPrint) {
     TCFPN_CHECK(f.at_instruction_boundary(),
@@ -795,14 +711,13 @@ std::uint64_t Machine::run_flow_slice(TcfDescriptor& f,
     if (cfg_.profile) {
       // Bin before exec_control mutates f.pc: one activation slot of
       // compute, plus the SPAWN branch/dispatch surcharge if any.
-      auto& bins = step_ctx_[f.home].prof_bins;
       prof::Key at{static_cast<std::int64_t>(f.home),
                    static_cast<std::int64_t>(f.id),
                    static_cast<std::int64_t>(f.pc), prof::Term::kCompute};
-      bins.emplace_back(at, 1);
+      step_bins_.emplace_back(at, 1);
       if (ops > 1) {
         at.term = prof::Term::kBranch;
-        bins.emplace_back(at, ops - 1);
+        step_bins_.emplace_back(at, ops - 1);
       }
     }
     const bool still_ready = exec_control(f, instr);
@@ -834,14 +749,13 @@ std::uint64_t Machine::run_flow_slice(TcfDescriptor& f,
     // One compute slot per lane; whatever the operand-storage model added
     // on top is itemized under its own term (operand spills vs NUMA local
     // memory), so hotspot rows show *why* a pc is expensive.
-    auto& bins = step_ctx_[f.home].prof_bins;
     prof::Key at{static_cast<std::int64_t>(f.home),
                  static_cast<std::int64_t>(f.id),
                  static_cast<std::int64_t>(f.pc), prof::Term::kCompute};
-    bins.emplace_back(at, count);
+    step_bins_.emplace_back(at, count);
     if (cost > count) {
       at.term = operand_penalty_term(cfg_.operand_storage);
-      bins.emplace_back(at, cost - count);
+      step_bins_.emplace_back(at, cost - count);
     }
   }
   delta.operations += count;
@@ -1029,15 +943,14 @@ bool Machine::exec_shared_lanes(TcfDescriptor& f, const isa::Instr& instr,
                                 std::uint64_t start, std::uint64_t count) {
   const bool load = instr.op == isa::Opcode::kLd;
   if (!load && instr.op != isa::Opcode::kSt) return false;
-  auto& ctx = step_ctx_[f.home];
   LaneFile& lf = f.lane_regs;
 
   // Pass 1: every effective address of the run, and whether they are the
   // unit stride a0, a0 + 1, .... A negative address reads as >= 2^63
   // unsigned, so one compare against the memory size catches both kinds of
   // bad address.
-  if (ctx.lane_addrs.size() < count) ctx.lane_addrs.resize(count);
-  Addr* ea = ctx.lane_addrs.data();
+  if (lane_addrs_.size() < count) lane_addrs_.resize(count);
+  Addr* ea = lane_addrs_.data();
   const Word* base = lf.bank(instr.ra) + start;
   const Addr words = shared_.size();
   const Addr a0 =
@@ -1063,13 +976,13 @@ bool Machine::exec_shared_lanes(TcfDescriptor& f, const isa::Instr& instr,
   const mem::LaneRun run{ea, n, lane_key(f.id, start), unit && !bad && n > 1};
 
   // Pass 2: the network term and the run's per-module histogram.
-  note_ref_run(ctx, f.home, run);
-  const std::uint64_t* per_module = ctx.run_modules.data();
+  note_ref_run(f.home, run);
+  const std::uint64_t* per_module = run_modules_.data();
   if (load) {
     Word* dst = instr.rd != 0 ? lf.bank(instr.rd) + start : nullptr;
     if (f.step_writes.empty()) {
-      ctx.port.read_run(run, per_module, dst);
-      ctx.lanes[kSharedReads] += n;
+      shared_.read_run(run, per_module, dst);
+      ctx_.lanes[kSharedReads] += n;
     } else {
       // Store forwarding: the flow sees its own *completed* writes of this
       // step; everything else is the pre-step committed state. A forwarded
@@ -1078,22 +991,22 @@ bool Machine::exec_shared_lanes(TcfDescriptor& f, const isa::Instr& instr,
       for (std::uint64_t i = 0; i < n; ++i) {
         Word v;
         if (const Word* w = f.step_writes.find(ea[i])) {
-          ++ctx.lanes[kStoreForwards];
+          ++ctx_.lanes[kStoreForwards];
           v = *w;
         } else {
-          ++ctx.lanes[kSharedReads];
-          v = ctx.port.read(ea[i], run.lane0 + i, shared_.module_of(ea[i]));
+          ++ctx_.lanes[kSharedReads];
+          v = shared_.read(ea[i], run.lane0 + i);
         }
         if (dst != nullptr) dst[i] = v;
       }
     }
   } else {
     const Word* value = lf.bank(instr.rb) + start;
-    ctx.port.write_run(run, value, per_module);
+    shared_.write_run(run, value, per_module);
     f.instr_writes.put_run(run, value);
-    ctx.lanes[kSharedWrites] += n;
+    ctx_.lanes[kSharedWrites] += n;
   }
-  std::fill(ctx.run_modules.begin(), ctx.run_modules.end(), 0);
+  std::fill(run_modules_.begin(), run_modules_.end(), 0);
 
   if (n < count) {
     const Word bad_ea = static_cast<Word>(ea[n]);
@@ -1112,7 +1025,7 @@ std::uint64_t Machine::run_numa_block(TcfDescriptor& f) {
   std::uint64_t executed = 0;
   std::uint64_t branch_ops = 0;
   const auto pc0 = static_cast<std::int64_t>(f.pc);
-  auto& delta = step_ctx_[f.home].delta;
+  auto& delta = ctx_.delta;
   while (executed < f.numa_block && f.status == FlowStatus::kReady &&
          !f.multiop_blocked) {
     const isa::Instr& instr = fetch(f);
@@ -1138,13 +1051,12 @@ std::uint64_t Machine::run_numa_block(TcfDescriptor& f) {
   if (cfg_.profile && executed > 0) {
     // The whole block bins at its start pc — a NUMA bunch is one scheduling
     // unit, and per-instruction binning would cost a bin per instruction.
-    auto& bins = step_ctx_[f.home].prof_bins;
     prof::Key at{static_cast<std::int64_t>(f.home),
                  static_cast<std::int64_t>(f.id), pc0, prof::Term::kCompute};
-    bins.emplace_back(at, executed - branch_ops);
+    step_bins_.emplace_back(at, executed - branch_ops);
     if (branch_ops > 0) {
       at.term = prof::Term::kBranch;
-      bins.emplace_back(at, branch_ops);
+      step_bins_.emplace_back(at, branch_ops);
     }
   }
   return executed;
@@ -1159,7 +1071,7 @@ const isa::Instr& Machine::fetch(TcfDescriptor& f) {
   // one instruction-memory fetch. PRAM-mode flows therefore fetch once per
   // TCF instruction regardless of thickness; NUMA streams fetch per
   // instruction; interrupted instructions re-fetch on resume.
-  ++step_ctx_[f.home].delta.instruction_fetches;
+  ++ctx_.delta.instruction_fetches;
   return program_.code[f.pc];
 }
 
@@ -1208,42 +1120,42 @@ Addr Machine::effective_addr(const TcfDescriptor& f, const isa::Instr& instr,
   return static_cast<Addr>(ea);
 }
 
-void Machine::note_ref(GroupCtx& ctx, GroupId src, std::uint32_t module) {
+void Machine::note_ref(GroupId src, std::uint32_t module) {
   if (cfg_.detailed_network) {
     // The detailed router is injection-order sensitive: keep the full
-    // per-reference sequence for the barrier-side replay.
-    ctx.refs.emplace_back(src, module);
+    // per-reference sequence (group by group, flows in resident order) for
+    // memory_term's replay.
+    step_refs_.emplace_back(src, module);
     return;
   }
   // Analytic bound: module load counts and the wire-distance maximum are
-  // order-insensitive, so they aggregate in the group phase and the
-  // barrier only sums P short vectors instead of walking every reference.
-  ++ctx.net_loads[module];
-  ++ctx.net_refs;
-  ctx.net_max_dist =
-      std::max(ctx.net_max_dist, dist_cache_[src][module % cfg_.groups]);
+  // order-insensitive, so they aggregate as the groups execute and
+  // memory_term never walks the references.
+  ++net_loads_[module];
+  ++net_refs_;
+  net_max_dist_ =
+      std::max(net_max_dist_, dist_cache_[src][module % cfg_.groups]);
 }
 
-void Machine::note_ref_run(GroupCtx& ctx, GroupId src,
-                           const mem::LaneRun& run) {
-  std::uint64_t* per_module = ctx.run_modules.data();
+void Machine::note_ref_run(GroupId src, const mem::LaneRun& run) {
+  std::uint64_t* per_module = run_modules_.data();
   if (cfg_.detailed_network) {
     for (std::size_t i = 0; i < run.n; ++i) {
       const std::uint32_t m = shared_.module_of(run.addr[i]);
       ++per_module[m];
-      ctx.refs.emplace_back(src, m);
+      step_refs_.emplace_back(src, m);
     }
     return;
   }
   shared_.count_modules(run, per_module);
   // The same aggregates note_ref keeps, added once per module.
-  for (std::uint32_t m = 0; m < ctx.run_modules.size(); ++m) {
+  for (std::uint32_t m = 0; m < run_modules_.size(); ++m) {
     if (per_module[m] == 0) continue;
-    ctx.net_loads[m] += per_module[m];
-    ctx.net_max_dist =
-        std::max(ctx.net_max_dist, dist_cache_[src][m % cfg_.groups]);
+    net_loads_[m] += per_module[m];
+    net_max_dist_ =
+        std::max(net_max_dist_, dist_cache_[src][m % cfg_.groups]);
   }
-  ctx.net_refs += run.n;
+  net_refs_ += run.n;
 }
 
 void Machine::exec_data_lane(TcfDescriptor& f, const isa::Instr& instr,
@@ -1258,13 +1170,13 @@ void Machine::exec_data_lane(TcfDescriptor& f, const isa::Instr& instr,
       return;
     case Opcode::kLld: {
       const Addr a = effective_addr(f, instr, lane);
-      ++step_ctx_[f.home].lanes[kLocalReads];
+      ++ctx_.lanes[kLocalReads];
       write_reg(instr.rd, locals_[f.home].read(a));
       return;
     }
     case Opcode::kLst: {
       const Addr a = effective_addr(f, instr, lane);
-      ++step_ctx_[f.home].lanes[kLocalWrites];
+      ++ctx_.lanes[kLocalWrites];
       locals_[f.home].write(a, lf.get(lane, instr.rb));
       return;
     }
@@ -1277,11 +1189,9 @@ void Machine::exec_data_lane(TcfDescriptor& f, const isa::Instr& instr,
       const Word v = lf.get(lane, instr.rb);
       const auto op = static_cast<mem::MultiOp>(
           static_cast<int>(instr.op) - static_cast<int>(Opcode::kMpAdd));
-      auto& ctx = step_ctx_[f.home];
-      const std::uint32_t m = shared_.module_of(a);
-      note_ref(ctx, f.home, m);
-      ++ctx.lanes[kMultiopContributions];
-      ctx.port.multiop(a, op, v, key, m);
+      note_ref(f.home, shared_.module_of(a));
+      ++ctx_.lanes[kMultiopContributions];
+      shared_.multiop(a, op, v, key);
       f.multiop_blocked = true;
       return;
     }
@@ -1294,12 +1204,12 @@ void Machine::exec_data_lane(TcfDescriptor& f, const isa::Instr& instr,
       const Word v = lf.get(lane, instr.rb);
       const auto op = static_cast<mem::MultiOp>(
           static_cast<int>(instr.op) - static_cast<int>(Opcode::kPpAdd));
-      auto& ctx = step_ctx_[f.home];
-      const std::uint32_t m = shared_.module_of(a);
-      note_ref(ctx, f.home, m);
-      ++ctx.lanes[kPrefixContributions];
-      const std::size_t local = ctx.port.multiprefix(a, op, v, key, m);
-      ctx.prefix_reqs.push_back(PrefixRequest{f.id, lane, instr.rd, local});
+      note_ref(f.home, shared_.module_of(a));
+      ++ctx_.lanes[kPrefixContributions];
+      // Tickets are issued in group order, the order commit_step numbers
+      // the results in.
+      pending_prefixes_.push_back(PendingPrefix{
+          f.id, lane, instr.rd, shared_.multiprefix(a, op, v, key)});
       f.multiop_blocked = true;
       return;
     }
@@ -1398,8 +1308,7 @@ bool Machine::exec_control(TcfDescriptor& f, const isa::Instr& instr) {
         halt_in_step(f);
         return false;
       }
-      emit(step_ctx_[f.home], DebugEventKind::kThicknessChanged, f,
-           f.thickness, t);
+      emit(DebugEventKind::kThicknessChanged, f, f.thickness, t);
       f.lane_regs.resize_fill_from_lane0(static_cast<std::size_t>(t));
       f.thickness = t;
       f.mode = FlowMode::kPram;
@@ -1442,8 +1351,7 @@ bool Machine::exec_control(TcfDescriptor& f, const isa::Instr& instr) {
         TCFPN_FAULT(to_string(cfg_.variant),
                     " variant spawns threads of thickness 1 only");
       }
-      auto& ctx = step_ctx_[f.home];
-      ++ctx.delta.spawns;
+      ++ctx_.delta.spawns;
       if (t > 0) {
         const std::size_t entry = target(instr.imm);
         std::vector<Word> fragments{t};
@@ -1457,34 +1365,33 @@ bool Machine::exec_control(TcfDescriptor& f, const isa::Instr& instr) {
           TCFPN_CHECK(total == t, "spawn splitter fragments sum to ", total,
                       ", expected ", t);
         }
-        // The children are created at the step barrier (deferred_merge_group)
+        // The children are created in the deferred pass (merge_deferred)
         // so that flow ids and group placement follow group order; the
         // parent's live-children counter rises now so a same-step JOINALL
         // already sees them.
         f.live_children += static_cast<std::uint32_t>(fragments.size());
-        emit(ctx, DebugEventKind::kSpawn, f, t,
+        emit(DebugEventKind::kSpawn, f, t,
              static_cast<Word>(fragments.size()));
-        ctx.spawns.push_back(SpawnRequest{f.id, entry, std::move(fragments),
-                                          f.lane_regs.snapshot(0)});
+        step_spawns_.push_back(SpawnRequest{
+            f.id, entry, std::move(fragments), f.lane_regs.snapshot(0)});
       }
       f.pc += 1;
       return true;
     }
     case Opcode::kJoinAll:
       f.pc += 1;
-      emit(step_ctx_[f.home], DebugEventKind::kJoin, f,
-           static_cast<Word>(f.live_children));
+      emit(DebugEventKind::kJoin, f, static_cast<Word>(f.live_children));
       if (f.live_children > 0) {
         f.status = FlowStatus::kWaitingJoin;
         return false;
       }
-      ++step_ctx_[f.home].delta.joins;
+      ++ctx_.delta.joins;
       return true;
     case Opcode::kPrint: {
       const Word v =
           instr.use_imm() ? instr.imm : f.lane_regs.get(0, instr.ra);
-      step_ctx_[f.home].prints.push_back(v);
-      emit(step_ctx_[f.home], DebugEventKind::kPrint, f, v);
+      ctx_.prints.push_back(v);
+      emit(DebugEventKind::kPrint, f, v);
       f.pc += 1;
       return true;
     }
@@ -1512,8 +1419,8 @@ void Machine::memory_term(prof::StepRecord& r) {
     r.net = net_->drain();
     return;
   }
-  // Analytic bound from the aggregates the groups summed in the group
-  // phase (merged in stream_merge_group) — no per-reference walk here.
+  // Analytic bound from the aggregates the groups summed as they executed
+  // (note_ref, note_ref_run) — no per-reference walk here.
   if (net_refs_ == 0) return;
   std::uint64_t hottest = 0;
   for (std::uint64_t l : net_loads_) hottest = std::max(hottest, l);
@@ -1532,6 +1439,7 @@ void Machine::profile_step(const prof::StepRecord& r) {
   profile_.add({kNoIndex, kNoIndex, kNoIndex, Term::kFill}, r.fill);
   // The slot term distributes over the bins the groups recorded this step;
   // the idle remainder is barrier wait.
+  fold_bins(step_bins_);
   profile_.add_over_bins(r.slot, step_bins_);
   // Memory extension beyond the slot term: network first, then whatever the
   // injected fault delay added on top, so fill + slot + net + fault ==

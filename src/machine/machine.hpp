@@ -17,10 +17,13 @@
 //    vs wire distance — or a measured drain of the detailed router), so a
 //    step only hides memory latency when it carries enough parallel slack;
 //  - one step driver (DESIGN.md §10.2): the groups of a step run in group
-//    order, each into its own effect buffer (GroupCtx), and the buffers
-//    merge in group order at the step barrier, so a step's cross-group
-//    effects (commits, spawns, joins, prints, counters) never depend on
-//    which group ran first; the conformance oracle checks the result.
+//    order and stage their shared-memory traffic straight into the shared
+//    memory, which commits it at the step's end; what a fault must not show
+//    (stats, lane counts, events, prints, trace spans) waits in one effect
+//    buffer (GroupCtx) that merges as each group finishes, and spawns and
+//    cross-group join notices land after the last group, so a step's
+//    cross-group effects never depend on which group ran first; the
+//    conformance oracle checks the result.
 //
 // The instruction semantics (src/isa) are interpreted per lane; control
 // instructions execute once per flow — that asymmetry is the TCF model's
@@ -30,7 +33,6 @@
 #include <array>
 #include <chrono>
 #include <cstddef>
-#include <exception>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -104,8 +106,8 @@ inline constexpr std::array<const char*, kLaneKinds> kLaneCounterPaths = {
 };
 
 /// One group's lane counts for one step, indexed by LaneKind. The group
-/// phase adds to them; the barrier adds them into the machine registry in
-/// group order.
+/// adds to them as it executes; they are added into the machine registry
+/// when it finishes, in group order.
 using LaneCounts = std::array<std::uint64_t, kLaneKinds>;
 
 class Machine;
@@ -151,8 +153,8 @@ struct DebugEvent {
 };
 
 /// Observer interface implemented by debug::FlightRecorder. Events produced
-/// during the per-group phase are buffered in the group's effect context and
-/// forwarded at the step barrier in group order — the same order as the
+/// while a group executes are buffered in the effect context and forwarded
+/// when the group finishes, in group order — the same order as the
 /// metrics — so a faulting step delivers the events of the groups below the
 /// faulting one and no others.
 class StepObserver {
@@ -241,9 +243,9 @@ class Machine {
   const std::vector<Word>& debug_output() const { return debug_out_; }
 
   /// The machine's metrics registry ("net/...", "mem/...", "sched/...",
-  /// "machine/..." instruments). Per-group lane counts accumulate as plain
-  /// integers in each group's effect buffer during the group phase and are
-  /// added here at the step barrier in group order.
+  /// "machine/..." instruments). A group's lane counts accumulate as plain
+  /// integers in the effect buffer while it executes and are added here
+  /// when it finishes, in group order.
   metrics::MetricsRegistry& metrics() { return metrics_; }
   const metrics::MetricsRegistry& metrics() const { return metrics_; }
   metrics::MetricsSnapshot metrics_snapshot() const {
@@ -327,23 +329,14 @@ class Machine {
     std::uint64_t step_ops = 0;    ///< operations executed this step
   };
 
-  /// A deferred SPAWN: the child flows are created (and placed) at the step
-  /// barrier, in group order, so flow ids and allocation decisions read the
-  /// loads of the step's start, not of whichever group ran first.
+  /// A deferred SPAWN: the child flows are created (and placed) after the
+  /// last group, in group order, so flow ids and allocation decisions read
+  /// the loads of the step's start, not of whichever group ran first.
   struct SpawnRequest {
     FlowId parent;
     std::size_t entry;
     std::vector<Word> fragments;  ///< thickness per child (splitter applied)
     LaneRegs broadcast;           ///< parent lane-0 registers at spawn time
-  };
-
-  /// A multiprefix issued this step; `local` indexes into the group port's
-  /// drain() ticket mapping.
-  struct PrefixRequest {
-    FlowId flow;
-    LaneId lane;
-    std::uint8_t rd;
-    std::size_t local;
   };
 
   /// Barrier-side per-step instruments, bound once at construction so
@@ -359,44 +352,20 @@ class Machine {
     Accumulator* wire_distance = nullptr;
   };
 
-  /// Per-group effect buffer for one machine step. During the per-group
-  /// phase a group's execution touches only its own flows, its local memory
-  /// and this context; everything cross-group (stats, shared-memory staging,
-  /// spawns, join notifications, trace, debug prints, memory-term refs,
-  /// lane counts) accumulates here and is merged at the step barrier in
-  /// group order, stopping at the lowest faulting group.
-  /// No member is a map or a registry: the per-step reset clears vectors
-  /// and assigns values, with no lookups and no allocation.
+  /// The effect buffer of the group executing now, holding what a fault
+  /// must not show: stats deltas, lane counts, events, prints and trace
+  /// spans. It merges when the group finishes, unless a group of the step
+  /// has faulted. Everything else a group does goes straight into the
+  /// step's state (shared-memory staging, network references, multiprefix
+  /// tickets, profiler bins, spawns and join notices), which only a
+  /// completed step commits. No member is a map or a registry: the reset
+  /// clears vectors and assigns values, with no lookups and no allocation.
   struct GroupCtx {
-    mem::MemoryPort port;
     MachineStats delta;  ///< counter deltas (cycles/steps stay untouched)
-    std::vector<std::pair<GroupId, std::uint32_t>> refs;  ///< (src, module)
-    /// Analytic network-term aggregates, maintained in the group phase
-    /// when cfg.detailed_network is off (the ordered `refs` log is then not
-    /// needed): per-module reference counts, reference total, and the
-    /// maximum source→module wire distance seen this step.
-    std::vector<std::uint64_t> net_loads;
-    std::uint64_t net_refs = 0;
-    std::uint32_t net_max_dist = 0;
-    /// Scratch of the shared-memory lane sweep (exec_shared_lanes): the
-    /// run's effective addresses and its per-module reference counts (kept
-    /// all-zero between sweeps).
-    std::vector<Addr> lane_addrs;
-    std::vector<std::uint64_t> run_modules;
-    std::vector<PrefixRequest> prefix_reqs;
-    std::vector<SpawnRequest> spawns;
-    std::vector<FlowId> halted;  ///< flows halted this step (join notices)
+    LaneCounts lanes{};
+    std::vector<DebugEvent> events;
     std::vector<Word> prints;
     std::vector<TraceSpan> trace;
-    std::exception_ptr error;
-    LaneCounts lanes{};              ///< added at the barrier, group order
-    std::vector<DebugEvent> events;  ///< forwarded at the barrier, group order
-    /// Attribution bins for the profiler (cfg.profile): cycles of slot-term
-    /// work charged to (group, tcf, pc, term) during the group phase,
-    /// appended as they occur. The group sorts them into canonical key
-    /// order and folds equal keys when it seals (fold_bins), so the barrier
-    /// appends them in group order as they are.
-    std::vector<std::pair<prof::Key, Cycle>> prof_bins;
 
     void reset();
   };
@@ -411,41 +380,34 @@ class Machine {
   void admit_pending_spawns();
   void promote_overflow(GroupId g);
   void on_flow_halted(TcfDescriptor& f);
-  /// Step-synchronous halt: marks the flow halted and records a join notice
-  /// in its group context; the parent's live-children counter is decremented
-  /// at the step barrier, in group order.
+  /// Step-synchronous halt: marks the flow halted and, for a parent on
+  /// another group, records a join notice; the parent's live-children
+  /// counter is decremented in the deferred pass, in group order.
   void halt_in_step(TcfDescriptor& f);
 
-  /// One step-synchronous step (DESIGN.md §10.2): begin_step, every
-  /// group's share in group order, then the merge loop — groups in order
-  /// 0..P-1, stopping at the lowest faulting group — the deferred pass and
-  /// finish_step.
+  /// One step-synchronous step (DESIGN.md §10.2): begin_step; then groups
+  /// 0..P-1 in order, each executed and — while no group has faulted —
+  /// merged; then the first fault is rethrown, or the deferred pass and
+  /// finish_step run.
   bool step_synchronous();
   /// Prologue: promotes overflow, clears the profiler bins and fixes the
   /// step base. Returns false when no resident flow is ready (run over).
   bool begin_step();
-  /// One group's share of the step into step_ctx_[g], its fault captured in
-  /// the context.
-  void run_group(GroupId g);
-  /// Runs one group's share of the current step into step_ctx_[g].
+  /// Runs one group's share of the current step, its effects into ctx_.
   void execute_group(GroupId g, Cycle step_base);
-  /// First merge pass for one group: observer events, stats deltas, metric
-  /// counters, network aggregates, port drain + prefix ticket mapping,
-  /// prints and trace. Touches no flow state.
-  void stream_merge_group(GroupId g);
-  /// Second merge pass for one group, after every group finished: join
-  /// notices (decrement other groups' parents) and spawn creation/placement
-  /// (reads group loads, grows flows_).
-  void deferred_merge_group(GroupId g);
-  /// True when a group's step produced no cross-group effects — the merge
-  /// fast path then reduces to six integer adds (the stats deltas).
-  bool group_quiet(const GroupCtx& ctx) const;
+  /// Merges ctx_ after its group finished: stats deltas, lane counts,
+  /// observer events, prints and trace. Touches no flow state.
+  void merge_group();
+  /// After the last group: join notices (decrement other groups' parents)
+  /// and spawn creation/placement (reads group loads, grows flows_), both
+  /// in group order.
+  void merge_deferred();
   /// Records one shared-memory reference for the network term: ordered log
   /// under cfg.detailed_network, per-module aggregates otherwise.
-  void note_ref(GroupCtx& ctx, GroupId src, std::uint32_t module);
+  void note_ref(GroupId src, std::uint32_t module);
   /// note_ref for the references of a lane run, in lane order; leaves the
-  /// run's per-module counts in ctx.run_modules for the memory port.
-  void note_ref_run(GroupCtx& ctx, GroupId src, const mem::LaneRun& run);
+  /// run's per-module counts in run_modules_ for the shared memory.
+  void note_ref_run(GroupId src, const mem::LaneRun& run);
   /// Executes up to `op_quota` operation slots of flow f (a full instruction
   /// when quota covers it). Returns ops consumed.
   std::uint64_t run_flow_slice(TcfDescriptor& f, std::uint64_t op_quota);
@@ -477,13 +439,13 @@ class Machine {
   /// added once per instruction, LD copying committed words into bank(rd),
   /// ST staging the whole run at once. The same pass tells whether the
   /// addresses are unit-stride; such a run moves through the counts, the
-  /// port, the commit and the write log as one (address, count, values)
+  /// staging, the commit and the write log as one (address, count, values)
   /// run. On a bad address the lanes before it complete and the fault is
   /// the one the lane-by-lane order raises.
   /// Returns false for any other opcode.
   bool exec_shared_lanes(TcfDescriptor& f, const isa::Instr& instr,
                          std::uint64_t start, std::uint64_t count);
-  /// The barrier's last half: commit, the step's cost and housekeeping.
+  /// The step's end: commit, the step's cost and housekeeping.
   /// The cost is one prof::StepRecord, built once: the memory term fills
   /// its net and fault parts, and one pass over the alive groups its slot
   /// term, work and limiting group (taking the occupancy samples on the
@@ -529,37 +491,40 @@ class Machine {
   std::vector<FlowId> pending_spawns_;
   std::vector<PendingPrefix> pending_prefixes_;
   std::vector<std::pair<GroupId, std::uint32_t>> step_refs_;  ///< (src, module)
+  /// This step's deferred SPAWNs and cross-group join notices, in group
+  /// order; merge_deferred applies them.
+  std::vector<SpawnRequest> step_spawns_;
+  std::vector<FlowId> step_halted_;
+  /// Scratch of the shared-memory lane sweep (exec_shared_lanes): the run's
+  /// effective addresses and its per-module reference counts (kept all-zero
+  /// between sweeps).
+  std::vector<Addr> lane_addrs_;
+  std::vector<std::uint64_t> run_modules_;
 
-  std::vector<GroupCtx> step_ctx_;  ///< one effect buffer per group
+  GroupCtx ctx_;  ///< the effect buffer of the group executing now
   Cycle step_base_ = 0;  ///< cycle the current step's slots start at
 
   /// dist_cache_[g][m] = topology distance from group g to module-owner
   /// group m % P, precomputed so the per-reference hot path is a table load.
   std::vector<std::vector<std::uint32_t>> dist_cache_;
-  /// Merged analytic network aggregates for the current step (memory_term
-  /// consumes and clears them).
+  /// The step's analytic network aggregates, summed as the groups execute
+  /// when cfg.detailed_network is off (the ordered step_refs_ log is then
+  /// not needed): per-module reference counts, reference total, and the
+  /// maximum source→module wire distance (memory_term consumes and clears
+  /// them).
   std::vector<std::uint64_t> net_loads_;
   std::uint64_t net_refs_ = 0;
   std::uint32_t net_max_dist_ = 0;
-  std::uint64_t merge_skips_ = 0;  ///< quiet-group merges taken (plain member,
-                                   ///< not a metric: a host-side count)
-
- public:
-  /// Group merges short-circuited by the quiet-group fast path (perf
-  /// introspection for tests and benches; not part of the metrics snapshot).
-  std::uint64_t merge_skips() const { return merge_skips_; }
-
- private:
 
   MachineStats stats_;
   ScheduleTrace trace_;
   std::vector<Word> debug_out_;
   StepObserver* observer_ = nullptr;
 
-  /// Buffers a group-phase event into the group's effect context (no-op
-  /// without an observer); forwarded at the step barrier in group order.
-  void emit(GroupCtx& ctx, DebugEventKind kind, const TcfDescriptor& f,
-            Word a = 0, Word b = 0);
+  /// Buffers an event of the executing group in ctx_ (no-op without an
+  /// observer); forwarded when the group finishes, in group order.
+  void emit(DebugEventKind kind, const TcfDescriptor& f, Word a = 0,
+            Word b = 0);
   /// Emits a barrier-side / sequential-path event directly.
   void emit_now(DebugEventKind kind, FlowId flow, GroupId group, Word a = 0,
                 Word b = 0);
@@ -574,15 +539,16 @@ class Machine {
 
   metrics::MetricsRegistry metrics_;
   /// The registry's lane counters by LaneKind, bound once at construction
-  /// so neither the barrier nor the XMT path pays a path lookup (registry
-  /// entries are heap-allocated, so the pointers survive registry moves and
-  /// restore_raw).
+  /// so neither the group merge nor the XMT path pays a path lookup
+  /// (registry entries are heap-allocated, so the pointers survive registry
+  /// moves and restore_raw).
   std::array<metrics::Counter*, kLaneKinds> gm_{};
   StepCounters sc_;  ///< barrier-side per-step instruments
-  /// Attribution profile (cfg.profile). Group bins stream into step_bins_
-  /// at the barrier in group order, finish_step apportions the slot term
-  /// over them; direct charges (switch/sched/fill/net/fault/idle) go to
-  /// profile_ immediately on the stepping thread.
+  /// Attribution profile (cfg.profile). The groups append their bins of
+  /// slot-term work, charged to (group, tcf, pc, term), to step_bins_ as
+  /// they execute; finish_step folds them into canonical key order and
+  /// apportions the slot term over them. Direct charges
+  /// (switch/sched/fill/net/fault/idle) go to profile_ immediately.
   prof::Profile profile_;
   std::vector<std::pair<prof::Key, Cycle>> step_bins_;
   std::vector<HostSpan> host_spans_;

@@ -200,7 +200,9 @@ void Machine::restore_state(const MachineState& s) {
   net_refs_ = 0;
   net_max_dist_ = 0;
   step_bins_.clear();
-  for (auto& ctx : step_ctx_) ctx.reset();
+  step_spawns_.clear();
+  step_halted_.clear();
+  ctx_.reset();
 
   shared_.restore_state(s.shared);
   for (GroupId g = 0; g < locals_.size(); ++g) {

@@ -43,96 +43,10 @@ const char* to_string(MultiOp op) {
   return "?";
 }
 
-void MemoryPort::attach(const SharedMemory* shm) {
-  shm_ = shm;
-  const std::size_t m = shm != nullptr ? shm->modules() : 0;
-  mod_reads_.assign(m, 0);
-  mod_writes_.assign(m, 0);
-  mod_multis_.assign(m, 0);
-}
-
-Word MemoryPort::read(Addr a, LaneId lane, std::uint32_t module) {
-  TCFPN_CHECK(shm_ != nullptr, "memory port used before attach()");
-  ++mod_reads_[module];
-  ++n_reads_;
-  if (shm_->policy_ == CrcwPolicy::kErew) reads_.emplace_back(a, lane);
-  return shm_->peek(a);  // committed pre-step state; check_addr included
-}
-
-void MemoryPort::multiop(Addr a, MultiOp op, Word v, LaneId lane,
-                         std::uint32_t module) {
-  shm_->check_addr(a);
-  ++mod_multis_[module];
-  multis_.push_back(StagedMulti{a, op, v, lane, false});
-}
-
-std::size_t MemoryPort::multiprefix(Addr a, MultiOp op, Word v, LaneId lane,
-                                    std::uint32_t module) {
-  shm_->check_addr(a);
-  ++mod_multis_[module];
-  multis_.push_back(StagedMulti{a, op, v, lane, true});
-  return prefixes_++;
-}
-
-void MemoryPort::read_run(const LaneRun& run, const std::uint64_t* per_module,
-                          Word* out) {
-  for (std::size_t m = 0; m < mod_reads_.size(); ++m) {
-    mod_reads_[m] += per_module[m];
-  }
-  n_reads_ += run.n;
-  if (shm_->policy_ == CrcwPolicy::kErew) {
-    for (std::size_t i = 0; i < run.n; ++i) {
-      reads_.emplace_back(run.addr[i], run.lane0 + i);
-    }
-  }
-  if (out == nullptr || run.n == 0) return;
-  const Word* store = shm_->store_.data();
-  if (run.unit) {
-    std::copy_n(store + run.addr[0], run.n, out);
-    return;
-  }
-  for (std::size_t i = 0; i < run.n; ++i) out[i] = store[run.addr[i]];
-}
-
-void MemoryPort::write_run(const LaneRun& run, const Word* value,
-                           const std::uint64_t* per_module) {
-  for (std::size_t m = 0; m < mod_writes_.size(); ++m) {
-    mod_writes_[m] += per_module[m];
-  }
-  if (run.n == 0) return;
-  if (run.unit && writes_.empty() &&
-      (runs_.empty() || run.addr[0] >= runs_.back().addr + runs_.back().n)) {
-    runs_.push_back(StagedRun{run.addr[0], run.lane0, run.n,
-                              run_values_.size()});
-    run_values_.insert(run_values_.end(), value, value + run.n);
-    return;
-  }
-  expand_runs();
-  for (std::size_t i = 0; i < run.n; ++i) {
-    writes_.push_back(StagedWrite{run.addr[i], value[i], run.lane0 + i});
-  }
-}
-
 namespace {
-
-/// Appends the cells of a unit run to `out` as records.
-void append_run(std::vector<StagedWrite>& out, Addr addr, LaneId lane,
-                std::size_t n, const Word* values) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(StagedWrite{addr + i, values[i], lane + i});
-  }
-}
 
 bool before(const StagedWrite& x, const StagedWrite& y) {
   return x.addr != y.addr ? x.addr < y.addr : x.lane < y.lane;
-}
-
-/// True when `w` is in strict (addr, lane) order: sorted, no repeated key.
-bool strictly_ordered(const std::vector<StagedWrite>& w) {
-  for (std::size_t i = 1; i < w.size(); ++i) {
-    if (!before(w[i - 1], w[i])) return false;
-  }
-  return true;
 }
 
 /// Collapses runs of one (addr, lane) key in sorted `w` to the last staged
@@ -160,38 +74,6 @@ void sort_and_collapse(std::vector<StagedWrite>& w) {
 }
 
 }  // namespace
-
-void MemoryPort::expand_runs() {
-  for (const StagedRun& r : runs_) {
-    append_run(writes_, r.addr, r.lane, r.n, run_values_.data() + r.at);
-  }
-  runs_.clear();
-  run_values_.clear();
-}
-
-void MemoryPort::seal() {
-  sealed_ = true;
-  // Records of a thick ST over ascending addresses are already in order;
-  // that case costs one compare per record.
-  if (!strictly_ordered(writes_)) sort_and_collapse(writes_);
-}
-
-void MemoryPort::clear() {
-  sealed_ = false;
-  // A port that staged nothing has all-zero counts already (every count
-  // rises only with a staged read, write or multioperation).
-  if (empty()) return;
-  writes_.clear();
-  runs_.clear();
-  run_values_.clear();
-  multis_.clear();
-  reads_.clear();
-  std::fill(mod_reads_.begin(), mod_reads_.end(), 0);
-  std::fill(mod_writes_.begin(), mod_writes_.end(), 0);
-  std::fill(mod_multis_.begin(), mod_multis_.end(), 0);
-  n_reads_ = 0;
-  prefixes_ = 0;
-}
 
 SharedMemory::SharedMemory(std::size_t words, std::uint32_t modules,
                            CrcwPolicy policy)
@@ -257,8 +139,14 @@ void SharedMemory::write(Addr a, Word v, LaneId lane) {
   note_traffic(a, &ModuleTraffic::writes);
   ++total_writes_;
   expand_pending_runs();
-  pending_writes_.push_back(StagedWrite{a, v, lane});
-  sorted_ = false;  // unsorted tail: commit sorts
+  append_write(StagedWrite{a, v, lane});
+}
+
+void SharedMemory::append_write(const StagedWrite& w) {
+  if (!pending_writes_.empty() && !before(pending_writes_.back(), w)) {
+    sorted_ = false;
+  }
+  pending_writes_.push_back(w);
 }
 
 void SharedMemory::multiop(Addr a, MultiOp op, Word v, LaneId lane) {
@@ -275,6 +163,48 @@ std::size_t SharedMemory::multiprefix(Addr a, MultiOp op, Word v, LaneId lane) {
   const std::size_t ticket = next_ticket_++;
   pending_multis_.push_back(PendingMulti{a, op, v, lane, ticket});
   return ticket;
+}
+
+void SharedMemory::read_run(const LaneRun& run, const std::uint64_t* per_module,
+                            Word* out) {
+  for (std::uint32_t m = 0; m < modules_; ++m) {
+    traffic_[m].reads += per_module[m];
+  }
+  total_reads_ += run.n;
+  if (policy_ == CrcwPolicy::kErew) {
+    for (std::size_t i = 0; i < run.n; ++i) {
+      step_reads_.emplace_back(run.addr[i], run.lane0 + i);
+    }
+  }
+  if (out == nullptr || run.n == 0) return;
+  if (run.unit) {
+    std::copy_n(store_.data() + run.addr[0], run.n, out);
+    return;
+  }
+  for (std::size_t i = 0; i < run.n; ++i) out[i] = store_[run.addr[i]];
+}
+
+void SharedMemory::write_run(const LaneRun& run, const Word* value,
+                             const std::uint64_t* per_module) {
+  for (std::uint32_t m = 0; m < modules_; ++m) {
+    traffic_[m].writes += per_module[m];
+  }
+  total_writes_ += run.n;
+  if (run.n == 0) return;
+  // Groups writing ascending windows leave one list of pending runs that
+  // commit copies. EREW stays on records: check_erew_reads walks them.
+  if (run.unit && policy_ != CrcwPolicy::kErew && pending_writes_.empty() &&
+      (pending_runs_.empty() ||
+       run.addr[0] >= pending_runs_.back().addr + pending_runs_.back().n)) {
+    pending_runs_.push_back(
+        PendingRun{run.addr[0], run.lane0, run.n, run_values_.size()});
+    run_values_.insert(run_values_.end(), value, value + run.n);
+    return;
+  }
+  expand_pending_runs();
+  for (std::size_t i = 0; i < run.n; ++i) {
+    append_write(StagedWrite{run.addr[i], value[i], run.lane0 + i});
+  }
 }
 
 Word SharedMemory::prefix_result(std::size_t ticket) const {
@@ -302,14 +232,14 @@ void SharedMemory::commit_writes() {
   if (!pending_runs_.empty()) {
     std::uint64_t cells = 0;
     for (const PendingRun& r : pending_runs_) {
-      std::copy_n(r.values, r.n, store_.data() + r.addr);
+      std::copy_n(run_values_.data() + r.at, r.n, store_.data() + r.addr);
       cells += r.n;
     }
     if (m_write_cells_ != nullptr) m_write_cells_->add(cells);
     pending_runs_.clear();
-    run_buffers_used_ = 0;
+    run_values_.clear();
   }
-  // Records out of strict order are stably sorted (equal keys keep drain
+  // Records out of strict order are stably sorted (equal keys keep issue
   // order) and collapsed; strictly ordered ones are committed as they are.
   if (!sorted_) sort_and_collapse(pending_writes_);
   sorted_ = true;
@@ -416,74 +346,17 @@ void SharedMemory::commit_multis() {
   pending_multis_.clear();
 }
 
-std::size_t SharedMemory::drain(MemoryPort& port) {
-  TCFPN_CHECK(port.sealed_, "drain() requires a sealed port");
-  // Bulk traffic accounting: issue counts were aggregated per module in the
-  // parallel phase; values were served from committed state at issue time.
-  std::uint64_t writes = 0;
-  std::uint64_t multis = 0;
-  for (std::uint32_t m = 0; m < modules_; ++m) {
-    traffic_[m].reads += port.mod_reads_[m];
-    traffic_[m].writes += port.mod_writes_[m];
-    traffic_[m].multiops += port.mod_multis_[m];
-    writes += port.mod_writes_[m];
-    multis += port.mod_multis_[m];
-  }
-  total_reads_ += port.n_reads_;
-  total_writes_ += writes;
-  total_multiops_ += multis;
-  if (policy_ == CrcwPolicy::kErew) {
-    step_reads_.insert(step_reads_.end(), port.reads_.begin(),
-                       port.reads_.end());
-  }
-  // Drain order = group order, so an equal-key tie between ports resolves
-  // exactly as the sequential issue order would (the stable sort keeps the
-  // earlier group first; the last-wins collapse then takes the later one).
-  // Groups writing ascending windows leave one list of pending runs that
-  // commit copies. EREW stays on records: check_erew_reads walks them.
-  if (!port.runs_.empty()) {
-    const MemoryPort::StagedRun& first = port.runs_.front();
-    if (policy_ != CrcwPolicy::kErew && pending_writes_.empty() &&
-        (pending_runs_.empty() ||
-         first.addr >= pending_runs_.back().addr + pending_runs_.back().n)) {
-      if (run_buffers_used_ == run_buffers_.size()) run_buffers_.emplace_back();
-      std::vector<Word>& values = run_buffers_[run_buffers_used_++];
-      values.swap(port.run_values_);
-      for (const MemoryPort::StagedRun& r : port.runs_) {
-        pending_runs_.push_back(
-            PendingRun{r.addr, r.lane, r.n, values.data() + r.at});
-      }
-    } else {
-      port.expand_runs();  // strictly ordered records, as seal leaves them
-    }
-  }
-  if (!port.writes_.empty()) {
-    expand_pending_runs();
-    if (!pending_writes_.empty() &&
-        !before(pending_writes_.back(), port.writes_.front())) {
-      sorted_ = false;
-    }
-    pending_writes_.insert(pending_writes_.end(), port.writes_.begin(),
-                           port.writes_.end());
-  }
-  // Multioperation contributions replay in issue order (= ticket order).
-  const std::size_t base = next_ticket_;
-  for (const auto& s : port.multis_) {
-    const std::size_t ticket = s.prefix ? next_ticket_++ : ~std::size_t{0};
-    pending_multis_.push_back(PendingMulti{s.addr, s.op, s.value, s.lane,
-                                           ticket});
-  }
-  port.clear();
-  return base;
-}
-
 void SharedMemory::expand_pending_runs() {
   // pending_writes_ is empty while runs are pending, and ascending,
   // disjoint runs make strictly ordered records.
   for (const PendingRun& r : pending_runs_) {
-    append_run(pending_writes_, r.addr, r.lane, r.n, r.values);
+    for (std::size_t i = 0; i < r.n; ++i) {
+      pending_writes_.push_back(
+          StagedWrite{r.addr + i, run_values_[r.at + i], r.lane + i});
+    }
   }
   pending_runs_.clear();
+  run_values_.clear();
 }
 
 void SharedMemory::commit_step() {
@@ -539,7 +412,7 @@ void SharedMemory::restore_state(const SharedMemoryState& s) {
   // original.
   pending_writes_.clear();
   pending_runs_.clear();
-  run_buffers_used_ = 0;
+  run_values_.clear();
   sorted_ = true;
   pending_multis_.clear();
   step_reads_.clear();

@@ -20,6 +20,11 @@
 //    with the cell's previous value — the `prefix(...)` primitive used by
 //    Section 4's examples.
 //
+// It is the machine's one staging path: the groups of a step stage into it
+// directly, in group order, and a thick LD or ST moves as one lane run
+// (read_run/write_run) — a unit-stride ST as one pending run, not as
+// per-lane records.
+//
 // Network latency and congestion are modelled separately (src/net); this
 // class only counts per-module traffic so the machine layer can couple the
 // two.
@@ -60,23 +65,11 @@ struct ModuleTraffic {
   std::uint64_t total() const { return reads + writes + multiops; }
 };
 
-class SharedMemory;
-
-/// One staged (pre-commit) write as a port buffers it during the group
-/// phase.
+/// One staged (pre-commit) write.
 struct StagedWrite {
   Addr addr;
   Word value;
   LaneId lane;
-};
-
-/// One staged multioperation / multiprefix contribution.
-struct StagedMulti {
-  Addr addr;
-  MultiOp op;
-  Word value;
-  LaneId lane;
-  bool prefix;
 };
 
 /// The lanes of one thick LD or ST as its address pass found them: `n`
@@ -90,95 +83,6 @@ struct LaneRun {
   std::size_t n = 0;
   LaneId lane0 = 0;
   bool unit = false;
-};
-
-/// A per-group staging port for concurrent host-side stepping.
-///
-/// During the per-group phase of a machine step every group issues its
-/// shared-memory traffic through its own port: reads return the committed
-/// (pre-step) state — safe to perform concurrently, since nothing mutates
-/// the store mid-step — while writes and multioperations are buffered in
-/// issue order. Traffic accounting is order-insensitive, so the port
-/// pre-aggregates it per module during the group phase (the caller
-/// supplies the per-module counts, which it already computed for the
-/// network term); the barrier-side drain then adds P short count vectors
-/// instead of replaying every access. Unit-stride write runs stay runs
-/// while they ascend without overlap; any other write is a per-lane
-/// record, and seal() sorts and collapses the records at the end of the
-/// group's phase. Draining ports in a fixed group order keeps traffic
-/// counters, CRCW checks and multiprefix ticket numbering in group order.
-class MemoryPort {
- public:
-  MemoryPort() = default;
-  explicit MemoryPort(const SharedMemory* shm) { attach(shm); }
-
-  void attach(const SharedMemory* shm);
-
-  /// Committed-state read (concurrent-safe); accounting lands at drain().
-  Word read(Addr a, LaneId lane, std::uint32_t module);
-  /// Stages a multioperation contribution.
-  void multiop(Addr a, MultiOp op, Word v, LaneId lane, std::uint32_t module);
-  /// Stages a multiprefix contribution; returns a port-local request index.
-  /// drain() returns the global ticket base; global = base + local.
-  std::size_t multiprefix(Addr a, MultiOp op, Word v, LaneId lane,
-                          std::uint32_t module);
-
-  /// Lane-run access for a thick LD/ST. `per_module[m]` counts the run's
-  /// lanes at module m; it is added to the port's traffic once, not lane by
-  /// lane. read_run copies the committed words into `out` (nullptr discards
-  /// them), a unit run in one copy. write_run stages the run's writes for
-  /// the next commit: a unit run that starts past every run staged before
-  /// it, with no record staged before it, stays one run (its values copied
-  /// once); anything else turns the port's runs into records, in issue
-  /// order, and appends per-lane records.
-  void read_run(const LaneRun& run, const std::uint64_t* per_module,
-                Word* out);
-  void write_run(const LaneRun& run, const Word* value,
-                 const std::uint64_t* per_module);
-
-  /// Sorts the staged records by (addr, lane) and collapses same-key runs
-  /// to the last staged value (program order within the port); records
-  /// already in strict (addr, lane) order are left as they are. Afterwards
-  /// they are strictly ordered. Staged unit runs need nothing: they ascend
-  /// without overlap. Called at the end of the group phase; drain()
-  /// requires it.
-  void seal();
-
-  bool empty() const {
-    return n_reads_ == 0 && writes_.empty() && runs_.empty() &&
-           multis_.empty();
-  }
-  void clear();
-
- private:
-  friend class SharedMemory;
-
-  /// A staged unit run: lanes lane, lane + 1, ... write cells addr,
-  /// addr + 1, ...; the n values sit at run_values_[at, at + n).
-  struct StagedRun {
-    Addr addr;
-    LaneId lane;
-    std::size_t n;
-    std::size_t at;
-  };
-
-  /// Turns the staged unit runs into records, in issue order.
-  void expand_runs();
-
-  const SharedMemory* shm_ = nullptr;
-  std::vector<StagedWrite> writes_;  ///< issue order until seal()
-  /// Unit runs in issue order, ascending and disjoint; only while writes_
-  /// is empty.
-  std::vector<StagedRun> runs_;
-  std::vector<Word> run_values_;
-  std::vector<StagedMulti> multis_;  ///< issue order (= ticket order)
-  std::vector<std::pair<Addr, LaneId>> reads_;  ///< EREW accounting only
-  std::vector<std::uint64_t> mod_reads_;   ///< per-module read counts
-  std::vector<std::uint64_t> mod_writes_;  ///< per-module write counts
-  std::vector<std::uint64_t> mod_multis_;  ///< per-module multiop counts
-  std::uint64_t n_reads_ = 0;
-  std::size_t prefixes_ = 0;
-  bool sealed_ = false;
 };
 
 /// Committed state of a SharedMemory at a step boundary (checkpoint layer,
@@ -206,7 +110,6 @@ class SharedMemory {
   std::size_t size() const { return store_.size(); }
   std::uint32_t modules() const { return modules_; }
   CrcwPolicy policy() const { return policy_; }
-  void set_policy(CrcwPolicy p) { policy_ = p; }
 
   /// Module that owns address `a` under the current placement.
   std::uint32_t module_of(Addr a) const {
@@ -247,15 +150,20 @@ class SharedMemory {
   /// Result of a multiprefix ticket from the *previous* commit.
   Word prefix_result(std::size_t ticket) const;
 
-  /// Absorbs a sealed port's staged traffic into this memory: per-module
-  /// counts are added in bulk; the port's unit runs stay runs when they
-  /// continue the pending runs in ascending, disjoint order (their values
-  /// are taken over, not copied) and become records otherwise; its sorted
-  /// records are appended; multioperations replay in issue order. Returns
-  /// the global ticket base assigned to the port's multiprefix requests:
-  /// port-local index i became ticket base + i. Draining ports in a fixed
-  /// order makes a host-parallel step bit-identical to a sequential one.
-  std::size_t drain(MemoryPort& port);
+  /// Lane-run access for a thick LD/ST: the lane-by-lane read() or write()
+  /// calls of `run` in one. `per_module[m]` counts the run's lanes at
+  /// module m (the caller computed it for the network term); it is added to
+  /// the step's traffic once, not lane by lane. read_run copies the
+  /// committed words into `out` (nullptr discards them), a unit run in one
+  /// copy. write_run stages the run's writes for the next commit: a unit run
+  /// that starts past every pending run, with no record pending and a
+  /// policy other than EREW, stays one run (its values copied once);
+  /// anything else turns the pending runs into records and appends
+  /// per-lane records.
+  void read_run(const LaneRun& run, const std::uint64_t* per_module,
+                Word* out);
+  void write_run(const LaneRun& run, const Word* value,
+                 const std::uint64_t* per_module);
 
   /// Ends the step: applies writes under the CRCW policy, combines
   /// multioperations, computes multiprefix results, resets traffic counters
@@ -284,8 +192,7 @@ class SharedMemory {
 
   /// Registers commit-side instruments under "mem/" in `reg`: cells written
   /// per commit, cells that saw concurrent writers, and multiop cells
-  /// combined. Commits run single-threaded at the step barrier, so the
-  /// instruments need no synchronisation. Pass nullptr to detach.
+  /// combined. Pass nullptr to detach.
   void bind_metrics(metrics::MetricsRegistry* reg);
 
   // ----- checkpointing -----
@@ -297,7 +204,6 @@ class SharedMemory {
   void restore_state(const SharedMemoryState& s);
 
  private:
-  friend class MemoryPort;  // policy peeks and lane-run reads of store_
   struct PendingMulti {
     Addr addr;
     MultiOp op;
@@ -309,18 +215,21 @@ class SharedMemory {
     }
   };
 
-  /// A drained unit run; `values` points into a buffer of run_buffers_.
+  /// A pending unit run: lanes lane, lane + 1, ... write cells addr,
+  /// addr + 1, ...; the n values sit at run_values_[at, at + n).
   struct PendingRun {
     Addr addr;
     LaneId lane;
     std::size_t n;
-    const Word* values;
+    std::size_t at;
   };
 
   std::uint32_t hashed_module(Addr a) const;
   void note_traffic(Addr a, std::uint64_t ModuleTraffic::*field);
-  /// Turns the pending unit runs into records, in drain order.
+  /// Turns the pending unit runs into records, in issue order.
   void expand_pending_runs();
+  /// Appends one record, clearing sorted_ unless it follows the last one.
+  void append_write(const StagedWrite& w);
   void commit_writes();
   /// EREW exclusivity over this step's reads (and read/write overlaps with
   /// the already-deduplicated pending writes). Runs every commit — also in
@@ -334,25 +243,20 @@ class SharedMemory {
   CrcwPolicy policy_;
   std::function<std::uint32_t(Addr)> hash_;
 
-  /// Unit runs in drain order, ascending and disjoint, so every cell has
+  /// Unit runs in issue order, ascending and disjoint, so every cell has
   /// one writer; only while pending_writes_ is empty.
   std::vector<PendingRun> pending_runs_;
-  /// Value buffers taken over from drained ports (swapped, never copied);
-  /// the first run_buffers_used_ hold this step's pending run values, and
-  /// the rest keep their capacity for later steps.
-  std::vector<std::vector<Word>> run_buffers_;
-  std::size_t run_buffers_used_ = 0;
+  std::vector<Word> run_values_;  ///< the pending runs' values
   std::vector<StagedWrite> pending_writes_;
-  /// pending_writes_ is in strict (addr, lane) order: every drained port's
-  /// records are, and each continued the previous ones. A direct write()
-  /// or a port whose records do not follow clears it, and commit_writes
-  /// sorts and collapses.
+  /// pending_writes_ is in strict (addr, lane) order: each record followed
+  /// the one before it. A record that does not clears it, and
+  /// commit_writes sorts and collapses.
   bool sorted_ = true;
   std::vector<PendingMulti> pending_multis_;
   std::vector<Word> prefix_results_;
   std::size_t next_ticket_ = 0;
 
-  // Per-step exclusive-access tracking (only maintained for EREW/CREW).
+  // Per-step exclusive-read tracking (only maintained for EREW).
   std::vector<std::pair<Addr, LaneId>> step_reads_;
 
   std::vector<ModuleTraffic> traffic_;

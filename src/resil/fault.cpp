@@ -97,18 +97,22 @@ FaultSpec parse_fault_spec(const std::string& spec) {
     pos = comma + 1;
     if (tok.empty()) continue;
     const std::size_t eq = tok.find('=');
-    TCFPN_CHECK(eq != std::string::npos, "fault spec: expected key=value, got '",
-                tok, "'");
+    if (eq == std::string::npos) {
+      TCFPN_FAULT("fault spec: expected key=value, got '", tok, "'");
+    }
     const std::string key = tok.substr(0, eq);
     const std::string val = tok.substr(eq + 1);
 
     auto want_u64 = [&](std::uint64_t* dst) {
-      TCFPN_CHECK(parse_u64(val, dst), "fault spec: bad integer for '", key,
-                  "': '", val, "'");
+      if (!parse_u64(val, dst)) {
+        TCFPN_FAULT("fault spec: bad integer for '", key, "': '", val, "'");
+      }
     };
     auto want_rate = [&](double* dst) {
-      TCFPN_CHECK(parse_rate(val, dst), "fault spec: '", key,
-                  "' needs a probability in [0,1], got '", val, "'");
+      if (!parse_rate(val, dst)) {
+        TCFPN_FAULT("fault spec: '", key,
+                    "' needs a probability in [0,1], got '", val, "'");
+      }
     };
 
     if (key == "seed") {
@@ -128,7 +132,7 @@ FaultSpec parse_fault_spec(const std::string& spec) {
     } else if (key == "retries") {
       std::uint64_t v = 0;
       want_u64(&v);
-      TCFPN_CHECK(v <= 16, "fault spec: retries must be <= 16, got ", v);
+      if (v > 16) TCFPN_FAULT("fault spec: retries must be <= 16, got ", v);
       out.retries = static_cast<std::uint32_t>(v);
     } else if (key == "backoff") {
       want_u64(&out.backoff_base);
@@ -143,17 +147,18 @@ FaultSpec parse_fault_spec(const std::string& spec) {
     } else if (key == "at") {
       // at=STEP:KIND[:ARG]
       const std::size_t c1 = val.find(':');
-      TCFPN_CHECK(c1 != std::string::npos,
-                  "fault spec: at= needs STEP:KIND[:ARG], got '", val, "'");
+      if (c1 == std::string::npos) {
+        TCFPN_FAULT("fault spec: at= needs STEP:KIND[:ARG], got '", val, "'");
+      }
       const std::size_t c2 = val.find(':', c1 + 1);
       ScriptedFault sf;
-      TCFPN_CHECK(parse_u64(val.substr(0, c1), &sf.step),
-                  "fault spec: bad step in at='", val, "'");
+      if (!parse_u64(val.substr(0, c1), &sf.step)) {
+        TCFPN_FAULT("fault spec: bad step in at='", val, "'");
+      }
       sf.kind = parse_kind(val.substr(
           c1 + 1, (c2 == std::string::npos ? val.size() : c2) - c1 - 1));
-      if (c2 != std::string::npos) {
-        TCFPN_CHECK(parse_u64(val.substr(c2 + 1), &sf.arg),
-                    "fault spec: bad argument in at='", val, "'");
+      if (c2 != std::string::npos && !parse_u64(val.substr(c2 + 1), &sf.arg)) {
+        TCFPN_FAULT("fault spec: bad argument in at='", val, "'");
       }
       out.scripted.push_back(sf);
     } else {

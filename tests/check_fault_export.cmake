@@ -1,13 +1,14 @@
 # Regression: a run that faults mid-way must still produce its telemetry.
 #
-# Invoked via `cmake -DTCFRUN=<path> -DTCFPROF=<path> -DPROG=<fault_div.tcf>
-# -DPROG_OK=<vecadd.tcf> -DOUT=<dir> -P`.
+# Invoked via `cmake -DTCFRUN=<path> -DTCFPROF=<path> -DTCFASM=<path>
+# -DTCFDBG=<path> -DPROG=<fault_div.tcf> -DPROG_OK=<vecadd.tcf> -DOUT=<dir>
+# -P`.
 # Asserts the exit-code contract (1 = fault, 2 = exporter destination
 # failure or usage error), that the metrics/trace documents record the
 # fault in the run metadata, and that --post-mortem emits a
 # tcfpn-postmortem-v1 document.
 
-foreach(var TCFRUN TCFPROF PROG PROG_OK OUT)
+foreach(var TCFRUN TCFPROF TCFASM TCFDBG PROG PROG_OK OUT)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "check_fault_export: -D${var}=... is required")
   endif()
@@ -148,6 +149,32 @@ foreach(want "\nwhat-if compute:2\\.00x -> [0-9]+ cycles"
              "\nwhat-if combined -> [0-9]+ cycles")
   if(NOT out MATCHES "${want}")
     message(FATAL_ERROR "distinct --what-if terms: no match for '${want}' in:\n${out}")
+  endif()
+endforeach()
+
+# 7. Only tcfrun injects faults: tcfasm, tcfprof and tcfdbg reject
+#    --inject-faults and --recover as a usage error (exit 2) naming the
+#    flag, instead of running fault-free as if the flag had been honoured.
+foreach(tool "${TCFASM}" "${TCFPROF}" "${TCFDBG}")
+  foreach(flag "--inject-faults=bogus" "--recover=off")
+    string(REGEX REPLACE "=.*" "" name "${flag}")
+    execute_process(
+      COMMAND "${tool}" "${PROG_OK}" "${flag}"
+      RESULT_VARIABLE rc
+      OUTPUT_VARIABLE out ERROR_VARIABLE err)
+    if(NOT rc EQUAL 2)
+      message(FATAL_ERROR "${tool} ${flag}: expected exit 2, got ${rc}\n${out}${err}")
+    endif()
+    if(NOT err MATCHES "${name} is not supported")
+      message(FATAL_ERROR "${tool} ${flag}: stderr lacks the diagnostic:\n${err}")
+    endif()
+  endforeach()
+  execute_process(
+    COMMAND "${tool}" "--help"
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(out MATCHES "--inject-faults" OR out MATCHES "--recover")
+    message(FATAL_ERROR "${tool} --help still lists the fault flags:\n${out}")
   endif()
 endforeach()
 

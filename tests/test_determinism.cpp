@@ -1,9 +1,9 @@
 // Determinism tests for the stepping engine (DESIGN.md §4, §10.2): the
 // cross-group effects of a step (deferred spawns, join notices, multiprefix
-// tickets) merge in group order, a faulting step still executes every
-// group, the quiet-group merge fast path fires, and the telemetry documents
-// and the RNG streams the simulator derives its schedules from are
-// reproducible.
+// tickets) land in group order, a faulting step still executes every group
+// and shows nothing of the faulting group or the groups above it, and the
+// telemetry documents and the RNG streams the simulator derives its
+// schedules from are reproducible.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -88,35 +88,17 @@ TEST_P(DeterminismTest, SpawnJoinPrefixSum) {
 INSTANTIATE_TEST_SUITE_P(
     TcfVariants, DeterminismTest,
     ::testing::Values(Variant::kSingleInstruction, Variant::kBalanced),
-    [](const ::testing::TestParamInfo<Variant>& info) {
-      std::string name = to_string(info.param);
+    [](const ::testing::TestParamInfo<Variant>& param_info) {
+      std::string name = to_string(param_info.param);
       for (char& c : name) {
         if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
       }
       return name;
     });
 
-// ---- Quiet-group fast path: taken with a recorder attached ----
-
-TEST(MergeSkipTest, FastPathTaken) {
-  // boot(1) places one flow on one group; the other groups are quiet every
-  // step, so the fast path must actually fire, also while a flight
-  // recorder collects the journal.
-  debug::FlightRecorder rec(
-      debug::RecorderConfig{/*journal_capacity=*/1 << 16,
-                            /*checkpoint_every=*/0, /*max_checkpoints=*/1});
-  Machine m(base_cfg(Variant::kSingleInstruction));
-  rec.attach(m);
-  m.load(with_arrays(spawn_prefix_program()));
-  m.boot(1);
-  ASSERT_TRUE(m.run().completed);
-  EXPECT_FALSE(rec.journal().entries().empty());
-  EXPECT_GT(m.merge_skips(), 0u);
-}
-
-// ---- The fault rule of the merge loop ----
+// ---- The fault rule of the step driver ----
 //
-// A group-phase fault stops the merge at the lowest faulting group, but
+// A group's fault stops the merging at the lowest faulting group, but
 // every group still finishes executing its share of the faulting step.
 // Group 1's flow therefore ran its instruction of step 2 when group 0's
 // divide faulted.
@@ -147,6 +129,53 @@ TEST(FaultRuleTest, EveryGroupExecutesTheFaultingStep) {
   }
   EXPECT_EQ(m.find_flow(b)->pc, prog.label("b") + 2);
   EXPECT_EQ(m.peek_reg(b, 0, 1), 4);
+}
+
+// Group 0 merges as it finishes; group 1 prints, stores and then divides by
+// zero in the same step, and group 2 runs after it: neither shows a print,
+// a counted operation, a lane count or a journal event, and the faulting
+// step commits nothing.
+TEST(FaultRuleTest, FaultingGroupLeavesNoEffects) {
+  const isa::Program prog = isa::assemble(R"(
+      a: LDI r1, 9
+         PRINT r1
+         ST r1, [r0+10]
+         HALT
+      b: LDI r1, 7
+         PRINT r1
+         ST r1, [r0+11]
+         DIV r2, r1, r0
+         HALT
+      c: LDI r1, 5
+         PRINT r1
+         ST r1, [r0+12]
+         HALT
+  )");
+  MachineConfig cfg = base_cfg(Variant::kBalanced);
+  cfg.groups = 3;
+  cfg.balanced_bound = 16;
+  debug::FlightRecorder rec(
+      debug::RecorderConfig{/*journal_capacity=*/1 << 16,
+                            /*checkpoint_every=*/0, /*max_checkpoints=*/1});
+  Machine m(cfg);
+  rec.attach(m);
+  m.load(prog);
+  m.boot_at(prog.label("a"), 1, 0);
+  m.boot_at(prog.label("b"), 1, 1);
+  m.boot_at(prog.label("c"), 1, 2);
+  EXPECT_THROW(m.run(), SimError);
+  EXPECT_EQ(m.debug_output(), (std::vector<Word>{9}));
+  EXPECT_EQ(m.stats().operations, 4u);
+  EXPECT_EQ(m.stats().steps, 0u);
+  EXPECT_EQ(m.metrics().counter("mem/shared_writes").value(), 1u);
+  for (const Addr a : {Addr{10}, Addr{11}, Addr{12}}) {
+    EXPECT_EQ(m.shared().peek(a), 0) << a;
+  }
+  std::vector<Word> printed;
+  for (const auto& e : rec.journal().entries()) {
+    if (e.event.kind == DebugEventKind::kPrint) printed.push_back(e.event.a);
+  }
+  EXPECT_EQ(printed, (std::vector<Word>{9}));
 }
 
 // ---- Telemetry documents: valid JSON, subsystem coverage ----
@@ -185,8 +214,8 @@ INSTANTIATE_TEST_SUITE_P(
                       Variant::kMultiInstruction, Variant::kSingleOperation,
                       Variant::kConfigSingleOperation,
                       Variant::kFixedThickness),
-    [](const ::testing::TestParamInfo<Variant>& info) {
-      std::string name = to_string(info.param);
+    [](const ::testing::TestParamInfo<Variant>& param_info) {
+      std::string name = to_string(param_info.param);
       for (char& c : name) {
         if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
       }

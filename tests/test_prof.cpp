@@ -216,8 +216,8 @@ INSTANTIATE_TEST_SUITE_P(
                       Variant::kMultiInstruction, Variant::kSingleOperation,
                       Variant::kConfigSingleOperation,
                       Variant::kFixedThickness),
-    [](const ::testing::TestParamInfo<Variant>& info) {
-      std::string name = to_string(info.param);
+    [](const ::testing::TestParamInfo<Variant>& param_info) {
+      std::string name = to_string(param_info.param);
       for (char& c : name) {
         if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
       }

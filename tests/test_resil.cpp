@@ -535,15 +535,21 @@ TEST(FaultSpecParser, ParsesFullGrammar) {
 }
 
 TEST(FaultSpecParser, RejectsMalformedSpecs) {
-  EXPECT_THROW(parse_fault_spec("bogus=1"), SimError);
-  EXPECT_THROW(parse_fault_spec("drop"), SimError);
-  EXPECT_THROW(parse_fault_spec("drop=1.5"), SimError);
-  EXPECT_THROW(parse_fault_spec("drop=-0.1"), SimError);
-  EXPECT_THROW(parse_fault_spec("seed=abc"), SimError);
-  EXPECT_THROW(parse_fault_spec("retries=17"), SimError);
-  EXPECT_THROW(parse_fault_spec("at=5"), SimError);
-  EXPECT_THROW(parse_fault_spec("at=5:meteor"), SimError);
-  EXPECT_THROW(parse_fault_spec("at=x:kill:1"), SimError);
+  // Every diagnostic is a user-facing "fault spec: ..." message, never an
+  // internal-check banner: tcfrun prints it after its name and exits 2.
+  for (const char* spec :
+       {"bogus=1", "drop", "drop=1.5", "drop=-0.1", "seed=abc", "retries=17",
+        "at=5", "at=5:meteor", "at=x:kill:1", "at=5:kill:x"}) {
+    SCOPED_TRACE(spec);
+    try {
+      parse_fault_spec(spec);
+      ADD_FAILURE() << "accepted";
+    } catch (const SimError& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("fault spec:", 0), 0u) << what;
+      EXPECT_EQ(what.find("TCFPN_CHECK"), std::string::npos) << what;
+    }
+  }
 }
 
 }  // namespace

@@ -308,7 +308,7 @@ TEST(Traffic, StepCounterAdvances) {
   EXPECT_EQ(m.step(), 2u);
 }
 
-// ---- memory ports: lane runs, presorted runs, images ----
+// ---- lane runs, presorted runs, images ----
 
 std::vector<Word> image_of(const SharedMemory& m) {
   std::vector<Word> out;
@@ -316,14 +316,14 @@ std::vector<Word> image_of(const SharedMemory& m) {
   return out;
 }
 
-// read_run/write_run through a port account, read and commit exactly what
-// the direct SharedMemory read()/write() calls do lane by lane.
-TEST(MemoryPort, LaneRunsMatchDirectAccess) {
+// read_run/write_run account, read and commit exactly what read()/write()
+// do lane by lane.
+TEST(SharedMemory, LaneRunsMatchPerLaneCalls) {
   SharedMemory direct(64, 4, CrcwPolicy::kErew);
-  SharedMemory ported(64, 4, CrcwPolicy::kErew);
+  SharedMemory runs(64, 4, CrcwPolicy::kErew);
   for (Addr a = 0; a < 64; ++a) {
     direct.poke(a, static_cast<Word>(100 + a));
-    ported.poke(a, static_cast<Word>(100 + a));
+    runs.poke(a, static_cast<Word>(100 + a));
   }
   const Addr rd[] = {3, 9, 10, 17};
   const Addr wr[] = {40, 41, 47, 50};
@@ -333,33 +333,30 @@ TEST(MemoryPort, LaneRunsMatchDirectAccess) {
   for (std::size_t i = 0; i < 4; ++i) {
     want[i] = direct.read(rd[i], 8 + i);
     direct.write(wr[i], val[i], 8 + i);
-    ++rd_mod[ported.module_of(rd[i])];
-    ++wr_mod[ported.module_of(wr[i])];
+    ++rd_mod[runs.module_of(rd[i])];
+    ++wr_mod[runs.module_of(wr[i])];
   }
-  MemoryPort port(&ported);
-  port.read_run(LaneRun{rd, 4, 8, false}, rd_mod, got);
-  port.write_run(LaneRun{wr, 4, 8, false}, val, wr_mod);
+  runs.read_run(LaneRun{rd, 4, 8, false}, rd_mod, got);
+  runs.write_run(LaneRun{wr, 4, 8, false}, val, wr_mod);
   EXPECT_TRUE(std::equal(want, want + 4, got));
-  port.seal();
-  ported.drain(port);
   direct.commit_step();
-  ported.commit_step();
-  EXPECT_EQ(image_of(direct), image_of(ported));
-  EXPECT_EQ(direct.total_reads(), ported.total_reads());
-  EXPECT_EQ(direct.total_writes(), ported.total_writes());
+  runs.commit_step();
+  EXPECT_EQ(image_of(direct), image_of(runs));
+  EXPECT_EQ(direct.total_reads(), runs.total_reads());
+  EXPECT_EQ(direct.total_writes(), runs.total_writes());
   for (std::uint32_t m = 0; m < 4; ++m) {
     EXPECT_EQ(direct.last_step_traffic()[m].reads,
-              ported.last_step_traffic()[m].reads);
+              runs.last_step_traffic()[m].reads);
     EXPECT_EQ(direct.last_step_traffic()[m].writes,
-              ported.last_step_traffic()[m].writes);
+              runs.last_step_traffic()[m].writes);
   }
 }
 
-// Port records drained in group order commit exactly as the same writes
-// staged directly in issue order — whether they arrive presorted and
-// ascending (nothing sorted), interleaved (sorted at commit), or unsorted
-// with same-key rewrites (sorted and collapsed by seal).
-TEST(MemoryPort, RunsCommitLikeDirectWrites) {
+// One-lane runs staged group after group commit exactly as the same writes
+// staged by write() — whether they arrive ascending (nothing sorted),
+// interleaved (sorted at commit), or unsorted with same-key rewrites
+// (sorted and collapsed at commit).
+TEST(SharedMemory, OneLaneRunsCommitLikeWrites) {
   struct W {
     Addr addr;
     Word value;
@@ -372,23 +369,19 @@ TEST(MemoryPort, RunsCommitLikeDirectWrites) {
   };
   for (const auto& groups : cases) {
     SharedMemory direct(16, 4, CrcwPolicy::kPriority);
-    SharedMemory ported(16, 4, CrcwPolicy::kPriority);
-    MemoryPort port(&ported);
+    SharedMemory runs(16, 4, CrcwPolicy::kPriority);
     for (const auto& g : groups) {
       for (const W& w : g) {
         direct.write(w.addr, w.value, w.lane);
         std::uint64_t per_module[4] = {};
-        ++per_module[ported.module_of(w.addr)];
-        port.write_run(LaneRun{&w.addr, 1, w.lane, false}, &w.value,
+        ++per_module[runs.module_of(w.addr)];
+        runs.write_run(LaneRun{&w.addr, 1, w.lane, false}, &w.value,
                        per_module);
       }
-      port.seal();
-      ported.drain(port);
-      port.clear();
     }
     direct.commit_step();
-    ported.commit_step();
-    EXPECT_EQ(image_of(direct), image_of(ported));
+    runs.commit_step();
+    EXPECT_EQ(image_of(direct), image_of(runs));
   }
 }
 
@@ -425,14 +418,13 @@ struct CommitOutcome {
   std::string error;
 };
 
-/// How the accesses reach the memory: whole accesses through ports (a unit
-/// run when the addresses are consecutive), one-lane records through
-/// ports, or direct SharedMemory::read/write calls.
+/// How the accesses reach the memory: whole accesses as lane runs (a unit
+/// run when the addresses are consecutive), one-lane runs, or per-lane
+/// read()/write() calls.
 enum class Form { kRuns, kRecords, kDirect };
 
-/// Stages `groups` (one port each, drained in order), commits, and reports
-/// the outcome. Each port is destroyed right after its drain, so the
-/// pending runs must not point into it.
+/// Stages `groups` in order, as the machine's groups stage a step, commits,
+/// and reports the outcome.
 CommitOutcome commit_in_form(const std::vector<std::vector<Access>>& groups,
                              CrcwPolicy policy, Form form) {
   SharedMemory m(16, 4, policy);
@@ -442,16 +434,15 @@ CommitOutcome commit_in_form(const std::vector<std::vector<Access>>& groups,
   CommitOutcome out;
   try {
     for (const auto& accesses : groups) {
-      MemoryPort port(&m);
       for (const Access& x : accesses) {
         const std::size_t n = x.addr.size();
         auto stage = [&](const LaneRun& run, const Word* value) {
           std::vector<std::uint64_t> per_module(m.modules(), 0);
           m.count_modules(run, per_module.data());
           if (x.write) {
-            port.write_run(run, value, per_module.data());
+            m.write_run(run, value, per_module.data());
           } else {
-            port.read_run(run, per_module.data(), nullptr);
+            m.read_run(run, per_module.data(), nullptr);
           }
         };
         if (form == Form::kRuns) {
@@ -473,10 +464,6 @@ CommitOutcome commit_in_form(const std::vector<std::vector<Access>>& groups,
           }
         }
       }
-      if (form != Form::kDirect) {
-        port.seal();
-        m.drain(port);
-      }
     }
     m.commit_step();
   } catch (const SimError& e) {
@@ -495,10 +482,10 @@ CommitOutcome commit_in_form(const std::vector<std::vector<Access>>& groups,
 }
 
 // The same staged traffic carried as unit runs, as one-lane records and as
-// direct writes commits alike under every CRCW policy: store image,
+// per-lane calls commits alike under every CRCW policy: store image,
 // totals, per-module traffic, committed and concurrent write cells, and
 // the SimError of a violated policy.
-TEST(MemoryPort, UnitRunsCommitLikeRecords) {
+TEST(SharedMemory, UnitRunsCommitLikeRecords) {
   constexpr CrcwPolicy kErew = CrcwPolicy::kErew;
   constexpr CrcwPolicy kCrew = CrcwPolicy::kCrew;
   constexpr CrcwPolicy kCommon = CrcwPolicy::kCommon;
@@ -509,11 +496,11 @@ TEST(MemoryPort, UnitRunsCommitLikeRecords) {
     std::vector<CrcwPolicy> faulting;  ///< the policies the commit violates
   };
   const Case cases[] = {
-      {"disjoint ascending runs in one port",
+      {"disjoint ascending runs in one group",
        {{st(span_at(0, 3), 0, {1, 2, 3}), st(span_at(5, 2), 8, {4, 5}),
          st(span_at(9, 4), 16, {6, 7, 8, 9})}},
        0, {}},
-      {"ascending runs across ports",
+      {"ascending runs across groups",
        {{st(span_at(0, 4), 0, {1, 2, 3, 4})},
         {st(span_at(4, 4), 8, {5, 6, 7, 8})},
         {st(span_at(10, 2), 16, {9, 10})}},
@@ -525,17 +512,17 @@ TEST(MemoryPort, UnitRunsCommitLikeRecords) {
       {"a run overlaps other lanes' cells",
        {{st(span_at(2, 4), 0, {1, 2, 3, 4}), st(span_at(4, 3), 8, {5, 6, 7})}},
        2, {kErew, kCrew, kCommon}},
-      {"runs from two ports overlap with equal values",
+      {"runs from two groups overlap with equal values",
        {{st(span_at(0, 4), 0, {1, 2, 3, 4})},
         {st(span_at(2, 3), 8, {3, 4, 9})}},
        2, {kErew, kCrew}},
-      {"runs from two ports in descending order",
+      {"runs from two groups in descending order",
        {{st(span_at(8, 3), 0, {1, 2, 3})}, {st(span_at(0, 3), 8, {4, 5, 6})}},
        0, {}},
-      {"a unit run after scattered records in one port",
+      {"a unit run after scattered records in one group",
        {{st({7, 1, 12}, 0, {1, 2, 3}), st(span_at(3, 3), 8, {4, 5, 6})}},
        0, {}},
-      {"scattered records after a unit run in one port",
+      {"scattered records after a unit run in one group",
        {{st(span_at(3, 3), 0, {1, 2, 3}), st({12, 0, 4}, 8, {4, 5, 6})}},
        1, {kErew, kCrew, kCommon}},
       {"one-lane runs",
@@ -573,21 +560,18 @@ TEST(MemoryPort, UnitRunsCommitLikeRecords) {
   }
 }
 
-// A direct write after drained unit runs joins them as records, so the
-// commit still sees the overlap as concurrent writers.
-TEST(MemoryPort, DirectWriteAfterDrainedRunsSeesTheOverlap) {
+// A write after pending unit runs joins them as records, so the commit
+// still sees the overlap as concurrent writers.
+TEST(SharedMemory, WriteAfterPendingRunsSeesTheOverlap) {
   SharedMemory m(16, 4, CrcwPolicy::kPriority);
   metrics::MetricsRegistry reg;
   m.bind_metrics(&reg);
-  MemoryPort port(&m);
   const Addr addr[] = {4, 5, 6};
   const Word value[] = {1, 2, 3};
   const LaneRun run{addr, 3, 8, true};
   std::vector<std::uint64_t> per_module(m.modules(), 0);
   m.count_modules(run, per_module.data());
-  port.write_run(run, value, per_module.data());
-  port.seal();
-  m.drain(port);
+  m.write_run(run, value, per_module.data());
   m.write(5, 99, 20);  // lane 9 of the run wins under Priority-CRCW
   m.commit_step();
   EXPECT_EQ((std::vector<Word>{m.peek(4), m.peek(5), m.peek(6)}),

@@ -1,0 +1,110 @@
+#!/usr/bin/env bash
+# Captures the outputs of a fixed set of tool runs, so that a change which
+# must not move simulated results can be checked byte for byte against its
+# parent:
+#
+#   tools/capture_outputs.sh <parent-build-dir> /tmp/cap-parent
+#   tools/capture_outputs.sh build /tmp/cap-change
+#   diff -r /tmp/cap-parent /tmp/cap-change
+#
+# Each run gets a directory under OUT_DIR with its stdout, stderr and exit
+# code, plus whichever of the metrics, profile, stream and post-mortem
+# documents it writes. --trace-json is left out: its host spans are
+# wall-clock and differ between any two runs. Inputs come from the tree
+# this script lives in and binaries from BUILD_DIR, so one script captures
+# both sides of a diff; the runs are sequential and take a few seconds.
+set -u
+
+if [ $# -ne 2 ]; then
+  echo "usage: $0 BUILD_DIR OUT_DIR" >&2
+  exit 2
+fi
+BUILD=$(cd "$1" && pwd) || exit 2
+mkdir -p "$2" || exit 2
+OUT=$(cd "$2" && pwd)
+ROOT=$(cd "$(dirname "$0")/.." && pwd)
+TOOLS="$BUILD/tools"
+for tool in tcfrun tcfasm tcfprof tcfdbg tcffuzz; do
+  if [ ! -x "$TOOLS/$tool" ]; then
+    echo "$0: $TOOLS/$tool is missing; build the tools first" >&2
+    exit 2
+  fi
+done
+
+# run NAME TOOL ARGS...: runs TOOL in OUT/NAME, where the documents the
+# arguments name land, and records stdout, stderr and the exit code there.
+run() {
+  local name=$1 tool=$2
+  shift 2
+  mkdir -p "$OUT/$name"
+  (cd "$OUT/$name" && "$TOOLS/$tool" "$@" > stdout 2> stderr
+   echo $? > exit_code)
+}
+
+DOCS=(--metrics-json=metrics.json --profile=profile.json)
+
+run scan_stream tcfrun "$ROOT/examples/programs/scan.tcf" --trace \
+    --stream=run.stream --stream-every=8 "${DOCS[@]}"
+
+for prog in "$ROOT"/scenarios/*.tcf; do
+  base=$(basename "$prog" .tcf)
+  run "scenario_${base}_single" tcfrun "$prog" \
+      --variant=single-instruction "${DOCS[@]}"
+  run "scenario_${base}_balanced16" tcfrun "$prog" \
+      --variant=balanced --bound=16 "${DOCS[@]}"
+done
+
+run bfs_faulted_rollback tcfrun "$ROOT/scenarios/bfs.tcf" \
+    --variant=balanced --bound=16 \
+    --inject-faults=seed=3,flip=0.004,kill=0.004,memfail=0.002 \
+    --recover=rollback --stream=run.stream --stream-every=8 "${DOCS[@]}"
+
+run fault_div tcfrun "$ROOT/tests/programs/fault_div.tcf" \
+    --post-mortem=post_mortem.json "${DOCS[@]}"
+run fault_div_gpu tcfrun "$ROOT/tests/programs/fault_div.tcf" --shape=gpu \
+    --post-mortem=post_mortem.json "${DOCS[@]}"
+
+run histogram_degrade tcfrun "$ROOT/examples/programs/histogram.tcf" \
+    --inject-faults=at=2:kill:1 --recover=degrade "${DOCS[@]}"
+run histogram_fat_thin tcfrun "$ROOT/examples/programs/histogram.tcf" \
+    --shape=fat-thin "${DOCS[@]}"
+
+for variant in single-operation config-single-operation multi-instruction; do
+  run "vecadd_$variant" tcfrun "$ROOT/examples/programs/vecadd.tcf" \
+      --variant="$variant" "${DOCS[@]}"
+done
+# vecadd.tcf sets its thickness, which those variants refuse; these
+# reproducers run to completion under them.
+for variant in single-operation config-single-operation; do
+  run "esm_loop_$variant" tcfprof "$ROOT/tests/corpus/esm_loop.s" \
+      --variant="$variant" --report=summary,steps,folded
+done
+run fork_join_multi-instruction tcfprof "$ROOT/tests/corpus/fork_join.s" \
+    --variant=multi-instruction --report=summary,steps,folded
+
+run sum_squares tcfasm "$ROOT/examples/programs/sum_squares.s" --trace \
+    "${DOCS[@]}"
+
+# Group 2 faults after printing and storing: what the faulting step shows.
+run spawn_fault_single tcfasm "$ROOT/tests/programs/spawn_fault.s" \
+    --groups=4 --trace --post-mortem=post_mortem.json "${DOCS[@]}"
+run spawn_fault_balanced16 tcfasm "$ROOT/tests/programs/spawn_fault.s" \
+    --groups=4 --variant=balanced --bound=16 --trace \
+    --post-mortem=post_mortem.json "${DOCS[@]}"
+
+# The smoke script writes err_crew.postmortem.json into the run directory.
+run tcfdbg_smoke tcfdbg "$ROOT/tests/corpus/err_crew.s" \
+    --script="$ROOT/tools/tcfdbg_smoke.script"
+run tcfdbg_travel tcfdbg "$ROOT/examples/programs/sum_squares.s" \
+    --script="$ROOT/tools/tcfdbg_travel.script"
+
+for prog in "$ROOT"/tests/corpus/*.s; do
+  run "tcfprof_$(basename "$prog" .s)" tcfprof "$prog" \
+      --report=summary,steps,folded
+done
+
+run fuzz_shapes tcffuzz --seed=1 --runs=500 --shape-seed=7
+run fuzz_faults tcffuzz --seed=9001 --runs=200 --fault-seed=1
+run fuzz_no_frontends tcffuzz --seed=20001 --runs=2000 --no-frontends
+
+echo "captured $(ls "$OUT" | wc -l) runs into $OUT"

@@ -1,4 +1,5 @@
-// Shared command-line plumbing for the tcfrun / tcfasm drivers.
+// Shared command-line plumbing for the tcfrun, tcfasm, tcfprof and tcfdbg
+// drivers.
 #pragma once
 
 #include <cstdio>
@@ -48,7 +49,9 @@ struct Options {
   std::uint64_t stream_every = 64;  ///< stream cadence in machine steps
 };
 
-inline void usage(const char* tool, const char* what) {
+/// Prints the shared usage text; the fault-injection flags only when the
+/// tool reads them (`faults`).
+inline void usage(const char* tool, const char* what, bool faults) {
   std::printf(
       "usage: %s <file> [options]\n"
       "  runs a %s on the extended PRAM-NUMA machine simulator\n\n"
@@ -83,15 +86,20 @@ inline void usage(const char* tool, const char* what) {
       "                    the metrics document (default off)\n"
       "  --max-steps=N     watchdog: stop after N machine steps (default\n"
       "                    10000000); an explicit limit makes a timed-out\n"
-      "                    run exit 3 with a watchdog post-mortem\n"
-      "  --inject-faults=S deterministic fault injection (DESIGN.md §9);\n"
-      "                    S = comma list of seed=U, rates drop/delay/stall/\n"
-      "                    memfail/flip/kill=P, knobs retries/backoff/delayc/\n"
-      "                    stallc/watchdog/scrubc=N, scripted\n"
-      "                    at=STEP:KIND[:ARG] entries\n"
-      "  --recover=MODE    recovery for injected faults: rollback (default,\n"
-      "                    checkpoint restore + replay), degrade (retire\n"
-      "                    dead groups, continue at P-1), off\n"
+      "                    run exit 3 with a watchdog post-mortem\n",
+      tool, what);
+  if (faults) {
+    std::printf(
+        "  --inject-faults=S deterministic fault injection (DESIGN.md §9);\n"
+        "                    S = comma list of seed=U, rates drop/delay/stall/\n"
+        "                    memfail/flip/kill=P, knobs retries/backoff/delayc/\n"
+        "                    stallc/watchdog/scrubc=N, scripted\n"
+        "                    at=STEP:KIND[:ARG] entries\n"
+        "  --recover=MODE    recovery for injected faults: rollback (default,\n"
+        "                    checkpoint restore + replay), degrade (retire\n"
+        "                    dead groups, continue at P-1), off\n");
+  }
+  std::printf(
       "  --stream=DEST     stream live telemetry (tcfpn-stream-v1 NDJSON) to\n"
       "                    DEST: a file, '-' for stdout, or unix:PATH to\n"
       "                    connect to a listening socket (tcfmon --listen).\n"
@@ -99,8 +107,7 @@ inline void usage(const char* tool, const char* what) {
       "                    and reports them on the stream's run_end line\n"
       "  --stream-every=N  stream cadence in machine steps (default 64)\n"
       "  --log-level=LVL   stderr log threshold: debug, info (default),\n"
-      "                    warn, error; the stream sees every line\n",
-      tool, what);
+      "                    warn, error; the stream sees every line\n");
 }
 
 inline bool parse_flag(const std::string& arg, const char* name,
@@ -156,18 +163,26 @@ inline bool parse_uint_as(const std::string& v, const char* flag,
 }
 
 /// Parses argv; returns false (after printing a diagnostic or usage) on
-/// bad input.
+/// bad input. Only a tool that runs injected faults (`faults`, tcfrun)
+/// accepts --inject-faults and --recover; the others reject them rather
+/// than run fault-free as if they had been honoured.
 inline bool parse_args(int argc, char** argv, const char* tool,
-                       const char* what, Options* opt) {
+                       const char* what, Options* opt, bool faults = false) {
   if (argc < 2) {
-    usage(tool, what);
+    usage(tool, what, faults);
     return false;
   }
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     std::string v;
+    const std::string flag = arg.substr(0, arg.find('='));
+    if (!faults && (flag == "--inject-faults" || flag == "--recover")) {
+      std::fprintf(stderr, "%s: %s is not supported; fault injection runs "
+                   "under tcfrun\n", tool, flag.c_str());
+      return false;
+    }
     if (arg == "--help" || arg == "-h") {
-      usage(tool, what);
+      usage(tool, what, faults);
       return false;
     } else if (arg == "--trace") {
       opt->trace = true;
@@ -307,7 +322,7 @@ inline bool parse_args(int argc, char** argv, const char* tool,
       opt->recover = v;
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-      usage(tool, what);
+      usage(tool, what, faults);
       return false;
     } else {
       opt->input = arg;

@@ -52,7 +52,7 @@ struct ProfOptions {
 
 void prof_usage() {
   std::printf(
-      "tcfprof-specific options (everything tcfrun accepts also applies):\n"
+      "tcfprof-specific options (the options above also apply):\n"
       "  --report=LIST     comma list of reports to render, in order:\n"
       "                    summary (default), hotspots, steps, folded,\n"
       "                    html, json\n"

@@ -68,7 +68,8 @@ bool export_watchdog_post_mortem(const machine::Machine& m,
 
 int main(int argc, char** argv) {
   cli::Options opt;
-  if (!cli::parse_args(argc, argv, "tcfrun", "TCF source program", &opt)) {
+  if (!cli::parse_args(argc, argv, "tcfrun", "TCF source program", &opt,
+                       /*faults=*/true)) {
     return 2;
   }
   // The fault spec is user input: reject it as a usage error (exit 2), not a
