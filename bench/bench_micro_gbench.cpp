@@ -72,7 +72,7 @@ BENCHMARK(BM_MachineVecAdd)->Arg(256)->Arg(4096);
 // The inner lane loop of a thick ALU instruction, in both register-file
 // layouts. The AoS twin strides by the 16-register frame, which defeats
 // auto-vectorization; the SoA sweep over contiguous banks is what
-// machine::LaneFile gives Machine::exec_alu_lanes (configure with
+// machine::LaneFile gives Machine::exec_lanes (configure with
 // -DTCFPN_VEC_REPORT=ON to see the compiler confirm the vector loop).
 void BM_LaneSweepAoS(benchmark::State& state) {
   const auto lanes = static_cast<std::size_t>(state.range(0));

@@ -11,7 +11,6 @@ namespace tcfpn::metrics {
 const char* to_string(InstrumentKind k) {
   switch (k) {
     case InstrumentKind::kCounter: return "counter";
-    case InstrumentKind::kGauge: return "gauge";
     case InstrumentKind::kAccumulator: return "accumulator";
     case InstrumentKind::kHistogram: return "histogram";
   }
@@ -61,15 +60,6 @@ Counter& MetricsRegistry::counter(const std::string& path) {
   return *e.counter;
 }
 
-Gauge& MetricsRegistry::gauge(const std::string& path) {
-  if (Entry* e = find(path, InstrumentKind::kGauge)) return *e->gauge;
-  check_path(path);
-  Entry& e = entries_[path];
-  e.kind = InstrumentKind::kGauge;
-  e.gauge = std::make_unique<Gauge>();
-  return *e.gauge;
-}
-
 Accumulator& MetricsRegistry::accumulator(const std::string& path) {
   if (Entry* e = find(path, InstrumentKind::kAccumulator)) {
     return *e->accumulator;
@@ -113,10 +103,6 @@ void freeze(const Entry& e, MetricValue& v) {
   switch (e.kind) {
     case InstrumentKind::kCounter:
       v.count = e.counter->value();
-      break;
-    case InstrumentKind::kGauge:
-      v.value = e.gauge->value();
-      v.gauge_set = e.gauge->is_set();
       break;
     case InstrumentKind::kAccumulator:
       v.count = e.accumulator->count();
@@ -174,10 +160,6 @@ RawMetrics MetricsRegistry::save_raw() const {
       case InstrumentKind::kCounter:
         r.count = e.counter->value();
         break;
-      case InstrumentKind::kGauge:
-        r.gauge_value = e.gauge->value();
-        r.gauge_set = e.gauge->is_set();
-        break;
       case InstrumentKind::kAccumulator:
         r.acc = e.accumulator->raw();
         break;
@@ -206,9 +188,6 @@ void MetricsRegistry::restore_raw(const RawMetrics& raw) {
       case InstrumentKind::kCounter:
         counter(path).restore(r.count);
         break;
-      case InstrumentKind::kGauge:
-        gauge(path).restore(r.gauge_value, r.gauge_set);
-        break;
       case InstrumentKind::kAccumulator:
         accumulator(path).restore(r.acc);
         break;
@@ -225,10 +204,6 @@ void MetricsRegistry::merge(const MetricsRegistry& other) {
     switch (e.kind) {
       case InstrumentKind::kCounter:
         counter(path).add(e.counter->value());
-        break;
-      case InstrumentKind::kGauge:
-        if (e.gauge->is_set()) gauge(path).set(e.gauge->value());
-        else gauge(path);  // still materialise the instrument
         break;
       case InstrumentKind::kAccumulator:
         accumulator(path).merge(*e.accumulator);
@@ -256,8 +231,6 @@ MetricValue diff(const MetricValue& before, const MetricValue& after) {
     case InstrumentKind::kCounter:
       v.count = minus(after.count, before.count);
       break;
-    case InstrumentKind::kGauge:
-      break;  // levels don't subtract
     case InstrumentKind::kAccumulator:
       v.count = minus(after.count, before.count);
       v.sum = after.sum - before.sum;
@@ -350,10 +323,6 @@ void to_json_leaf(std::string& out, const MetricValue& v,
   switch (v.kind) {
     case InstrumentKind::kCounter:
       append_field(out, "value", v.count);
-      break;
-    case InstrumentKind::kGauge:
-      if (v.gauge_set) append_field(out, "value", v.value);
-      else out += ", \"value\": null";
       break;
     case InstrumentKind::kAccumulator:
       append_field(out, "count", v.count);

@@ -7,7 +7,6 @@
 // slash-separated paths ("net/ejection_latency", "sched/slot_occupancy"):
 //
 //  - Counter      monotone 64-bit event/cycle count
-//  - Gauge        last-set level (double)
 //  - Accumulator  streaming moments (count/sum/min/max/mean/variance)
 //  - Histogram    fixed-bucket distribution
 //
@@ -50,28 +49,8 @@ class Counter {
   std::uint64_t v_ = 0;
 };
 
-/// Last-written level (queue depth, occupancy, configuration value).
-class Gauge {
- public:
-  void set(double v) {
-    v_ = v;
-    set_ = true;
-  }
-  double value() const { return v_; }
-  bool is_set() const { return set_; }
-  void restore(double v, bool set) {  ///< checkpoint restore only
-    v_ = v;
-    set_ = set;
-  }
-
- private:
-  double v_ = 0;
-  bool set_ = false;
-};
-
 enum class InstrumentKind : std::uint8_t {
   kCounter,
-  kGauge,
   kAccumulator,
   kHistogram,
 };
@@ -83,8 +62,6 @@ const char* to_string(InstrumentKind k);
 struct MetricValue {
   InstrumentKind kind = InstrumentKind::kCounter;
   std::uint64_t count = 0;  ///< counter value / accumulator n / histogram total
-  double value = 0;         ///< gauge level (when set)
-  bool gauge_set = false;
   double sum = 0, min = 0, max = 0, mean = 0, variance = 0;  ///< accumulator
   double lo = 0, hi = 0;                ///< histogram range
   std::vector<std::uint64_t> buckets;   ///< histogram buckets
@@ -100,8 +77,6 @@ struct MetricValue {
 struct RawInstrument {
   InstrumentKind kind = InstrumentKind::kCounter;
   std::uint64_t count = 0;  ///< counter value / histogram total
-  double gauge_value = 0;
-  bool gauge_set = false;
   Accumulator::Raw acc;                 ///< accumulator Welford terms
   double lo = 0, hi = 0;                ///< histogram range
   std::vector<std::uint64_t> buckets;   ///< histogram buckets
@@ -109,8 +84,8 @@ struct RawInstrument {
 
 /// One leaf of a window: `after` less the monotone parts of `before`
 /// (counter value, accumulator count and sum, histogram count and buckets).
-/// Gauges and the non-subtractable accumulator moments (min/max/mean/
-/// variance) keep `after`'s values, and so does a leaf whose kind changed.
+/// The non-subtractable accumulator moments (min/max/mean/variance) keep
+/// `after`'s values, and so does a leaf whose kind changed.
 MetricValue diff(const MetricValue& before, const MetricValue& after);
 
 /// Raw registry image: path -> raw instrument state, ordered by path.
@@ -143,7 +118,6 @@ class MetricsRegistry {
   MetricsRegistry& operator=(MetricsRegistry&&) = default;
 
   Counter& counter(const std::string& path);
-  Gauge& gauge(const std::string& path);
   Accumulator& accumulator(const std::string& path);
   Histogram& histogram(const std::string& path, double lo, double hi,
                        std::size_t buckets);
@@ -170,9 +144,8 @@ class MetricsRegistry {
 
   /// Folds `other`'s instruments into this registry: counters add,
   /// accumulators merge (Welford combine — order-sensitive in floating
-  /// point, so callers fix the merge order), histograms add bucket-wise,
-  /// gauges take `other`'s value when it was set. Instruments missing here
-  /// are created; kind mismatches fault.
+  /// point, so callers fix the merge order), histograms add bucket-wise.
+  /// Instruments missing here are created; kind mismatches fault.
   void merge(const MetricsRegistry& other);
 
  private:
@@ -181,7 +154,6 @@ class MetricsRegistry {
     // Stable addresses across map growth: each instrument is heap-allocated
     // once and never moves, so cached Counter*/Histogram* stay valid.
     std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Accumulator> accumulator;
     std::unique_ptr<Histogram> histogram;
   };

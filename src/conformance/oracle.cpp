@@ -193,7 +193,7 @@ class Oracle {
       return;
     }
     for (LaneId lane = 0; lane < static_cast<LaneId>(f.thickness); ++lane) {
-      exec_data_lane(f, instr, lane);
+      exec_lane(f, instr, lane);
     }
     complete_instruction(f);
     ++f.pc;
@@ -214,7 +214,7 @@ class Oracle {
         if (!exec_control(f, instr)) break;
         complete_instruction(f);
       } else {
-        exec_data_lane(f, instr, 0);
+        exec_lane(f, instr, 0);
         complete_instruction(f);
         ++f.pc;
       }
@@ -262,12 +262,14 @@ class Oracle {
       case Opcode::kAdd: return static_cast<Word>(ua + ub);
       case Opcode::kSub: return static_cast<Word>(ua - ub);
       case Opcode::kMul: return static_cast<Word>(ua * ub);
+      // INT64_MIN / -1 overflows: the quotient wraps to INT64_MIN and the
+      // remainder is 0.
       case Opcode::kDiv:
         if (b == 0) TCFPN_FAULT("division by zero");
-        return a / b;
+        return b == -1 ? static_cast<Word>(0 - ua) : a / b;
       case Opcode::kMod:
         if (b == 0) TCFPN_FAULT("modulo by zero");
-        return a % b;
+        return b == -1 ? 0 : a % b;
       case Opcode::kAnd: return a & b;
       case Opcode::kOr: return a | b;
       case Opcode::kXor: return a ^ b;
@@ -297,7 +299,7 @@ class Oracle {
     return shared_[a];
   }
 
-  void exec_data_lane(OFlow& f, const isa::Instr& instr, LaneId lane) {
+  void exec_lane(OFlow& f, const isa::Instr& instr, LaneId lane) {
     auto& regs = f.regs[lane];
     auto write_reg = [&](std::uint8_t r, Word v) {
       if (r != 0) regs[r] = v;

@@ -9,12 +9,7 @@ namespace tcfpn::debug {
 
 namespace {
 
-// Version 2 appends the dead-group vector (degraded-mode execution,
-// DESIGN.md §9) after the pending-spawn list. Version 3 appends the
-// attribution profile (src/prof, DESIGN.md §11) after the step samples;
-// version-2 images still deserialize (with an empty profile).
-constexpr char kMagic[8] = {'T', 'C', 'F', 'C', 'K', 'P', 'T', '\3'};
-constexpr char kMagicV2[8] = {'T', 'C', 'F', 'C', 'K', 'P', 'T', '\2'};
+constexpr char kMagic[8] = {'T', 'C', 'F', 'C', 'K', 'P', 'T', '\4'};
 
 class Writer {
  public:
@@ -237,8 +232,6 @@ std::vector<std::uint8_t> serialize(const machine::MachineState& s) {
     w.str(path);
     w.u64(static_cast<std::uint64_t>(ins.kind));
     w.u64(ins.count);
-    w.f64(ins.gauge_value);
-    w.b(ins.gauge_set);
     w.u64(ins.acc.n);
     w.f64(ins.acc.sum);
     w.f64(ins.acc.mean);
@@ -290,13 +283,9 @@ std::vector<std::uint8_t> serialize(const machine::MachineState& s) {
 }
 
 machine::MachineState deserialize(const std::vector<std::uint8_t>& bytes) {
-  const bool v3 =
-      bytes.size() >= sizeof(kMagic) &&
-      std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) == 0;
-  const bool v2 =
-      !v3 && bytes.size() >= sizeof(kMagicV2) &&
-      std::memcmp(bytes.data(), kMagicV2, sizeof(kMagicV2)) == 0;
-  TCFPN_CHECK(v3 || v2, "not a tcfpn checkpoint (bad magic)");
+  TCFPN_CHECK(bytes.size() >= sizeof(kMagic) &&
+                  std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) == 0,
+              "not a tcfpn checkpoint (bad magic)");
   std::vector<std::uint8_t> body(bytes.begin() + sizeof(kMagic), bytes.end());
   Reader r(body);
   machine::MachineState s;
@@ -354,8 +343,6 @@ machine::MachineState deserialize(const std::vector<std::uint8_t>& bytes) {
     metrics::RawInstrument ins;
     ins.kind = static_cast<metrics::InstrumentKind>(r.u64());
     ins.count = r.u64();
-    ins.gauge_value = r.f64();
-    ins.gauge_set = r.b();
     ins.acc.n = r.u64();
     ins.acc.sum = r.f64();
     ins.acc.mean = r.f64();
@@ -382,31 +369,29 @@ machine::MachineState deserialize(const std::vector<std::uint8_t>& bytes) {
     smp.live_flows = r.u64();
   }
 
-  if (v3) {
-    const std::size_t n_cells = r.count("profile-cell");
-    for (std::size_t i = 0; i < n_cells; ++i) {
-      prof::Key k;
-      k.group = r.i64();
-      k.flow = r.i64();
-      k.pc = r.i64();
-      k.term = static_cast<prof::Term>(r.u64());
-      const Cycle c = r.u64();
-      s.profile.cells.emplace(k, c);
-    }
-    const std::size_t n_steps = r.count("profile-step");
-    for (std::size_t i = 0; i < n_steps; ++i) {
-      prof::StepRecord rec;
-      rec.step = r.u64();
-      rec.limit_group = r.i64();
-      rec.fill = r.u64();
-      rec.slot = r.u64();
-      rec.net = r.u64();
-      rec.fault = r.u64();
-      rec.work = r.u64();
-      s.profile.steps.push_back(rec);
-    }
-    s.profile.steps_truncated = r.b();
+  const std::size_t n_cells = r.count("profile-cell");
+  for (std::size_t i = 0; i < n_cells; ++i) {
+    prof::Key k;
+    k.group = r.i64();
+    k.flow = r.i64();
+    k.pc = r.i64();
+    k.term = static_cast<prof::Term>(r.u64());
+    const Cycle c = r.u64();
+    s.profile.cells.emplace(k, c);
   }
+  const std::size_t n_steps = r.count("profile-step");
+  for (std::size_t i = 0; i < n_steps; ++i) {
+    prof::StepRecord rec;
+    rec.step = r.u64();
+    rec.limit_group = r.i64();
+    rec.fill = r.u64();
+    rec.slot = r.u64();
+    rec.net = r.u64();
+    rec.fault = r.u64();
+    rec.work = r.u64();
+    s.profile.steps.push_back(rec);
+  }
+  s.profile.steps_truncated = r.b();
 
   TCFPN_CHECK(r.done(), "trailing bytes in checkpoint after byte ", r.pos());
   return s;

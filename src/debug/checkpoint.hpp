@@ -1,6 +1,7 @@
 // Binary (de)serialization of machine::MachineState.
 //
-// Format "TCFCKPT\3" (version-2 images still load): an 8-byte magic
+// Format "TCFCKPT\4" (only the current version loads: an image is read
+// back only by the process that wrote it): an 8-byte magic
 // followed by a flat little-endian stream of 64-bit words. Doubles travel
 // as their IEEE-754 bit patterns (std::bit_cast), so a serialize /
 // deserialize round trip is bit-exact — including the Welford accumulator

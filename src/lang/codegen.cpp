@@ -27,7 +27,6 @@ class Codegen {
     out_.heap_base = heap_base;
     Addr next = heap_base;
     for (const auto& a : ast.arrays) {
-      if (a.size == 0) err(a.line, "array '", a.name, "' has size 0");
       declare(a.line, a.name);
       out_.arrays.emplace(a.name, tcf::Buffer{next, a.size});
       if (!a.init.empty()) builder_.data(next, a.init);

@@ -80,7 +80,12 @@ class Parser {
     advance();  // 'array'
     d.name = expect_ident("after 'array'");
     expect(Tok::kLBracket, "for array size");
-    d.size = static_cast<std::size_t>(parse_const_expr());
+    const Word size = parse_const_expr();
+    if (size < 1) {
+      error("array '" + d.name + "' has size " + std::to_string(size) +
+            "; sizes must be >= 1");
+    }
+    d.size = static_cast<std::size_t>(size);
     expect(Tok::kRBracket, "after array size");
     if (accept(Tok::kAssign)) {
       expect(Tok::kLBrace, "for array initialiser");
@@ -140,27 +145,31 @@ class Parser {
     return eval_const(*e);
   }
 
+  /// Folds with the ISA's arithmetic: wrapping 64-bit, shift amounts
+  /// masked to 0..63 (SHR is logical), truncating divides with
+  /// INT64_MIN / -1 giving INT64_MIN and remainder 0.
   Word eval_const(const Expr& e) {
+    const auto u = [](Word w) { return static_cast<std::uint64_t>(w); };
     switch (e.kind) {
       case Expr::Kind::kNumber:
         return e.value;
       case Expr::Kind::kUnaryNeg:
-        return -eval_const(*e.lhs);
+        return static_cast<Word>(0 - u(eval_const(*e.lhs)));
       case Expr::Kind::kBinary: {
         const Word a = eval_const(*e.lhs);
         const Word b = eval_const(*e.rhs);
         switch (e.op) {
-          case BinOp::kAdd: return a + b;
-          case BinOp::kSub: return a - b;
-          case BinOp::kMul: return a * b;
+          case BinOp::kAdd: return static_cast<Word>(u(a) + u(b));
+          case BinOp::kSub: return static_cast<Word>(u(a) - u(b));
+          case BinOp::kMul: return static_cast<Word>(u(a) * u(b));
           case BinOp::kDiv:
             if (b == 0) error("division by zero in constant expression");
-            return a / b;
+            return b == -1 ? static_cast<Word>(0 - u(a)) : a / b;
           case BinOp::kMod:
             if (b == 0) error("modulo by zero in constant expression");
-            return a % b;
-          case BinOp::kShl: return a << (b & 63);
-          case BinOp::kShr: return a >> (b & 63);
+            return b == -1 ? 0 : a % b;
+          case BinOp::kShl: return static_cast<Word>(u(a) << (u(b) & 63));
+          case BinOp::kShr: return static_cast<Word>(u(a) >> (u(b) & 63));
           default:
             error("operator not allowed in constant expression");
         }

@@ -27,6 +27,16 @@ Word effective_word(Word base, const isa::Instr& instr, LaneId lane) {
   return static_cast<Word>(ea);
 }
 
+// How many lanes of [start, start + count) precede the first zero divisor
+// (all of them when there is none); `b` is the divisor bank, or null for an
+// immediate divisor `imm`.
+std::uint64_t lanes_before_zero(const Word* b, Word imm, std::uint64_t start,
+                                std::uint64_t count) {
+  if (b == nullptr) return imm == 0 ? 0 : count;
+  return static_cast<std::uint64_t>(
+      std::find(b + start, b + start + count, Word{0}) - (b + start));
+}
+
 constexpr std::uint64_t kUnlimited = std::numeric_limits<std::uint64_t>::max();
 constexpr std::uint64_t kLaneOpGuard = 4'000'000;  // runaway-lane guard (XMT)
 
@@ -735,16 +745,8 @@ std::uint64_t Machine::run_flow_slice(TcfDescriptor& f,
   const std::uint64_t start = f.next_unexecuted;
   TCFPN_CHECK(start < thickness, "resume point beyond thickness");
   const std::uint64_t count = std::min(op_quota, thickness - start);
-  std::uint64_t cost = 0;
-  if (exec_alu_lanes(f, instr, start, count) ||
-      exec_shared_lanes(f, instr, start, count)) {
-    cost = count + operand_penalty_range(start, count);
-  } else {
-    for (std::uint64_t lane = start; lane < start + count; ++lane) {
-      exec_data_lane(f, instr, lane);
-      cost += 1 + operand_penalty(lane);
-    }
-  }
+  exec_lanes(f, instr, start, count);
+  const std::uint64_t cost = count + operand_penalty_range(start, count);
   if (cfg_.profile) {
     // One compute slot per lane; whatever the operand-storage model added
     // on top is itemized under its own term (operand spills vs NUMA local
@@ -769,33 +771,15 @@ std::uint64_t Machine::run_flow_slice(TcfDescriptor& f,
   return cost;
 }
 
-Cycle Machine::operand_penalty(LaneId lane) const {
+Cycle Machine::operand_penalty_range(LaneId start, std::uint64_t count) const {
   // Section 3.3: where do a thick instruction's lane-private intermediate
-  // results live? The choice prices every lane operation.
+  // results live? The choice prices every lane operation. The price only
+  // depends on whether a lane index clears the cache boundary, so a whole
+  // lane range prices in O(1).
   switch (cfg_.operand_storage) {
     case OperandStorage::kCachedRegisterFile: {
       // The first register_cache_words/R lanes hit the physical register
       // cache; the rest spill to local memory per access.
-      const std::uint64_t cached =
-          cfg_.register_cache_words /
-          std::max<std::uint32_t>(cfg_.registers_per_context, 1);
-      return lane < cached ? 0 : cfg_.register_spill_penalty;
-    }
-    case OperandStorage::kMemoryToMemory:
-      // Operand fetch and writeback both go through memory.
-      return 2;
-    case OperandStorage::kLocalMemory:
-      return cfg_.local_latency;
-  }
-  TCFPN_FAULT("unknown operand storage model");
-}
-
-Cycle Machine::operand_penalty_range(LaneId start, std::uint64_t count) const {
-  // Closed form of sum(operand_penalty(l), l in [start, start+count)): the
-  // penalty only depends on whether a lane index clears the cache boundary,
-  // so the whole range prices in O(1).
-  switch (cfg_.operand_storage) {
-    case OperandStorage::kCachedRegisterFile: {
       const std::uint64_t cached =
           cfg_.register_cache_words /
           std::max<std::uint32_t>(cfg_.registers_per_context, 1);
@@ -805,6 +789,7 @@ Cycle Machine::operand_penalty_range(LaneId start, std::uint64_t count) const {
       return spilled * cfg_.register_spill_penalty;
     }
     case OperandStorage::kMemoryToMemory:
+      // Operand fetch and writeback both go through memory.
       return 2 * count;
     case OperandStorage::kLocalMemory:
       return cfg_.local_latency * count;
@@ -812,74 +797,29 @@ Cycle Machine::operand_penalty_range(LaneId start, std::uint64_t count) const {
   TCFPN_FAULT("unknown operand storage model");
 }
 
-bool Machine::exec_alu_lanes(TcfDescriptor& f, const isa::Instr& instr,
-                             std::uint64_t start, std::uint64_t count) {
+void Machine::exec_lanes(TcfDescriptor& f, const isa::Instr& instr,
+                         std::uint64_t start, std::uint64_t count) {
   using isa::Opcode;
-  switch (instr.op) {
-    case Opcode::kAdd:
-    case Opcode::kSub:
-    case Opcode::kMul:
-    case Opcode::kAnd:
-    case Opcode::kOr:
-    case Opcode::kXor:
-    case Opcode::kShl:
-    case Opcode::kShr:
-    case Opcode::kSlt:
-    case Opcode::kSle:
-    case Opcode::kSeq:
-    case Opcode::kSne:
-    case Opcode::kMax:
-    case Opcode::kMin:
-    case Opcode::kLdi:
-    case Opcode::kTid:
-    case Opcode::kFid:
-    case Opcode::kThick:
-    case Opcode::kGid:
-    case Opcode::kNop:
-      break;
-    default:
-      // Shared-memory LD/ST have their own sweep (exec_shared_lanes);
-      // multioperations, local memory and faulting divides keep the scalar
-      // per-lane path (side effects and fault order must match the
-      // lane-by-lane semantics exactly).
-      return false;
-  }
-  if (instr.op == Opcode::kNop) return true;
-  if (instr.rd == 0) return true;  // r0 writes are discarded, no other effect
   LaneFile& lf = f.lane_regs;
-  Word* dst = lf.bank(instr.rd);
-  const std::uint64_t end = start + count;
-  auto fill = [&](Word v) {
-    for (std::uint64_t l = start; l < end; ++l) dst[l] = v;
-  };
-  switch (instr.op) {
-    case Opcode::kLdi:
-      fill(instr.imm);
-      return true;
-    case Opcode::kTid:
-      for (std::uint64_t l = start; l < end; ++l) {
-        dst[l] = static_cast<Word>(l);
-      }
-      return true;
-    case Opcode::kFid:
-      fill(static_cast<Word>(f.id));
-      return true;
-    case Opcode::kThick:
-      fill(f.mode == FlowMode::kPram ? f.thickness : 1);
-      return true;
-    case Opcode::kGid:
-      fill(static_cast<Word>(f.home));
-      return true;
-    default:
-      break;
-  }
-  // Two-operand ALU sweep over contiguous banks. Each lambda mirrors alu()
-  // bit for bit (unsigned wraparound, shift masking); the per-lane loop has
-  // no cross-lane dependence, so it vectorizes.
   const Word* a = lf.bank(instr.ra);
   const Word* b = instr.use_imm() ? nullptr : lf.bank(instr.rb);
   const Word imm = instr.imm;
+  // A divide completes the lanes before its first zero divisor and then
+  // faults, even when rd is r0; every other op completes all of them. The
+  // bound is const so the sweeps below keep it in a register.
+  const bool divide = instr.op == Opcode::kDiv || instr.op == Opcode::kMod;
+  const std::uint64_t end =
+      start + (divide ? lanes_before_zero(b, imm, start, count) : count);
+  // r0 writes are discarded; bank(0) must stay zero.
+  Word* dst = instr.rd != 0 ? lf.bank(instr.rd) : nullptr;
+  auto fill = [&](Word v) {
+    if (dst == nullptr) return;
+    for (std::uint64_t l = start; l < end; ++l) dst[l] = v;
+  };
+  // Two-operand sweep over contiguous banks: the per-lane loop has no
+  // cross-lane dependence, so it vectorizes.
   auto sweep = [&](auto op2) {
+    if (dst == nullptr) return;
     if (b == nullptr) {
       for (std::uint64_t l = start; l < end; ++l) dst[l] = op2(a[l], imm);
     } else {
@@ -888,61 +828,150 @@ bool Machine::exec_alu_lanes(TcfDescriptor& f, const isa::Instr& instr,
   };
   const auto u = [](Word w) { return static_cast<std::uint64_t>(w); };
   switch (instr.op) {
+    case Opcode::kNop:
+      return;
+    case Opcode::kLd:
+    case Opcode::kSt:
+      exec_shared_lanes(f, instr, start, count);
+      return;
+    // Local memory and the multioperations run lane by lane in lane order:
+    // on a bad address at lane k, lanes before k have had their effects.
+    case Opcode::kLld:
+      for (std::uint64_t l = start; l < end; ++l) {
+        const Addr ea = effective_addr(f, instr, l);
+        ++ctx_.lanes[kLocalReads];
+        lf.set(l, instr.rd, locals_[f.home].read(ea));
+      }
+      return;
+    case Opcode::kLst:
+      for (std::uint64_t l = start; l < end; ++l) {
+        const Addr ea = effective_addr(f, instr, l);
+        ++ctx_.lanes[kLocalWrites];
+        locals_[f.home].write(ea, lf.get(l, instr.rb));
+      }
+      return;
+    case Opcode::kMpAdd:
+    case Opcode::kMpMax:
+    case Opcode::kMpMin:
+    case Opcode::kMpAnd:
+    case Opcode::kMpOr:
+    case Opcode::kPpAdd:
+    case Opcode::kPpMax:
+    case Opcode::kPpMin:
+    case Opcode::kPpAnd:
+    case Opcode::kPpOr: {
+      const bool prefix = instr.op >= Opcode::kPpAdd;
+      const auto op = static_cast<mem::MultiOp>(
+          static_cast<int>(instr.op) -
+          static_cast<int>(prefix ? Opcode::kPpAdd : Opcode::kMpAdd));
+      for (std::uint64_t l = start; l < end; ++l) {
+        const Addr ea = effective_addr(f, instr, l);
+        const Word v = lf.get(l, instr.rb);
+        note_ref(f.home, shared_.module_of(ea));
+        if (prefix) {
+          ++ctx_.lanes[kPrefixContributions];
+          // Tickets are issued in group order, the order commit_step
+          // numbers the results in.
+          pending_prefixes_.push_back(PendingPrefix{
+              f.id, l, instr.rd,
+              shared_.multiprefix(ea, op, v, lane_key(f.id, l))});
+        } else {
+          ++ctx_.lanes[kMultiopContributions];
+          shared_.multiop(ea, op, v, lane_key(f.id, l));
+        }
+        f.multiop_blocked = true;
+      }
+      return;
+    }
+    case Opcode::kLdi:
+      fill(imm);
+      return;
+    case Opcode::kTid:
+      if (dst == nullptr) return;
+      for (std::uint64_t l = start; l < end; ++l) {
+        dst[l] = static_cast<Word>(l);
+      }
+      return;
+    case Opcode::kFid:
+      fill(static_cast<Word>(f.id));
+      return;
+    case Opcode::kThick:
+      fill(f.mode == FlowMode::kPram ? f.thickness : 1);
+      return;
+    case Opcode::kGid:
+      fill(static_cast<Word>(f.home));
+      return;
+    // The ALU: wrapping 64-bit arithmetic, shift amounts masked to 0..63,
+    // truncating divides with INT64_MIN / -1 wrapping to INT64_MIN (and
+    // its remainder 0).
     case Opcode::kAdd:
       sweep([u](Word x, Word y) { return static_cast<Word>(u(x) + u(y)); });
-      return true;
+      return;
     case Opcode::kSub:
       sweep([u](Word x, Word y) { return static_cast<Word>(u(x) - u(y)); });
-      return true;
+      return;
     case Opcode::kMul:
       sweep([u](Word x, Word y) { return static_cast<Word>(u(x) * u(y)); });
-      return true;
+      return;
+    case Opcode::kDiv:
+      sweep([u](Word x, Word y) {
+        return y == -1 ? static_cast<Word>(0 - u(x)) : x / y;
+      });
+      break;
+    case Opcode::kMod:
+      sweep([](Word x, Word y) { return y == -1 ? Word{0} : x % y; });
+      break;
     case Opcode::kAnd:
       sweep([](Word x, Word y) { return x & y; });
-      return true;
+      return;
     case Opcode::kOr:
       sweep([](Word x, Word y) { return x | y; });
-      return true;
+      return;
     case Opcode::kXor:
       sweep([](Word x, Word y) { return x ^ y; });
-      return true;
+      return;
     case Opcode::kShl:
       sweep([u](Word x, Word y) {
         return static_cast<Word>(u(x) << (u(y) & 63));
       });
-      return true;
+      return;
     case Opcode::kShr:
       sweep([u](Word x, Word y) {
         return static_cast<Word>(u(x) >> (u(y) & 63));
       });
-      return true;
+      return;
     case Opcode::kSlt:
       sweep([](Word x, Word y) { return Word{x < y ? 1 : 0}; });
-      return true;
+      return;
     case Opcode::kSle:
       sweep([](Word x, Word y) { return Word{x <= y ? 1 : 0}; });
-      return true;
+      return;
     case Opcode::kSeq:
       sweep([](Word x, Word y) { return Word{x == y ? 1 : 0}; });
-      return true;
+      return;
     case Opcode::kSne:
       sweep([](Word x, Word y) { return Word{x != y ? 1 : 0}; });
-      return true;
+      return;
     case Opcode::kMax:
       sweep([](Word x, Word y) { return std::max(x, y); });
-      return true;
+      return;
     case Opcode::kMin:
       sweep([](Word x, Word y) { return std::min(x, y); });
-      return true;
+      return;
     default:
-      TCFPN_FAULT("unreachable ALU sweep opcode");
+      TCFPN_CHECK(false, isa::op_info(instr.op).mnemonic,
+                  " is not a data instruction");
+  }
+  // Only a divide gets here.
+  if (end < start + count) {
+    TCFPN_FAULT(instr.op == Opcode::kDiv ? "division by zero"
+                                         : "modulo by zero");
   }
 }
 
-bool Machine::exec_shared_lanes(TcfDescriptor& f, const isa::Instr& instr,
+void Machine::exec_shared_lanes(TcfDescriptor& f, const isa::Instr& instr,
                                 std::uint64_t start, std::uint64_t count) {
   const bool load = instr.op == isa::Opcode::kLd;
-  if (!load && instr.op != isa::Opcode::kSt) return false;
   LaneFile& lf = f.lane_regs;
 
   // Pass 1: every effective address of the run, and whether they are the
@@ -1015,7 +1044,6 @@ bool Machine::exec_shared_lanes(TcfDescriptor& f, const isa::Instr& instr,
     }
     shared_.check_addr(ea[n]);
   }
-  return true;
 }
 
 std::uint64_t Machine::run_numa_block(TcfDescriptor& f) {
@@ -1043,7 +1071,7 @@ std::uint64_t Machine::run_numa_block(TcfDescriptor& f) {
       if (!exec_control(f, instr)) break;
       complete_instruction(f, instr);
     } else {
-      if (!exec_shared_lanes(f, instr, 0, 1)) exec_data_lane(f, instr, 0);
+      exec_lanes(f, instr, 0, 1);
       complete_instruction(f, instr);
       ++f.pc;
     }
@@ -1073,42 +1101,6 @@ const isa::Instr& Machine::fetch(TcfDescriptor& f) {
   // instruction; interrupted instructions re-fetch on resume.
   ++ctx_.delta.instruction_fetches;
   return program_.code[f.pc];
-}
-
-Word Machine::read_operand_b(const TcfDescriptor& f, const isa::Instr& instr,
-                             LaneId lane) const {
-  if (instr.use_imm()) return instr.imm;
-  return f.lane_regs.get(lane, instr.rb);
-}
-
-Word Machine::alu(const isa::Instr& instr, Word a, Word b) const {
-  using isa::Opcode;
-  const auto ua = static_cast<std::uint64_t>(a);
-  const auto ub = static_cast<std::uint64_t>(b);
-  switch (instr.op) {
-    case Opcode::kAdd: return static_cast<Word>(ua + ub);
-    case Opcode::kSub: return static_cast<Word>(ua - ub);
-    case Opcode::kMul: return static_cast<Word>(ua * ub);
-    case Opcode::kDiv:
-      if (b == 0) TCFPN_FAULT("division by zero");
-      return a / b;
-    case Opcode::kMod:
-      if (b == 0) TCFPN_FAULT("modulo by zero");
-      return a % b;
-    case Opcode::kAnd: return a & b;
-    case Opcode::kOr: return a | b;
-    case Opcode::kXor: return a ^ b;
-    case Opcode::kShl: return static_cast<Word>(ua << (ub & 63));
-    case Opcode::kShr: return static_cast<Word>(ua >> (ub & 63));
-    case Opcode::kSlt: return a < b ? 1 : 0;
-    case Opcode::kSle: return a <= b ? 1 : 0;
-    case Opcode::kSeq: return a == b ? 1 : 0;
-    case Opcode::kSne: return a != b ? 1 : 0;
-    case Opcode::kMax: return std::max(a, b);
-    case Opcode::kMin: return std::min(a, b);
-    default:
-      TCFPN_FAULT("alu() called with non-ALU opcode");
-  }
 }
 
 Addr Machine::effective_addr(const TcfDescriptor& f, const isa::Instr& instr,
@@ -1158,94 +1150,19 @@ void Machine::note_ref_run(GroupId src, const mem::LaneRun& run) {
   net_refs_ += run.n;
 }
 
-void Machine::exec_data_lane(TcfDescriptor& f, const isa::Instr& instr,
-                             LaneId lane) {
-  using isa::Opcode;
-  auto& lf = f.lane_regs;
-  auto write_reg = [&](std::uint8_t r, Word v) { lf.set(lane, r, v); };
-  const auto key = lane_key(f.id, lane);
-  switch (instr.op) {
-    case Opcode::kLdi:
-      write_reg(instr.rd, instr.imm);
-      return;
-    case Opcode::kLld: {
-      const Addr a = effective_addr(f, instr, lane);
-      ++ctx_.lanes[kLocalReads];
-      write_reg(instr.rd, locals_[f.home].read(a));
-      return;
-    }
-    case Opcode::kLst: {
-      const Addr a = effective_addr(f, instr, lane);
-      ++ctx_.lanes[kLocalWrites];
-      locals_[f.home].write(a, lf.get(lane, instr.rb));
-      return;
-    }
-    case Opcode::kMpAdd:
-    case Opcode::kMpMax:
-    case Opcode::kMpMin:
-    case Opcode::kMpAnd:
-    case Opcode::kMpOr: {
-      const Addr a = effective_addr(f, instr, lane);
-      const Word v = lf.get(lane, instr.rb);
-      const auto op = static_cast<mem::MultiOp>(
-          static_cast<int>(instr.op) - static_cast<int>(Opcode::kMpAdd));
-      note_ref(f.home, shared_.module_of(a));
-      ++ctx_.lanes[kMultiopContributions];
-      shared_.multiop(a, op, v, key);
-      f.multiop_blocked = true;
-      return;
-    }
-    case Opcode::kPpAdd:
-    case Opcode::kPpMax:
-    case Opcode::kPpMin:
-    case Opcode::kPpAnd:
-    case Opcode::kPpOr: {
-      const Addr a = effective_addr(f, instr, lane);
-      const Word v = lf.get(lane, instr.rb);
-      const auto op = static_cast<mem::MultiOp>(
-          static_cast<int>(instr.op) - static_cast<int>(Opcode::kPpAdd));
-      note_ref(f.home, shared_.module_of(a));
-      ++ctx_.lanes[kPrefixContributions];
-      // Tickets are issued in group order, the order commit_step numbers
-      // the results in.
-      pending_prefixes_.push_back(PendingPrefix{
-          f.id, lane, instr.rd, shared_.multiprefix(a, op, v, key)});
-      f.multiop_blocked = true;
-      return;
-    }
-    case Opcode::kTid:
-      write_reg(instr.rd, static_cast<Word>(lane));
-      return;
-    case Opcode::kFid:
-      write_reg(instr.rd, static_cast<Word>(f.id));
-      return;
-    case Opcode::kThick:
-      write_reg(instr.rd, f.mode == FlowMode::kPram ? f.thickness : 1);
-      return;
-    case Opcode::kGid:
-      write_reg(instr.rd, static_cast<Word>(f.home));
-      return;
-    case Opcode::kNop:
-      return;
-    default: {
-      const Word a = lf.get(lane, instr.ra);
-      write_reg(instr.rd, alu(instr, a, read_operand_b(f, instr, lane)));
-      return;
-    }
+std::size_t Machine::branch_target(const TcfDescriptor& f,
+                                   std::int32_t imm) const {
+  if (imm < 0 || static_cast<std::size_t>(imm) > program_.code.size()) {
+    TCFPN_FAULT("branch target ", imm, " out of range in flow ", f.id);
   }
+  return static_cast<std::size_t>(imm);
 }
 
 bool Machine::exec_control(TcfDescriptor& f, const isa::Instr& instr) {
   using isa::Opcode;
-  auto target = [&](std::int32_t imm) {
-    if (imm < 0 || static_cast<std::size_t>(imm) > program_.code.size()) {
-      TCFPN_FAULT("branch target ", imm, " out of range in flow ", f.id);
-    }
-    return static_cast<std::size_t>(imm);
-  };
   switch (instr.op) {
     case Opcode::kJmp:
-      f.pc = target(instr.imm);
+      f.pc = branch_target(f, instr.imm);
       return true;
     case Opcode::kBeqz:
     case Opcode::kBnez: {
@@ -1264,12 +1181,12 @@ bool Machine::exec_control(TcfDescriptor& f, const isa::Instr& instr) {
       }
       const bool taken =
           (instr.op == Opcode::kBeqz) ? (head == 0) : (head != 0);
-      f.pc = taken ? target(instr.imm) : f.pc + 1;
+      f.pc = taken ? branch_target(f, instr.imm) : f.pc + 1;
       return true;
     }
     case Opcode::kCall:
       f.call_stack.push_back(f.pc + 1);
-      f.pc = target(instr.imm);
+      f.pc = branch_target(f, instr.imm);
       return true;
     case Opcode::kRet:
       if (f.call_stack.empty()) {
@@ -1353,7 +1270,7 @@ bool Machine::exec_control(TcfDescriptor& f, const isa::Instr& instr) {
       }
       ++ctx_.delta.spawns;
       if (t > 0) {
-        const std::size_t entry = target(instr.imm);
+        const std::size_t entry = branch_target(f, instr.imm);
         std::vector<Word> fragments{t};
         if (splitter_) {
           fragments = splitter_(t);
@@ -1610,21 +1527,23 @@ std::uint64_t Machine::run_lane_to_event(TcfDescriptor& f, LaneId lane,
     };
     switch (instr.op) {
       case Opcode::kJmp:
-        lane_pc = static_cast<std::size_t>(instr.imm);
+        lane_pc = branch_target(f, instr.imm);
         continue;
       case Opcode::kBeqz:
       case Opcode::kBnez: {
         const Word v = rget(instr.ra);
         const bool taken = instr.op == Opcode::kBeqz ? v == 0 : v != 0;
-        lane_pc = taken ? static_cast<std::size_t>(instr.imm) : lane_pc + 1;
+        lane_pc = taken ? branch_target(f, instr.imm) : lane_pc + 1;
         continue;
       }
       case Opcode::kCall:
         stack.push_back(lane_pc + 1);
-        lane_pc = static_cast<std::size_t>(instr.imm);
+        lane_pc = branch_target(f, instr.imm);
         continue;
       case Opcode::kRet:
-        TCFPN_CHECK(!stack.empty(), "RET with empty stack (XMT lane)");
+        if (stack.empty()) {
+          TCFPN_FAULT("RET with empty call stack in flow ", f.id);
+        }
         lane_pc = stack.back();
         stack.pop_back();
         continue;
@@ -1641,8 +1560,8 @@ std::uint64_t Machine::run_lane_to_event(TcfDescriptor& f, LaneId lane,
         ++stats_.spawns;
         stats_.branch_cost_cycles += 1;  // XMT fork: O(1) enqueue
         if (t > 0) {
-          TcfDescriptor& child = make_flow(
-              static_cast<std::size_t>(instr.imm), t, 0, f.id);
+          TcfDescriptor& child =
+              make_flow(branch_target(f, instr.imm), t, 0, f.id);
           child.home = pick_group(child);
           child.lane_regs.assign(child.lane_regs.lanes(), lf.snapshot(lane));
           ++f.live_children;
@@ -1713,22 +1632,6 @@ std::uint64_t Machine::run_lane_to_event(TcfDescriptor& f, LaneId lane,
         ++lane_pc;
         continue;
       }
-      case Opcode::kTid:
-        write_reg(instr.rd, static_cast<Word>(lane));
-        ++lane_pc;
-        continue;
-      case Opcode::kFid:
-        write_reg(instr.rd, static_cast<Word>(f.id));
-        ++lane_pc;
-        continue;
-      case Opcode::kThick:
-        write_reg(instr.rd, f.thickness);
-        ++lane_pc;
-        continue;
-      case Opcode::kGid:
-        write_reg(instr.rd, static_cast<Word>(f.home));
-        ++lane_pc;
-        continue;
       case Opcode::kPrint:
         if (lane == 0) {
           const Word v = instr.use_imm() ? instr.imm : rget(instr.ra);
@@ -1737,20 +1640,12 @@ std::uint64_t Machine::run_lane_to_event(TcfDescriptor& f, LaneId lane,
         }
         ++lane_pc;
         continue;
-      case Opcode::kLdi:
-        write_reg(instr.rd, instr.imm);
+      default:
+        // LDI, TID, FID, THICK, GID, NOP and the ALU touch only this lane's
+        // registers: the one data path, at this one lane.
+        exec_lanes(f, instr, lane, 1);
         ++lane_pc;
         continue;
-      case Opcode::kNop:
-        ++lane_pc;
-        continue;
-      default: {
-        const Word a = rget(instr.ra);
-        const Word b = instr.use_imm() ? instr.imm : rget(instr.rb);
-        write_reg(instr.rd, alu(instr, a, b));
-        ++lane_pc;
-        continue;
-      }
     }
   }
 }

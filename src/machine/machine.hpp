@@ -413,26 +413,26 @@ class Machine {
   std::uint64_t run_flow_slice(TcfDescriptor& f, std::uint64_t op_quota);
   std::uint64_t run_numa_block(TcfDescriptor& f);
   const isa::Instr& fetch(TcfDescriptor& f);
-  void exec_data_lane(TcfDescriptor& f, const isa::Instr& instr, LaneId lane);
   /// Executes a control instruction flow-wise; returns false if the flow
   /// left the ready state (halt / join wait / thickness 0).
   bool exec_control(TcfDescriptor& f, const isa::Instr& instr);
+  /// `imm` as a jump, call or spawn target of flow f; out of range faults.
+  std::size_t branch_target(const TcfDescriptor& f, std::int32_t imm) const;
   void complete_instruction(TcfDescriptor& f, const isa::Instr& instr);
-  Word read_operand_b(const TcfDescriptor& f, const isa::Instr& instr,
-                      LaneId lane) const;
-  Word alu(const isa::Instr& instr, Word a, Word b) const;
   Addr effective_addr(const TcfDescriptor& f, const isa::Instr& instr,
                       LaneId lane) const;
-  Cycle operand_penalty(LaneId lane) const;
-  /// Closed-form sum of operand_penalty(lane) over [start, start + count):
-  /// the vectorized ALU path charges a whole instruction at once.
+  /// The operand-storage cycles of lanes [start, start + count) of a data
+  /// instruction, in closed form.
   Cycle operand_penalty_range(LaneId start, std::uint64_t count) const;
-  /// Register-to-register fast path: executes `instr` over lanes
-  /// [start, start + count) of `f` as contiguous bank sweeps (SoA, inner
-  /// loop vectorizes). Returns false when the opcode needs another path
-  /// (memory traffic, faulting divides).
-  bool exec_alu_lanes(TcfDescriptor& f, const isa::Instr& instr,
-                      std::uint64_t start, std::uint64_t count);
+  /// The one data path: executes data instruction `instr` (anything but
+  /// control and PRINT) over lanes [start, start + count) of `f`, in lane
+  /// order. PRAM slices pass their lane range, NUMA blocks and the XMT
+  /// lane runner one lane. Register ops run as contiguous bank sweeps (SoA,
+  /// the inner loop vectorizes); on a fault at lane k (a zero divisor, a
+  /// bad address) lanes before k complete and lane k raises the fault the
+  /// lane-by-lane order raises. Any other opcode fails an internal check.
+  void exec_lanes(TcfDescriptor& f, const isa::Instr& instr,
+                  std::uint64_t start, std::uint64_t count);
   /// The one LD/ST implementation: executes a shared-memory LD or ST over
   /// lanes [start, start + count) of `f` as one sweep — every effective
   /// address computed and checked in one pass, traffic and network counts
@@ -442,8 +442,7 @@ class Machine {
   /// staging, the commit and the write log as one (address, count, values)
   /// run. On a bad address the lanes before it complete and the fault is
   /// the one the lane-by-lane order raises.
-  /// Returns false for any other opcode.
-  bool exec_shared_lanes(TcfDescriptor& f, const isa::Instr& instr,
+  void exec_shared_lanes(TcfDescriptor& f, const isa::Instr& instr,
                          std::uint64_t start, std::uint64_t count);
   /// The step's end: commit, the step's cost and housekeeping.
   /// The cost is one prof::StepRecord, built once: the memory term fills

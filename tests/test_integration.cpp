@@ -8,6 +8,7 @@
 #include <numeric>
 
 #include "common/rng.hpp"
+#include "conformance/oracle.hpp"
 #include "isa/assembler.hpp"
 #include "lang/codegen.hpp"
 #include "machine/machine.hpp"
@@ -235,11 +236,11 @@ TEST(IntegrationScan, LanguageMatchesSequentialPrefix) {
   }
 }
 
-// ---- random-program fuzz: interpreter parity across variants ----
+// ---- random-program fuzz: every variant against the oracle ----
 //
-// The synchronous stepper (exec_data_lane) and the XMT lane runner
-// (run_lane_to_event) are independent interpreters of the same ISA; random
-// straight-line ALU programs must leave identical register state on both.
+// Random straight-line ALU programs, with DIV and MOD by nonzero immediates
+// (-1 included), store r1..r15 to shared memory; every variant must leave
+// the words the conformance oracle, an independent interpreter, computes.
 
 class AluFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -249,10 +250,12 @@ TEST_P(AluFuzz, VariantsComputeIdenticalRegisters) {
   using tcf::Reg;
   const isa::Opcode alu_ops[] = {
       isa::Opcode::kAdd, isa::Opcode::kSub, isa::Opcode::kMul,
-      isa::Opcode::kAnd, isa::Opcode::kOr,  isa::Opcode::kXor,
-      isa::Opcode::kShl, isa::Opcode::kShr, isa::Opcode::kSlt,
-      isa::Opcode::kSle, isa::Opcode::kSeq, isa::Opcode::kSne,
-      isa::Opcode::kMax, isa::Opcode::kMin};
+      isa::Opcode::kDiv, isa::Opcode::kMod, isa::Opcode::kAnd,
+      isa::Opcode::kOr,  isa::Opcode::kXor, isa::Opcode::kShl,
+      isa::Opcode::kShr, isa::Opcode::kSlt, isa::Opcode::kSle,
+      isa::Opcode::kSeq, isa::Opcode::kSne, isa::Opcode::kMax,
+      isa::Opcode::kMin};
+  const Word divisors[] = {-7, -2, -1, 1, 3, 64};
   // Seed registers with immediates, then a random ALU DAG.
   for (std::uint8_t r = 1; r < 8; ++r) {
     b.ldi(Reg{r}, rng.range(-100, 100));
@@ -262,7 +265,9 @@ TEST_P(AluFuzz, VariantsComputeIdenticalRegisters) {
     const auto op = alu_ops[rng.below(std::size(alu_ops))];
     const auto rd = static_cast<std::uint8_t>(1 + rng.below(15));
     const auto ra = static_cast<std::uint8_t>(rng.below(16));
-    if (rng.chance(0.3)) {
+    if (op == isa::Opcode::kDiv || op == isa::Opcode::kMod) {
+      b.alu(op, Reg{rd}, Reg{ra}, divisors[rng.below(std::size(divisors))]);
+    } else if (rng.chance(0.3)) {
       // Shift amounts are masked to 0..63 by the ISA, so any imm is safe.
       b.alu(op, Reg{rd}, Reg{ra}, rng.range(-50, 50));
     } else {
@@ -270,27 +275,36 @@ TEST_P(AluFuzz, VariantsComputeIdenticalRegisters) {
             Reg{static_cast<std::uint8_t>(rng.below(16))});
     }
   }
+  for (std::uint8_t r = 1; r < isa::kNumRegisters; ++r) {
+    b.st(Reg{r}, tcf::r0, 100 + r);
+  }
   b.halt();
   const auto prog = b.build();
 
-  auto final_regs = [&](machine::Variant v) {
-    auto cfg = make_cfg(2, net::TopologyKind::kCrossbar);
+  conformance::OracleOptions oo;
+  oo.shared_words = 128;
+  const conformance::OracleResult want =
+      conformance::run_oracle(prog, 1, 1, false, oo);
+  ASSERT_TRUE(want.completed) << want.fault;
+  for (const machine::Variant v :
+       {machine::Variant::kSingleInstruction, machine::Variant::kBalanced,
+        machine::Variant::kMultiInstruction, machine::Variant::kSingleOperation,
+        machine::Variant::kConfigSingleOperation,
+        machine::Variant::kFixedThickness}) {
+    SCOPED_TRACE(machine::to_string(v));
+    auto cfg = make_cfg(v == machine::Variant::kFixedThickness ? 1 : 2,
+                        net::TopologyKind::kCrossbar);
     cfg.variant = v;
     cfg.balanced_bound = 3;
+    cfg.shared_words = oo.shared_words;
     machine::Machine m(cfg);
     m.load(prog);
-    const FlowId id = m.boot(1);
-    TCFPN_CHECK(m.run().completed, "fuzz program did not halt");
-    std::vector<Word> regs;
-    for (std::uint8_t r = 0; r < isa::kNumRegisters; ++r) {
-      regs.push_back(m.peek_reg(id, 0, r));
+    m.boot(1);
+    ASSERT_TRUE(m.run().completed);
+    for (Addr a = 101; a < 116; ++a) {
+      EXPECT_EQ(m.shared().peek(a), want.shared[a]) << "r" << a - 100;
     }
-    return regs;
-  };
-  const auto si = final_regs(machine::Variant::kSingleInstruction);
-  EXPECT_EQ(si, final_regs(machine::Variant::kBalanced));
-  EXPECT_EQ(si, final_regs(machine::Variant::kMultiInstruction));
-  EXPECT_EQ(si, final_regs(machine::Variant::kSingleOperation));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AluFuzz,

@@ -547,6 +547,9 @@ INSTANTIATE_TEST_SUITE_P(
         BadSrc{"too_many_vars",
                "var a; var b; var c; var d; var e; var f; var g; var h;"},
         BadSrc{"zero_array", "array a[0];"},
+        BadSrc{"negative_array", "array a[0 - 1]; array b[4];"},
+        BadSrc{"min_over_minus_one_array",
+               "array a[(0 - 9223372036854775807 - 1) / (0 - 1)];"},
         BadSrc{"triple_thick_nest",
                "cell c; #2: { #3: { #4: c = 1; } }"}),
     [](const auto& inf) { return std::string(inf.param.name); });
@@ -558,6 +561,18 @@ TEST(CompiledApi, BufferLookup) {
   EXPECT_EQ(c.buffer("s").base, c.buffer("a").base + 4);
   EXPECT_THROW(c.buffer("nope"), SimError);
   EXPECT_EQ(c.heap_end, c.heap_base + 5);
+}
+
+// Constant sizes fold with the ISA's arithmetic: INT64_MIN % -1 is 0 (the
+// host's signed remainder traps), sums wrap and >> is logical.
+TEST(CompiledApi, ConstantSizesFoldLikeTheIsa) {
+  const auto c = compile_source(
+      "array a[(0 - 9223372036854775807 - 1) % (0 - 1) + 4];"
+      "array b[9223372036854775807 + 9223372036854775807 + 3];"
+      "array d[(0 - 8) >> 60];");
+  EXPECT_EQ(c.buffer("a").size, 4u);
+  EXPECT_EQ(c.buffer("b").size, 1u);
+  EXPECT_EQ(c.buffer("d").size, 15u);
 }
 
 TEST(LangExec, RuntimeDivergenceFaults) {

@@ -189,12 +189,38 @@ TEST(MachineBasic, CallReturnAtFlowLevel) {
   for (Word i = 0; i < 3; ++i) EXPECT_EQ(m.shared().peek(30 + i), 25);
 }
 
+// A RET without a CALL and a jump, branch, call or spawn to a target
+// outside the program are program faults, with one message on the
+// step-synchronous path and in the XMT lane runner.
 TEST(MachineBasic, RetWithoutCallFaults) {
-  auto cfg = small_cfg();
-  Machine m(cfg);
-  m.load(isa::assemble("RET"));
-  m.boot(1);
-  EXPECT_THROW(m.run(), SimError);
+  struct Case {
+    const char* src;
+    const char* fault;
+  };
+  const Case cases[] = {
+      {"RET", "RET with empty call stack in flow 0"},
+      {"JMP -5", "branch target -5 out of range in flow 0"},
+      {"LDI r1, 1\nBNEZ r1, 9", "branch target 9 out of range in flow 0"},
+      {"CALL 7", "branch target 7 out of range in flow 0"},
+      {"LDI r1, 2\nSPAWN r1, 8", "branch target 8 out of range in flow 0"},
+  };
+  for (const Variant v :
+       {Variant::kSingleInstruction, Variant::kMultiInstruction}) {
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(to_string(v)) + ": " + c.src);
+      auto cfg = small_cfg();
+      cfg.variant = v;
+      Machine m(cfg);
+      m.load(isa::assemble(c.src));
+      m.boot(1);
+      try {
+        m.run();
+        ADD_FAILURE() << "no fault";
+      } catch (const SimError& e) {
+        EXPECT_EQ(std::string(e.what()), c.fault);
+      }
+    }
+  }
 }
 
 TEST(MachineBasic, RunningOffProgramEndFaults) {
@@ -814,20 +840,28 @@ delay:  SUB  r7, r7, 1
   EXPECT_EQ(overlap.cycles, 516u);
 }
 
-// A thick LD or ST whose first bad address is at lane k > 0 runs lanes
-// 0..k-1 and raises the lane-k fault, as the lane-by-lane order did.
+// A thick data instruction whose first bad lane is k > 0 (a bad address,
+// a zero divisor) runs lanes 0..k-1 and raises the lane-k fault, as the
+// lane-by-lane order does.
 TEST(MachineSweep, FirstBadLaneFaultsLikeTheOracle) {
   struct Case {
     const char* what;
     const char* body;
+    const char* fault_class;
   };
   const Case cases[] = {
-      {"LD negative", "MUL r2, r1, -1\n LD r3, [r2+2]"},
-      {"LD out of range", "LD r3, [r1+4091]"},
-      {"LD @ out of range", "LD r3, [r0+4093+@]"},
-      {"ST negative", "MUL r2, r1, -1\n ST r1, [r2+2]"},
-      {"ST out of range", "ST r1, [r1+4091]"},
-      {"ST @ out of range", "ST r1, [r0+4093+@]"},
+      {"LD negative", "MUL r2, r1, -1\n LD r3, [r2+2]", "addr"},
+      {"LD out of range", "LD r3, [r1+4091]", "addr"},
+      {"LD @ out of range", "LD r3, [r0+4093+@]", "addr"},
+      {"ST negative", "MUL r2, r1, -1\n ST r1, [r2+2]", "addr"},
+      {"ST out of range", "ST r1, [r1+4091]", "addr"},
+      {"ST @ out of range", "ST r1, [r0+4093+@]", "addr"},
+      {"DIV by zero", "SUB r2, r1, 5\n DIV r3, r1, r2", "arith"},
+      {"MOD by zero into r0", "SUB r2, r1, 3\n MOD r0, r1, r2", "arith"},
+      {"LLD out of range", "LLD r3, [r1+509]", "addr"},
+      {"LST out of range", "LST r1, [r1+509]", "addr"},
+      {"MPADD out of range", "MPADD r1, [r1+4093]", "addr"},
+      {"PPADD out of range", "PPADD r3, r1, [r1+4093]", "addr"},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.what);
@@ -836,18 +870,51 @@ TEST(MachineSweep, FirstBadLaneFaultsLikeTheOracle) {
                             "TID r1\n" + c.body + "\nHALT\n";
     const SweepOutcome out = expect_sweep_matches_oracle(src, 8, sweep_cfg());
     EXPECT_FALSE(out.completed);
-    EXPECT_EQ(debug::classify_fault(out.fault), "addr");
+    EXPECT_EQ(debug::classify_fault(out.fault), c.fault_class);
   }
 
-  // The lanes before the bad one did execute: LD wrote their registers.
+  // The lanes before the bad one (lane 6 of 8) did execute and the others
+  // did not: LD, DIV, MOD and LLD wrote r3 in lanes 0..5.
+  struct Partial {
+    const char* what;
+    std::string src;
+    Word (*want)(Word lane);
+  };
+  const Partial partials[] = {
+      {"LD",
+       data_line(4090, 6, [](Word i) { return 60 + i; }) +
+           "TID r1\nLD r3, [r1+4090]\nHALT\n",
+       [](Word l) { return 60 + l; }},
+      {"DIV",
+       "TID r1\nADD r4, r1, 100\nSUB r2, r1, 6\nDIV r3, r4, r2\nHALT\n",
+       [](Word l) { return (100 + l) / (l - 6); }},
+      {"MOD",
+       "TID r1\nADD r4, r1, 100\nSUB r2, r1, 6\nMOD r3, r4, r2\nHALT\n",
+       [](Word l) { return (100 + l) % (l - 6); }},
+      {"LLD",
+       "TID r1\nADD r2, r1, 60\nLST r2, [r1+504]\nLLD r3, [r1+506]\nHALT\n",
+       [](Word l) { return 62 + l; }},
+  };
+  for (const Partial& p : partials) {
+    SCOPED_TRACE(p.what);
+    Machine m(sweep_cfg());
+    m.load(isa::assemble(p.src));
+    const FlowId f = m.boot(8);
+    EXPECT_THROW(m.run(), SimError);
+    for (LaneId lane = 0; lane < 8; ++lane) {
+      const Word want = lane < 6 ? p.want(static_cast<Word>(lane)) : 0;
+      EXPECT_EQ(m.peek_reg(f, lane, 3), want) << "lane " << lane;
+    }
+  }
+
+  // LST: lanes 0..5 wrote local words 506..511 before lane 6 faulted.
   Machine m(sweep_cfg());
-  m.load(isa::assemble(data_line(4090, 6, [](Word i) { return 60 + i; }) +
-                       "TID r1\nLD r3, [r1+4090]\nHALT\n"));
-  const FlowId f = m.boot(8);
+  m.load(isa::assemble("TID r1\nADD r2, r1, 60\nLST r2, [r1+506]\nHALT\n"));
+  m.boot(8);
   EXPECT_THROW(m.run(), SimError);
-  for (LaneId lane = 0; lane < 8; ++lane) {
-    const Word want = lane < 6 ? 60 + static_cast<Word>(lane) : 0;
-    EXPECT_EQ(m.peek_reg(f, lane, 3), want) << "lane " << lane;
+  for (Addr a = 500; a < 512; ++a) {
+    const Word want = a >= 506 ? 60 + static_cast<Word>(a - 506) : 0;
+    EXPECT_EQ(m.local(0).read(a), want) << "local word " << a;
   }
 }
 

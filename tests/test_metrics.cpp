@@ -33,7 +33,6 @@ TEST(MetricsRegistryTest, RegistrationIsIdempotent) {
 TEST(MetricsRegistryTest, KindMismatchFaults) {
   MetricsRegistry reg;
   reg.counter("x/events");
-  EXPECT_THROW(reg.gauge("x/events"), SimError);
   EXPECT_THROW(reg.accumulator("x/events"), SimError);
   EXPECT_THROW(reg.histogram("x/events", 0, 1, 4), SimError);
 }
@@ -68,17 +67,14 @@ TEST(MetricsRegistryTest, LeafCannotBecomeBranch) {
 TEST(MetricsSnapshotTest, CapturesEveryInstrumentKind) {
   MetricsRegistry reg;
   reg.counter("a/count").add(3);
-  reg.gauge("a/level").set(2.5);
   Accumulator& acc = reg.accumulator("a/depth");
   acc.add(1.0);
   acc.add(3.0);
   reg.histogram("a/lat", 0.0, 10.0, 5).add(4.0);
 
   const MetricsSnapshot s = reg.snapshot();
-  ASSERT_EQ(s.entries.size(), 4u);
+  ASSERT_EQ(s.entries.size(), 3u);
   EXPECT_EQ(s.entries.at("a/count").count, 3u);
-  EXPECT_TRUE(s.entries.at("a/level").gauge_set);
-  EXPECT_DOUBLE_EQ(s.entries.at("a/level").value, 2.5);
   EXPECT_EQ(s.entries.at("a/depth").count, 2u);
   EXPECT_DOUBLE_EQ(s.entries.at("a/depth").mean, 2.0);
   EXPECT_EQ(s.entries.at("a/lat").buckets.size(), 5u);
@@ -120,7 +116,6 @@ TEST(MetricsSnapshotTest, DiffSubtractsMonotoneParts) {
 TEST(MetricsSnapshotTest, SnapshotIntoEqualsSnapshot) {
   MetricsRegistry reg;
   reg.counter("a/count").add(3);
-  reg.gauge("a/level");  // registered, never set
   Accumulator& acc = reg.accumulator("a/depth");
   Histogram& h = reg.histogram("a/lat", 0.0, 10.0, 5);
   MetricsSnapshot snap;
@@ -130,7 +125,6 @@ TEST(MetricsSnapshotTest, SnapshotIntoEqualsSnapshot) {
   const std::uint64_t* buckets = snap.entries.at("a/lat").buckets.data();
   acc.add(2.0);
   h.add(4.0);
-  reg.gauge("a/level").set(1.5);
   reg.snapshot_into(snap);  // same paths: refreshed in place
   EXPECT_TRUE(snap == reg.snapshot());
   EXPECT_EQ(snap.entries.at("a/lat").buckets.data(), buckets);
@@ -157,7 +151,6 @@ TEST(MetricsRegistryTest, MergeFoldsEveryKind) {
   b.accumulator("m/acc").add(3.0);
   a.histogram("m/h", 0.0, 4.0, 2).add(1.0);
   b.histogram("m/h", 0.0, 4.0, 2).add(3.0);
-  b.gauge("m/g").set(9.0);
 
   a.merge(b);
   const MetricsSnapshot s = a.snapshot();
@@ -167,13 +160,12 @@ TEST(MetricsRegistryTest, MergeFoldsEveryKind) {
   EXPECT_DOUBLE_EQ(s.entries.at("m/acc").mean, 2.0);
   EXPECT_EQ(s.entries.at("m/h").count, 2u);
   EXPECT_EQ(s.entries.at("m/h").buckets[1], 1u);
-  EXPECT_DOUBLE_EQ(s.entries.at("m/g").value, 9.0);
 }
 
 TEST(MetricsRegistryTest, MergeKindMismatchFaults) {
   MetricsRegistry a, b;
   a.counter("m/x");
-  b.gauge("m/x").set(1.0);
+  b.accumulator("m/x").add(1.0);
   EXPECT_THROW(a.merge(b), SimError);
 }
 
@@ -271,7 +263,6 @@ TEST(MetricsJsonTest, ValidatorAcceptsAndRejects) {
 TEST(MetricsJsonTest, SnapshotToJsonIsValidAndNested) {
   MetricsRegistry reg;
   reg.counter("net/packets").add(7);
-  reg.gauge("net/load").set(0.5);
   Accumulator& acc = reg.accumulator("sched/occupancy");
   acc.add(2.0);
   reg.histogram("net/latency", 0.0, 8.0, 4).add(3.0);

@@ -36,8 +36,7 @@ namespace {
 metrics::MetricsSnapshot sample_snapshot() {
   metrics::MetricsRegistry reg;
   reg.counter("net/packets").add(7);
-  reg.gauge("sched/load").set(0.75);
-  reg.accumulator("mem/depth").add(3.0);
+  reg.accumulator("mem/depth").add(0.75);
   reg.histogram("net/latency", 0.0, 8.0, 4).add(2.0);
   return reg.snapshot();
 }
@@ -115,7 +114,7 @@ TEST(StreamRecordTest, FlatMetricsMatchesSnapshotLeafForLeaf) {
   ASSERT_TRUE(v.is_object());
   EXPECT_EQ(v.object().size(), snap.entries.size());
   EXPECT_EQ(v.get("net/packets")->get_number("value"), 7.0);
-  EXPECT_EQ(v.get("sched/load")->get_number("value"), 0.75);
+  EXPECT_EQ(v.get("mem/depth")->get_number("sum"), 0.75);
   EXPECT_EQ(v.get("net/latency")->get_number("count"), 1.0);
 
   // A window: leaves in `since` subtract, leaves absent from it pass

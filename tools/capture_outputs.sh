@@ -41,6 +41,13 @@ run() {
    echo $? > exit_code)
 }
 
+# program FILE TEXT: writes the program TEXT to OUT/programs/FILE, which a
+# run names as ../programs/FILE.
+program() {
+  mkdir -p "$OUT/programs"
+  printf '%s\n' "$2" > "$OUT/programs/$1"
+}
+
 DOCS=(--metrics-json=metrics.json --profile=profile.json)
 
 run scan_stream tcfrun "$ROOT/examples/programs/scan.tcf" --trace \
@@ -98,13 +105,58 @@ run tcfdbg_smoke tcfdbg "$ROOT/tests/corpus/err_crew.s" \
 run tcfdbg_travel tcfdbg "$ROOT/examples/programs/sum_squares.s" \
     --script="$ROOT/tools/tcfdbg_travel.script"
 
+# Each corpus reproducer at its boot thickness (tcfprof reads the header)
+# under every lane its `; lanes:` header lists, so thick multioperations,
+# NUMA blocks under balanced and config-single-operation, and the
+# multi-instruction lane runner all reach the data path. ESM reproducers
+# boot thickness-1 threads and run once, under the default lane.
 for prog in "$ROOT"/tests/corpus/*.s; do
-  run "tcfprof_$(basename "$prog" .s)" tcfprof "$prog" \
-      --report=summary,steps,folded
+  base=$(basename "$prog" .s)
+  if grep -q '^; boot: .*esm=1' "$prog"; then
+    run "tcfprof_$base" tcfprof "$prog" --report=summary,steps,folded
+    continue
+  fi
+  for lane in $(sed -n 's/^; lanes: //p' "$prog"); do
+    lane=${lane%/aligned}
+    args=(--variant="${lane%%:*}")
+    case $lane in
+      balanced:*) args+=(--bound="${lane#balanced:}") ;;
+      fixed-thickness) args+=(--groups=1) ;;
+    esac
+    run "tcfprof_${base}_${lane/:/}" tcfprof "$prog" "${args[@]}" \
+        --report=summary,steps,folded
+  done
+done
+
+# INT64_MIN / -1 through tcfasm on both step paths.
+for variant in single-instruction multi-instruction; do
+  run "div_min_by_minus_one_$variant" tcfasm \
+      "$ROOT/tests/corpus/div_min_by_minus_one.s" --variant="$variant" \
+      "${DOCS[@]}"
+done
+# A bare RET and an out-of-range jump on both step paths: program faults
+# with one message.
+program ret.s "RET"
+program jmp.s "JMP -5"
+for variant in single-instruction multi-instruction; do
+  for fault in ret jmp; do
+    run "${fault}_fault_$variant" tcfasm ../programs/$fault.s \
+        --variant="$variant"
+  done
+done
+# The TCF front end's constant folding: INT64_MIN / -1 as an array size
+# and a negative size (both below 1, rejected: a negative size would lay
+# the next array out below the heap base), and INT64_MIN % -1 folding to 0.
+program min_div.tcf "array a[(0 - 9223372036854775807 - 1) / (0 - 1)];"
+program negative.tcf "array a[0 - 1]; array b[4]; #4; b.[id] = 7;"
+program min_mod.tcf \
+    "array a[(0 - 9223372036854775807 - 1) % (0 - 1) + 4]; #4; a.[id] = id;"
+for fold in min_div negative min_mod; do
+  run "lang_fold_$fold" tcfrun ../programs/$fold.tcf
 done
 
 run fuzz_shapes tcffuzz --seed=1 --runs=500 --shape-seed=7
 run fuzz_faults tcffuzz --seed=9001 --runs=200 --fault-seed=1
 run fuzz_no_frontends tcffuzz --seed=20001 --runs=2000 --no-frontends
 
-echo "captured $(ls "$OUT" | wc -l) runs into $OUT"
+echo "captured $(ls "$OUT" | grep -cvx programs) runs into $OUT"

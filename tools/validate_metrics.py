@@ -44,7 +44,7 @@ SUBSYSTEMS = ("machine", "mem", "net", "sched")
 # Present only in fault-injected runs (tcfrun --inject-faults); validated
 # like any other subtree, plus the --expect-rollback assertion below.
 RESIL_SUBSYSTEM = "resil"
-INSTRUMENT_TYPES = {"counter", "gauge", "accumulator", "histogram"}
+INSTRUMENT_TYPES = {"counter", "accumulator", "histogram"}
 FAULT_CLASSES = {"policy", "arith", "addr", "flow", "other", "divergence",
                  "watchdog"}
 EVENT_KINDS = {
