@@ -18,6 +18,7 @@
 
 #include "bench_util.hpp"
 #include "common/table.hpp"
+#include "conformance/diff.hpp"
 #include "conformance/gen.hpp"
 #include "conformance/oracle.hpp"
 #include "conformance/scenario.hpp"
@@ -55,13 +56,8 @@ struct Row {
 };
 
 machine::MachineConfig shaped_cfg(const Lane& lane, const std::string& shape) {
-  machine::MachineConfig cfg;
-  cfg.variant = lane.variant;
-  cfg.groups = 4;
-  cfg.slots_per_group = 32;
-  cfg.shared_words = conformance::kSharedWords;
-  cfg.local_words = conformance::kLocalWords;
-  cfg.balanced_bound = lane.bound;
+  machine::MachineConfig cfg = conformance::lane_config(
+      lane.variant, lane.bound, mem::CrcwPolicy::kArbitrary);
   machine::apply_shape(cfg, shape);
   return cfg;
 }

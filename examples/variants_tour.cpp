@@ -5,7 +5,6 @@
 // Build & run:  ./example_variants_tour
 #include <cstdio>
 
-#include "baseline/frontends.hpp"
 #include "common/table.hpp"
 #include "machine/machine.hpp"
 #include "tcf/builder.hpp"
@@ -134,84 +133,59 @@ int main() {
   cfg.groups = 4;
   cfg.slots_per_group = 16;
   cfg.shared_words = 1 << 16;
+  cfg.balanced_bound = 16;
 
   Table t({"variant", "front-end style", "cycles", "fetches", "sum",
            "ok"});
-  auto add_row = [&](const char* name, const char* style,
-                     const baseline::Outcome& out, Word sum) {
-    t.add(name, style, out.stats.cycles, out.stats.instruction_fetches, sum,
-          sum == want && out.completed);
+  bool all_ok = true;
+  // Runs `program` on a machine of `variant`, booted by `boot`, and adds
+  // its row.
+  auto row = [&](const char* name, const char* style,
+                 machine::Variant variant, const isa::Program& program,
+                 auto boot) {
+    auto cfg2 = cfg;
+    cfg2.variant = variant;
+    if (variant == machine::Variant::kFixedThickness) cfg2.groups = 1;
+    machine::Machine m(cfg2);
+    m.load(program);
+    boot(m);
+    const bool completed = m.run().completed;
+    const Word sum = m.shared().peek(kSum);
+    const bool ok = completed && sum == want;
+    all_ok = all_ok && ok;
+    t.add(name, style, m.stats().cycles, m.stats().instruction_fetches, sum,
+          ok);
+  };
+  const auto root_flow = [](Word thickness) {
+    return [thickness](machine::Machine& m) { m.boot(thickness); };
+  };
+  const auto all_threads = [](machine::Machine& m) {
+    tcf::kernels::boot_esm_threads(m, 0, m.config().total_slots());
   };
 
-  {
-    auto out = baseline::run_tcf(cfg, tcf_style());
-    // Re-run on a scratch machine to read memory (frontends return stats).
-    machine::Machine m(cfg);
-    m.load(tcf_style());
-    m.boot(1);
-    m.run();
-    add_row("single-instruction", "#n; thick stmts", out,
-            m.shared().peek(kSum));
-  }
-  {
-    auto cfg2 = cfg;
-    cfg2.variant = machine::Variant::kBalanced;
-    cfg2.balanced_bound = 16;
-    machine::Machine m(cfg2);
-    m.load(tcf_style());
-    m.boot(1);
-    m.run();
-    baseline::Outcome out{true, m.stats(), {}};
-    add_row("balanced", "#n; thick stmts", out, m.shared().peek(kSum));
-  }
-  {
-    auto cfg2 = cfg;
-    cfg2.variant = machine::Variant::kMultiInstruction;
-    machine::Machine m(cfg2);
-    m.load(fork_style());
-    m.boot(1);
-    m.run();
-    baseline::Outcome out{true, m.stats(), {}};
-    add_row("multi-instruction", "fork/join", out, m.shared().peek(kSum));
-  }
-  {
-    auto cfg2 = cfg;
-    cfg2.variant = machine::Variant::kSingleOperation;
-    machine::Machine m(cfg2);
-    m.load(thread_style());
-    tcf::kernels::boot_esm_threads(m, 0, cfg2.total_slots());
-    m.run();
-    baseline::Outcome out{true, m.stats(), {}};
-    add_row("single-operation", "tid loop", out, m.shared().peek(kSum));
-  }
-  {
-    auto cfg2 = cfg;
-    cfg2.variant = machine::Variant::kConfigSingleOperation;
-    machine::Machine m(cfg2);
-    m.load(thread_style());
-    tcf::kernels::boot_esm_threads(m, 0, cfg2.total_slots());
-    m.run();
-    baseline::Outcome out{true, m.stats(), {}};
-    add_row("config-single-op", "tid loop (+numa avail.)", out,
-            m.shared().peek(kSum));
-  }
-  {
-    auto cfg2 = cfg;
-    cfg2.variant = machine::Variant::kFixedThickness;
-    cfg2.groups = 1;
-    machine::Machine m(cfg2);
-    m.load(simd_style());
-    m.boot(16);
-    m.run();
-    baseline::Outcome out{true, m.stats(), {}};
-    add_row("fixed-thickness", "masked strip-mine", out,
-            m.shared().peek(kSum));
-  }
+  row("single-instruction", "#n; thick stmts",
+      machine::Variant::kSingleInstruction, tcf_style(), root_flow(1));
+  row("balanced", "#n; thick stmts", machine::Variant::kBalanced, tcf_style(),
+      root_flow(1));
+  row("multi-instruction", "fork/join", machine::Variant::kMultiInstruction,
+      fork_style(), root_flow(1));
+  row("single-operation", "tid loop", machine::Variant::kSingleOperation,
+      thread_style(), all_threads);
+  row("config-single-op", "tid loop (+numa avail.)",
+      machine::Variant::kConfigSingleOperation, thread_style(), all_threads);
+  row("fixed-thickness", "masked strip-mine",
+      machine::Variant::kFixedThickness, simd_style(), root_flow(16));
   t.print();
 
   std::printf(
       "\nSix machines, six programming styles, one answer. The extended\n"
       "model's source is the shortest and its fetch column the smallest —\n"
       "Section 4's programming argument, end to end.\n");
+  if (!all_ok) {
+    std::fprintf(stderr,
+                 "variants tour: a variant did not complete or got the "
+                 "wrong sum\n");
+    return 1;
+  }
   return 0;
 }

@@ -1,6 +1,5 @@
 #include "common/metrics.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 
@@ -392,179 +391,6 @@ std::string json_escape(std::string_view s) {
   out.reserve(s.size());
   json_escape(out, s);
   return out;
-}
-
-namespace {
-
-/// Recursive-descent syntax check; no value materialisation.
-class JsonLint {
- public:
-  explicit JsonLint(std::string_view t) : t_(t) {}
-
-  bool run(std::string* error) {
-    ok_ = value(0);
-    ws();
-    if (ok_ && pos_ != t_.size()) {
-      ok_ = false;
-      err_ = "trailing content";
-    }
-    if (!ok_ && error) {
-      *error = err_ + " at offset " + std::to_string(pos_);
-    }
-    return ok_;
-  }
-
- private:
-  static constexpr int kMaxDepth = 256;
-
-  void ws() {
-    while (pos_ < t_.size() && std::isspace(static_cast<unsigned char>(
-                                   t_[pos_]))) {
-      ++pos_;
-    }
-  }
-  bool eat(char c) {
-    if (pos_ < t_.size() && t_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  bool fail(const char* why) {
-    err_ = why;
-    return false;
-  }
-
-  bool literal(std::string_view word) {
-    if (t_.substr(pos_, word.size()) != word) return fail("bad literal");
-    pos_ += word.size();
-    return true;
-  }
-
-  bool string() {
-    if (!eat('"')) return fail("expected string");
-    while (pos_ < t_.size()) {
-      const char c = t_[pos_++];
-      if (c == '"') return true;
-      if (static_cast<unsigned char>(c) < 0x20) {
-        return fail("raw control character in string");
-      }
-      if (c == '\\') {
-        if (pos_ >= t_.size()) return fail("dangling escape");
-        const char e = t_[pos_++];
-        if (e == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            if (pos_ >= t_.size() ||
-                !std::isxdigit(static_cast<unsigned char>(t_[pos_]))) {
-              return fail("bad \\u escape");
-            }
-            ++pos_;
-          }
-        } else if (std::string_view("\"\\/bfnrt").find(e) ==
-                   std::string_view::npos) {
-          return fail("bad escape character");
-        }
-      }
-    }
-    return fail("unterminated string");
-  }
-
-  bool number() {
-    const std::size_t start = pos_;
-    eat('-');
-    if (!std::isdigit(static_cast<unsigned char>(
-            pos_ < t_.size() ? t_[pos_] : '\0'))) {
-      return fail("expected digit");
-    }
-    const std::size_t int_start = pos_;
-    while (pos_ < t_.size() &&
-           std::isdigit(static_cast<unsigned char>(t_[pos_]))) {
-      ++pos_;
-    }
-    if (t_[int_start] == '0' && pos_ - int_start > 1) {
-      return fail("leading zero in number");
-    }
-    if (eat('.')) {
-      if (pos_ >= t_.size() ||
-          !std::isdigit(static_cast<unsigned char>(t_[pos_]))) {
-        return fail("expected fraction digits");
-      }
-      while (pos_ < t_.size() &&
-             std::isdigit(static_cast<unsigned char>(t_[pos_]))) {
-        ++pos_;
-      }
-    }
-    if (pos_ < t_.size() && (t_[pos_] == 'e' || t_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < t_.size() && (t_[pos_] == '+' || t_[pos_] == '-')) ++pos_;
-      if (pos_ >= t_.size() ||
-          !std::isdigit(static_cast<unsigned char>(t_[pos_]))) {
-        return fail("expected exponent digits");
-      }
-      while (pos_ < t_.size() &&
-             std::isdigit(static_cast<unsigned char>(t_[pos_]))) {
-        ++pos_;
-      }
-    }
-    return pos_ > start;
-  }
-
-  bool value(int depth) {
-    if (depth > kMaxDepth) return fail("nesting too deep");
-    ws();
-    if (pos_ >= t_.size()) return fail("unexpected end of input");
-    switch (t_[pos_]) {
-      case '{': {
-        ++pos_;
-        ws();
-        if (eat('}')) return true;
-        while (true) {
-          ws();
-          if (!string()) return false;
-          ws();
-          if (!eat(':')) return fail("expected ':'");
-          if (!value(depth + 1)) return false;
-          ws();
-          if (eat(',')) continue;
-          if (eat('}')) return true;
-          return fail("expected ',' or '}'");
-        }
-      }
-      case '[': {
-        ++pos_;
-        ws();
-        if (eat(']')) return true;
-        while (true) {
-          if (!value(depth + 1)) return false;
-          ws();
-          if (eat(',')) continue;
-          if (eat(']')) return true;
-          return fail("expected ',' or ']'");
-        }
-      }
-      case '"':
-        return string();
-      case 't':
-        return literal("true");
-      case 'f':
-        return literal("false");
-      case 'n':
-        return literal("null");
-      default:
-        return number();
-    }
-  }
-
-  std::string_view t_;
-  std::size_t pos_ = 0;
-  bool ok_ = false;
-  std::string err_;
-};
-
-}  // namespace
-
-bool json_valid(std::string_view text, std::string* error) {
-  return JsonLint(text).run(error);
 }
 
 }  // namespace tcfpn::metrics

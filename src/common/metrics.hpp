@@ -199,9 +199,4 @@ void append_field(std::string& out, std::string_view key, Number v) {
 void json_escape(std::string& out, std::string_view s);
 std::string json_escape(std::string_view s);
 
-/// Minimal structural JSON validator (objects, arrays, strings, numbers,
-/// literals; full-input consumption; bounded depth). Used by the tests to
-/// assert the exporters emit loadable documents without a JSON dependency.
-bool json_valid(std::string_view text, std::string* error = nullptr);
-
 }  // namespace tcfpn::metrics

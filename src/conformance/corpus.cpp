@@ -1,6 +1,8 @@
 #include "conformance/corpus.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -45,6 +47,19 @@ Variant parse_variant(const std::string& s) {
   TCFPN_FAULT("corpus: unknown variant '", s, "'");
 }
 
+/// `text` as a decimal number in [lo, hi]; anything else is a corpus error.
+std::uint64_t number(const std::string& text, const std::string& what,
+                     std::uint64_t lo, std::uint64_t hi) {
+  std::uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc{} || stop != end || v < lo || v > hi) {
+    TCFPN_FAULT("corpus: ", what, " '", text, "' is not a number in [", lo,
+                ", ", hi, "]");
+  }
+  return v;
+}
+
 LaneSpec parse_lane(std::string tok) {
   LaneSpec lane;
   if (auto slash = tok.find('/'); slash != std::string::npos) {
@@ -55,20 +70,22 @@ LaneSpec parse_lane(std::string tok) {
     tok.resize(slash);
   }
   if (auto colon = tok.find(':'); colon != std::string::npos) {
-    lane.balanced_bound =
-        static_cast<std::uint32_t>(std::stoul(tok.substr(colon + 1)));
+    lane.balanced_bound = static_cast<std::uint32_t>(
+        number(tok.substr(colon + 1), "balanced bound", 1, UINT32_MAX));
     tok.resize(colon);
   }
   lane.variant = parse_variant(tok);
   return lane;
 }
 
-/// Value of "key=<digits>" inside a directive payload.
-std::uint64_t field(const std::string& s, const std::string& key) {
+/// Value of "key=<digits>" inside a directive payload, in [lo, hi].
+std::uint64_t field(const std::string& s, const std::string& key,
+                    std::uint64_t lo, std::uint64_t hi) {
   const std::string needle = key + "=";
   const auto at = s.find(needle);
   TCFPN_CHECK(at != std::string::npos, "corpus: missing field '", key, "'");
-  return std::stoull(s.substr(at + needle.size()));
+  const std::size_t from = at + needle.size();
+  return number(s.substr(from, s.find(' ', from) - from), key, lo, hi);
 }
 
 }  // namespace
@@ -113,9 +130,11 @@ DiffCase parse_case(const std::string& text) {
       c.policy = parse_policy(body.substr(8));
     } else if (body.rfind("boot: ", 0) == 0) {
       const std::string payload = body.substr(6);
-      c.boot_thickness = static_cast<Word>(field(payload, "thickness"));
-      c.boot_flows = static_cast<std::uint32_t>(field(payload, "flows"));
-      c.esm_boot = field(payload, "esm") != 0;
+      c.boot_thickness =
+          static_cast<Word>(field(payload, "thickness", 1, INT64_MAX));
+      c.boot_flows =
+          static_cast<std::uint32_t>(field(payload, "flows", 1, UINT32_MAX));
+      c.esm_boot = field(payload, "esm", 0, 1) != 0;
     } else if (body.rfind("expect: ", 0) == 0) {
       c.expect_error = body.substr(8) == "error";
     } else if (body.rfind("local: ", 0) == 0) {

@@ -24,9 +24,11 @@
 //  - fixed-thickness: single flow, no SETTHICK/SPAWN, one group.
 //
 // On top of the variant sweep the driver re-runs the single-instruction
-// lane once with perturbed cost-model knobs (results must not move), and
-// runs the applicable baseline:: frontends (completion + debug output only
-// — Outcome carries no memory image).
+// lane once with perturbed cost-model knobs (results must not move).
+//
+// Every machine lane of the harness — the sweep here, the scenario suite
+// (scenario.hpp) and the flight-record replay — runs through run_lane and
+// is judged by compare.
 #pragma once
 
 #include <cstdint>
@@ -34,11 +36,16 @@
 #include <string>
 #include <vector>
 
+#include "common/types.hpp"
 #include "conformance/gen.hpp"
 #include "conformance/oracle.hpp"
 #include "isa/program.hpp"
 #include "machine/config.hpp"
 #include "mem/shared_memory.hpp"
+
+namespace tcfpn::machine {
+class Machine;
+}  // namespace tcfpn::machine
 
 namespace tcfpn::conformance {
 
@@ -63,6 +70,44 @@ struct DiffCase {
   std::vector<LaneSpec> lanes;
 };
 
+/// The machine every lane starts from: P = 4 groups (one for
+/// fixed-thickness), T_p = 32, the oracle's memory sizes, the case's CRCW
+/// policy and balanced bound B.
+machine::MachineConfig lane_config(machine::Variant variant,
+                                   std::uint32_t bound, mem::CrcwPolicy policy);
+
+/// One machine execution of a case, shaped like an OracleResult so that
+/// compare judges it.
+struct LaneRun {
+  bool completed = false;
+  bool faulted = false;
+  std::string fault;
+  std::vector<Word> shared;
+  std::vector<Word> local;  ///< group 0's, only when the case uses local
+  std::vector<Word> debug;
+  Cycle cycles = 0;
+  StepId steps = 0;
+};
+
+/// Runs `c` on `m`, a freshly built machine: loads the program, boots ESM
+/// threads or one root flow, and runs at most `max_steps` steps. A non-zero
+/// `fault_seed` runs under the default fault schedule for that seed with
+/// checkpoint-rollback recovery (resil::ResilientExecutor); `lpt_placement`
+/// installs sched::install_throughput_lpt_hook first. A SimError is caught
+/// into the result, which always carries the final memory and PRINT images;
+/// `m` is left as the run ended, for a caller that attached a recorder.
+LaneRun run_lane(machine::Machine& m, const DiffCase& c,
+                 std::uint64_t max_steps, std::uint64_t fault_seed = 0,
+                 bool lpt_placement = false);
+
+/// Judges one lane against the oracle; returns the first difference. An
+/// `aligned` lane must also agree on whether the program faults and on the
+/// fault class; any other lane must not fault at all. Completion, shared
+/// memory, local memory (with `uses_local`) and the PRINT stream must match.
+std::optional<std::string> compare(const OracleResult& want,
+                                   const LaneRun& got, bool aligned,
+                                   bool uses_local);
+
 /// Derives the applicable lanes from a program's structural profile.
 std::vector<LaneSpec> lanes_for(const Profile& p, const GenProgram& gp);
 
@@ -70,8 +115,6 @@ std::vector<LaneSpec> lanes_for(const Profile& p, const GenProgram& gp);
 DiffCase to_case(const GenProgram& gp);
 
 struct DiffOptions {
-  bool frontends = true;      ///< also run the applicable baseline:: frontends
-  bool perturb_costs = true;  ///< cost-knob invariance lane
   std::uint64_t max_steps = 1u << 18;
   /// When non-zero, every machine lane additionally runs under the
   /// all-kinds fault schedule resil::default_spec_for_seed(fault_seed) with
@@ -102,10 +145,9 @@ struct DiffOptions {
 struct Divergence {
   std::string lane;    ///< which execution disagreed with the oracle
   std::string detail;  ///< first observed difference
-  /// Exact machine configuration of the diverging lane when the lane was a
-  /// machine execution; empty for oracle-only and frontend divergences.
-  /// flight_record_json replays it.
-  std::optional<machine::MachineConfig> config;
+  /// Exact machine configuration of the diverging lane; flight_record_json
+  /// replays it.
+  machine::MachineConfig config;
 };
 
 /// Runs the case through the oracle and every applicable lane; returns the
@@ -123,12 +165,11 @@ std::optional<Divergence> run_differential(const GenProgram& gp,
 /// never drift apart on what a "policy" fault is.
 std::string fault_class(const std::string& message);
 
-/// Replays the diverging lane of `d` (its config when recorded, otherwise
-/// the aligned single-instruction lane) with a flight recorder attached and
-/// renders a "tcfpn-postmortem-v1" document: the machine's own fault when
-/// the lane faulted, or a synthesized "divergence"-class record carrying
-/// `d.detail` when the run finished but disagreed with the oracle. tcffuzz
-/// writes this next to every shrunken reproducer.
+/// Replays the diverging lane of `d` (its config) with a flight recorder
+/// attached and renders a "tcfpn-postmortem-v1" document: the machine's
+/// own fault when the lane faulted, or a synthesized "divergence"-class
+/// record carrying `d.detail` when the run finished but disagreed with the
+/// oracle. tcffuzz writes this next to every shrunken reproducer.
 std::string flight_record_json(const DiffCase& c, const Divergence& d,
                                std::uint64_t max_steps = 1u << 18);
 

@@ -6,13 +6,12 @@
 #include <sstream>
 
 #include "common/check.hpp"
+#include "conformance/diff.hpp"
 #include "conformance/gen.hpp"
 #include "conformance/oracle.hpp"
 #include "lang/codegen.hpp"
 #include "machine/machine.hpp"
 #include "machine/shapes.hpp"
-#include "resil/recovery.hpp"
-#include "sched/allocation.hpp"
 
 namespace tcfpn::conformance {
 
@@ -120,96 +119,6 @@ std::string read_file(const std::string& path) {
   return os.str();
 }
 
-// ---------------------------------------------------------------------------
-// Lane execution. Mirrors the differential harness' runner, but with a
-// machine shape applied and the placement hook swept.
-
-struct RunImage {
-  bool completed = false;
-  bool faulted = false;
-  std::string fault;
-  std::vector<Word> shared;
-  std::vector<Word> debug;
-};
-
-RunImage run_lane(const Scenario& s, const machine::MachineConfig& cfg,
-                  std::uint64_t max_steps, bool lpt_hook,
-                  std::uint64_t fault_seed) {
-  RunImage o;
-  machine::Machine m(cfg);
-  try {
-    m.load(s.program);
-    if (lpt_hook) sched::install_throughput_lpt_hook(m);
-    m.boot(s.boot_thickness);
-    if (fault_seed != 0) {
-      resil::ResilConfig rc;
-      rc.spec = resil::default_spec_for_seed(fault_seed);
-      rc.mode = resil::RecoverMode::kRollback;
-      rc.max_steps = max_steps;
-      resil::ResilientExecutor ex(m, rc);
-      const auto r = ex.run();
-      o.completed = r.run.completed;
-      o.faulted = r.faulted;
-      o.fault = r.fault_message;
-    } else {
-      o.completed = m.run(max_steps).completed;
-    }
-  } catch (const SimError& e) {
-    o.faulted = true;
-    o.fault = e.what();
-  }
-  o.shared.resize(kSharedWords);
-  for (Addr a = 0; a < kSharedWords; ++a) o.shared[a] = m.shared().peek(a);
-  o.debug = m.debug_output();
-  return o;
-}
-
-/// Bit-identity against the oracle: full shared memory, the PRINT stream,
-/// and clean completion.
-std::optional<std::string> against_oracle(const OracleResult& want,
-                                          const RunImage& got) {
-  if (got.faulted) return "unexpected machine fault [" + got.fault + "]";
-  if (!got.completed) return std::string("machine did not complete");
-  const std::size_t words = std::min(want.shared.size(), got.shared.size());
-  for (Addr a = 0; a < words; ++a) {
-    if (want.shared[a] != got.shared[a]) {
-      std::ostringstream os;
-      os << "shared[" << a << "] = " << got.shared[a] << ", oracle has "
-         << want.shared[a];
-      return os.str();
-    }
-  }
-  if (want.debug != got.debug) {
-    std::ostringstream os;
-    os << "PRINT mismatch: oracle " << want.debug.size() << " values, machine "
-       << got.debug.size();
-    for (std::size_t i = 0;
-         i < std::min(want.debug.size(), got.debug.size()); ++i) {
-      if (want.debug[i] != got.debug[i]) {
-        os << "; first diff at [" << i << "]: " << got.debug[i] << " vs "
-           << want.debug[i];
-        break;
-      }
-    }
-    return os.str();
-  }
-  return std::nullopt;
-}
-
-machine::MachineConfig lane_config(const ScenarioOptions& opt, Variant v,
-                                   std::uint32_t bound) {
-  machine::MachineConfig cfg;
-  cfg.variant = v;
-  cfg.groups = 4;
-  cfg.slots_per_group = 32;
-  cfg.shared_words = kSharedWords;
-  cfg.local_words = kLocalWords;
-  cfg.crcw = mem::CrcwPolicy::kArbitrary;
-  cfg.balanced_bound = bound;
-  machine::apply_shape(cfg, opt.shape);
-  return cfg;
-}
-
 std::string lane_tag(const Scenario& s, const ScenarioOptions& opt,
                      const std::string& lane) {
   return s.name + " shape=" + opt.shape + " " + lane;
@@ -263,43 +172,44 @@ ScenarioVerdict run_scenario(const Scenario& s, const ScenarioOptions& opt) {
   // Stage 2: machine lanes. Scenario programs set their own thickness via
   // `#n`, so only the variants that honor SETTHICK apply; the balanced
   // lanes exercise lane-sliced execution at two very different bounds.
-  struct Lane {
-    Variant variant;
-    std::uint32_t bound;
+  // A scenario is race-free, so every lane is judged non-aligned.
+  DiffCase c;
+  c.program = s.program;
+  c.boot_thickness = s.boot_thickness;
+  c.lanes = {{Variant::kSingleInstruction, 16, false},
+             {Variant::kBalanced, 16, false},
+             {Variant::kBalanced, 4096, false}};
+  const auto shaped = [&](const LaneSpec& lane) {
+    machine::MachineConfig cfg =
+        lane_config(lane.variant, lane.balanced_bound, c.policy);
+    machine::apply_shape(cfg, opt.shape);
+    return cfg;
   };
-  static const Lane kLanes[] = {{Variant::kSingleInstruction, 16},
-                                {Variant::kBalanced, 16},
-                                {Variant::kBalanced, 4096}};
 
-  for (const Lane& lane : kLanes) {
-    const machine::MachineConfig cfg =
-        lane_config(opt, lane.variant, lane.bound);
-    std::string lname = machine::to_string(lane.variant);
-    if (lane.variant == Variant::kBalanced) {
-      lname += ':' + std::to_string(lane.bound);
-    }
+  for (const LaneSpec& lane : c.lanes) {
     // The fault-free lane, then, with opt.fault_seed, the default fault
     // schedule for that seed recovered by rollback: each must land exactly
     // on the fault-free oracle.
     std::vector<std::uint64_t> fault_seeds{0};
     if (opt.fault_seed != 0) fault_seeds.push_back(opt.fault_seed);
     for (const std::uint64_t fault_seed : fault_seeds) {
-      const std::string tag = lname + (fault_seed != 0 ? "+faults" : "");
-      const RunImage got = run_lane(s, cfg, opt.max_steps,
-                                    /*lpt_hook=*/false, fault_seed);
-      if (auto d = against_oracle(want, got)) return fail(tag, *d);
+      machine::Machine m(shaped(lane));
+      if (auto d = compare(want, run_lane(m, c, opt.max_steps, fault_seed),
+                           /*aligned=*/false, c.uses_local)) {
+        return fail(lane.name() + (fault_seed != 0 ? "+faults" : ""), *d);
+      }
     }
   }
 
   // Stage 3: placement-aware LPT. The hook may move spawns between groups
   // (on heterogeneous shapes it should), but placement must never be
   // observable in memory or PRINT output.
-  if (opt.throughput_lpt_lane) {
-    const machine::MachineConfig cfg =
-        lane_config(opt, Variant::kSingleInstruction, 16);
-    const RunImage got = run_lane(s, cfg, opt.max_steps,
-                                  /*lpt_hook=*/true, /*fault_seed=*/0);
-    if (auto d = against_oracle(want, got)) return fail("lpt-placement", *d);
+  machine::Machine m(shaped(c.lanes.front()));
+  if (auto d = compare(want,
+                       run_lane(m, c, opt.max_steps, /*fault_seed=*/0,
+                                /*lpt_placement=*/true),
+                       /*aligned=*/false, c.uses_local)) {
+    return fail("lpt-placement", *d);
   }
 
   return v;

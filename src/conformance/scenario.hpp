@@ -29,7 +29,11 @@ struct Scenario {
 std::vector<Scenario> scenario_suite(const std::string& dir);
 
 /// How to sweep one scenario. Every lane must be bit-identical to the
-/// sequential oracle in shared memory, PRINT output and completion.
+/// sequential oracle in shared memory, PRINT output and completion. The
+/// lanes are single-instruction, balanced:16 and balanced:4096, plus the
+/// single-instruction lane with the placement-aware LPT spawn hook
+/// installed (placement may move work between groups but must not be
+/// observable in memory or PRINT output).
 struct ScenarioOptions {
   /// Machine shape spec for machine::apply_shape ("uniform", "fat-thin",
   /// "gpu", or an explicit `COUNT*key=val,...` list).
@@ -38,10 +42,6 @@ struct ScenarioOptions {
   /// fault schedule for this seed, recovered by checkpoint rollback, must
   /// still land exactly on the fault-free oracle.
   std::uint64_t fault_seed = 0;
-  /// Re-run the aligned lane with the placement-aware LPT spawn hook
-  /// installed; placement may move work between groups but must not be
-  /// observable in memory or PRINT output.
-  bool throughput_lpt_lane = true;
   std::uint64_t max_steps = 1u << 20;
 };
 

@@ -1,6 +1,7 @@
 #include "isa/assembler.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cstdint>
 #include <optional>
 #include <sstream>
@@ -236,8 +237,12 @@ class Pass {
         return std::nullopt;
       }
     }
-    const int n = std::stoi(s.substr(1));
-    if (n < 0 || n >= static_cast<int>(kNumRegisters)) return std::nullopt;
+    unsigned n = 0;
+    if (std::from_chars(s.data() + 1, s.data() + s.size(), n).ec !=
+            std::errc{} ||
+        n >= kNumRegisters) {
+      return std::nullopt;
+    }
     return static_cast<std::uint8_t>(n);
   }
 

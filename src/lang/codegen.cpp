@@ -26,18 +26,31 @@ class Codegen {
   Codegen(const ProgramAst& ast, Addr heap_base) : ast_(ast) {
     out_.heap_base = heap_base;
     Addr next = heap_base;
+    // Lays `size` words out at `next`; the layout must end by INT64_MAX,
+    // the largest word address.
+    const auto place = [&](int line, const std::string& name,
+                           std::size_t size) {
+      constexpr auto kLastWord = static_cast<Addr>(INT64_MAX);
+      if (next > kLastWord || size > kLastWord - next) {
+        err(line, "array '", name, "' of ", size, " words at word ", next,
+            " ends past word ", kLastWord);
+      }
+      const Addr base = next;
+      next += size;
+      return base;
+    };
     for (const auto& a : ast.arrays) {
       declare(a.line, a.name);
-      out_.arrays.emplace(a.name, tcf::Buffer{next, a.size});
-      if (!a.init.empty()) builder_.data(next, a.init);
-      next += a.size;
+      const Addr base = place(a.line, a.name, a.size);
+      out_.arrays.emplace(a.name, tcf::Buffer{base, a.size});
+      if (!a.init.empty()) builder_.data(base, a.init);
     }
     for (const auto& c : ast.cells) {
       declare(c.line, c.name);
-      out_.arrays.emplace(c.name, tcf::Buffer{next, 1});
+      const Addr base = place(c.line, c.name, 1);
+      out_.arrays.emplace(c.name, tcf::Buffer{base, 1});
       cells_.insert(c.name);
-      if (c.init != 0) builder_.data(next, {c.init});
-      next += 1;
+      if (c.init != 0) builder_.data(base, {c.init});
     }
     out_.heap_end = next;
     for (const auto& v : ast.vars) {

@@ -1,6 +1,8 @@
 #include "lang/lexer.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <cstdint>
 
 #include "common/check.hpp"
 
@@ -88,22 +90,24 @@ std::vector<Token> lex(const std::string& src) {
       continue;
     }
     if (std::isdigit(static_cast<unsigned char>(c))) {
-      std::size_t end = i;
-      Word v = 0;
+      std::size_t digits = i;
+      int base = 10;
       if (c == '0' && i + 1 < src.size() &&
           (src[i + 1] == 'x' || src[i + 1] == 'X')) {
-        end = i + 2;
-        while (end < src.size() &&
-               std::isxdigit(static_cast<unsigned char>(src[end]))) {
-          ++end;
-        }
-        v = static_cast<Word>(std::stoll(src.substr(i, end - i), nullptr, 16));
-      } else {
-        while (end < src.size() &&
-               std::isdigit(static_cast<unsigned char>(src[end]))) {
-          ++end;
-        }
-        v = static_cast<Word>(std::stoll(src.substr(i, end - i)));
+        digits = i + 2;
+        base = 16;
+      }
+      const auto is_digit = [base](char d) {
+        const auto u = static_cast<unsigned char>(d);
+        return base == 16 ? std::isxdigit(u) != 0 : std::isdigit(u) != 0;
+      };
+      std::size_t end = digits;
+      while (end < src.size() && is_digit(src[end])) ++end;
+      Word v = 0;  // a bare "0x" reads as 0
+      if (std::from_chars(src.data() + digits, src.data() + end, v, base).ec ==
+          std::errc::result_out_of_range) {
+        TCFPN_FAULT("lex error at line ", line, ": integer literal ",
+                    src.substr(i, end - i), " is larger than ", INT64_MAX);
       }
       push(Tok::kNumber, {}, v);
       i = end;

@@ -217,13 +217,18 @@ struct Parser {
       return true;
     }
     // Number: scan the strict JSON grammar by hand (strtod alone would also
-    // accept hex, "inf", "nan", leading '+'), then convert the exact slice.
+    // accept hex, "inf", "nan", leading '+' and leading zeros), then convert
+    // the exact slice.
     if (c == '-' || (c >= '0' && c <= '9')) {
       const std::size_t start = i;
       const auto digit = [&] { return i < s.size() && s[i] >= '0' && s[i] <= '9'; };
       if (s[i] == '-') ++i;
       if (!digit()) return fail("bad number");
+      const std::size_t int_start = i;
       while (digit()) ++i;
+      if (s[int_start] == '0' && i - int_start > 1) {
+        return fail("leading zero in number");
+      }
       if (i < s.size() && s[i] == '.') {
         ++i;
         if (!digit()) return fail("bad number");

@@ -1,13 +1,13 @@
 // A minimal JSON value parser for stream consumers (tcfmon).
 //
 // The repo deliberately has no third-party JSON dependency; the exporters
-// emit JSON by hand and the tests check it with metrics::json_valid. tcfmon
-// is the first in-tree *consumer*: it must decode tcfpn-stream-v1 NDJSON
-// lines produced by this very codebase, so the parser only needs honest
-// JSON — objects, arrays, strings with the escapes json_escape emits
-// (\" \\ \/ \b \f \n \r \t \uXXXX), numbers, true/false/null. It rejects
-// anything malformed rather than guessing; tcfmon skips unparseable lines
-// and counts them.
+// emit JSON by hand and the tests check it with this parser. tcfmon decodes
+// tcfpn-stream-v1 NDJSON lines produced by this very codebase with it, so
+// the parser only needs honest JSON — objects, arrays, strings with the
+// escapes json_escape emits (\" \\ \/ \b \f \n \r \t \uXXXX), numbers,
+// true/false/null. It rejects anything malformed rather than guessing (a
+// leading zero, whitespace other than space, tab, CR and LF); tcfmon skips
+// unparseable lines and counts them.
 #pragma once
 
 #include <map>

@@ -28,23 +28,6 @@ std::vector<FlowId> boot_horizontal(machine::Machine& m, std::size_t entry,
   return ids;
 }
 
-void install_lpt_hook(machine::Machine& m) {
-  machine::Machine* mp = &m;
-  m.set_allocation_hook([mp](const machine::TcfDescriptor&) {
-    GroupId best = 0;
-    std::size_t best_load = ~std::size_t{0};
-    for (GroupId g = 0; g < mp->config().groups; ++g) {
-      if (!mp->group_alive(g)) continue;  // degraded mode (DESIGN.md §9)
-      const std::size_t load = mp->resident_flows(g);
-      if (load < best_load) {
-        best_load = load;
-        best = g;
-      }
-    }
-    return best;
-  });
-}
-
 std::vector<GroupSpeed> group_speeds(const machine::MachineConfig& cfg) {
   std::vector<GroupSpeed> speeds(cfg.groups);
   for (GroupId g = 0; g < cfg.groups; ++g) {
@@ -80,12 +63,6 @@ void install_throughput_lpt_hook(machine::Machine& m) {
     }
     TCFPN_CHECK(found, "no live group left to place a flow on");
     return best;
-  });
-}
-
-void install_first_group_hook(machine::Machine& m) {
-  m.set_allocation_hook([](const machine::TcfDescriptor&) {
-    return GroupId{0};
   });
 }
 

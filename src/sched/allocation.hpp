@@ -29,15 +29,6 @@ FlowId boot_vertical(machine::Machine& m, std::size_t entry, Word thickness,
 std::vector<FlowId> boot_horizontal(machine::Machine& m, std::size_t entry,
                                     Word thickness, std::uint32_t fragments);
 
-/// Installs an LPT allocation hook on the machine: spawned flows go to the
-/// group that currently has the smallest summed thickness. (This is also
-/// the machine's default; the explicit hook exists so experiments can
-/// compare against naive placements.)
-void install_lpt_hook(machine::Machine& m);
-
-/// Installs a naive hook: every spawned flow lands on group 0.
-void install_first_group_hook(machine::Machine& m);
-
 /// Per-group effective throughput of a (possibly heterogeneous) config:
 /// speed_g = group_slots(g) * clock_num(g) / clock_den(g), as exact
 /// rationals for install_throughput_lpt_hook.

@@ -18,17 +18,6 @@
 
 namespace tcfpn::sched {
 
-/// Longest-processing-time-first list scheduling: assigns each flow
-/// (by thickness) to the least-loaded of `groups` bins. Returns the group
-/// index per flow (input order preserved).
-std::vector<GroupId> lpt_assign(const std::vector<Word>& thicknesses,
-                                std::uint32_t groups);
-
-/// Makespan (max bin load) of an assignment.
-Word assignment_makespan(const std::vector<Word>& thicknesses,
-                         const std::vector<GroupId>& assignment,
-                         std::uint32_t groups);
-
 /// Effective throughput of one group on a heterogeneous shape (DESIGN.md
 /// §12), kept as an exact rational so placement never depends on floating
 /// point: speed = num/den = T_p(g) * clock_num(g) / clock_den(g) thickness

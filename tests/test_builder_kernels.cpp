@@ -1,9 +1,8 @@
 // Tests for the AsmBuilder (label fixups, operand forms) and the kernel
-// generators (each Section 4 program style produces correct results through
-// its front-end).
+// generators (each Section 4 program style produces correct results on its
+// machine variant).
 #include <gtest/gtest.h>
 
-#include "baseline/frontends.hpp"
 #include "common/check.hpp"
 #include "machine/machine.hpp"
 #include "tcf/builder.hpp"
@@ -71,7 +70,7 @@ TEST(Builder, HereTracksAddresses) {
   EXPECT_EQ(s.here(), 2u);
 }
 
-// ---- kernels through their front-ends ----
+// ---- kernels on their machine variants ----
 
 machine::MachineConfig cfg4() {
   machine::MachineConfig cfg;
@@ -102,8 +101,15 @@ TEST_P(VecAddStyles, EsmLoopCorrectForAnySize) {
       with_data(kernels::vecadd_esm_loop(n, 100, 400, 700), 100,
                 iota_vec(n, 0)),
       400, iota_vec(n, 50));
-  auto out = baseline::run_threaded_esm(cfg4(), p, 16);
-  ASSERT_TRUE(out.completed);
+  auto cfg = cfg4();
+  cfg.variant = machine::Variant::kSingleOperation;
+  machine::Machine m(cfg);
+  m.load(p);
+  kernels::boot_esm_threads(m, 0, 16);
+  ASSERT_TRUE(m.run().completed);
+  for (Word i = 0; i < n; ++i) {
+    ASSERT_EQ(m.shared().peek(700 + i), 2 * i + 50) << "element " << i;
+  }
 }
 
 TEST_P(VecAddStyles, AllStylesAgree) {
@@ -175,8 +181,13 @@ TEST(CondKernels, SplitVsMaskedVsEsmAgree) {
     return with_data(with_data(std::move(p), a, av), b, bv);
   };
   {
-    auto out = baseline::run_tcf(cfg4(), seed(kernels::cond_split_tcf(n, a, b, c)));
-    ASSERT_TRUE(out.completed);
+    machine::Machine m(cfg4());
+    m.load(seed(kernels::cond_split_tcf(n, a, b, c)));
+    m.boot(1);
+    ASSERT_TRUE(m.run().completed);
+    for (Word i = 0; i < n; ++i) {
+      EXPECT_EQ(m.shared().peek(c + i), expected(i)) << "tcf elem " << i;
+    }
   }
   {
     auto cfg = cfg4();

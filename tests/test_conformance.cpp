@@ -63,6 +63,33 @@ TEST(Corpus, RoundTripsThroughSerializer) {
   }
 }
 
+// A malformed header is a corpus error, not a crash or an internal check.
+struct BadHeader {
+  const char* name;
+  const char* header;
+};
+class CorpusErrors : public ::testing::TestWithParam<BadHeader> {};
+TEST_P(CorpusErrors, RejectsWithACorpusError) {
+  const std::string text = std::string("; tcffuzz corpus v1\n") +
+                           GetParam().header + "\n  HALT\n";
+  try {
+    (void)parse_case(text);
+    FAIL() << "accepted: " << GetParam().header;
+  } catch (const SimError& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("corpus: ", 0), 0u) << e.what();
+  }
+}
+INSTANTIATE_TEST_SUITE_P(
+    Cases, CorpusErrors,
+    ::testing::Values(
+        BadHeader{"balanced_abc", "; lanes: balanced:abc"},
+        BadHeader{"balanced_zero", "; lanes: balanced:0"},
+        BadHeader{"balanced_past_uint32", "; lanes: balanced:99999999999"},
+        BadHeader{"thickness_zz",
+                  "; boot: thickness=zz flows=1 esm=0\n"
+                  "; lanes: single-instruction/aligned"}),
+    [](const auto& inf) { return std::string(inf.param.name); });
+
 // ----- generator -----------------------------------------------------------
 
 TEST(Generator, SameSeedSameProgram) {

@@ -21,6 +21,7 @@
 #include "machine/machine.hpp"
 #include "machine/shapes.hpp"
 #include "machine/state.hpp"
+#include "obs/njson.hpp"
 #include "tcf/builder.hpp"
 #include "tcf/kernels.hpp"
 
@@ -353,8 +354,9 @@ TEST(PostMortem, FaultCapturedAndDocumentValid) {
   EXPECT_EQ(fault->fault_class, "addr");
 
   ASSERT_TRUE(dbg.post_mortem_doc().has_value());
+  obs::JsonValue v;
   std::string err;
-  EXPECT_TRUE(metrics::json_valid(*dbg.post_mortem_doc(), &err)) << err;
+  EXPECT_TRUE(obs::parse_json(*dbg.post_mortem_doc(), &v, &err)) << err;
   EXPECT_NE(dbg.post_mortem_doc()->find("tcfpn-postmortem-v1"),
             std::string::npos);
 

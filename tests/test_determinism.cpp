@@ -16,6 +16,7 @@
 #include "machine/cost_model.hpp"
 #include "machine/machine.hpp"
 #include "machine/telemetry.hpp"
+#include "obs/njson.hpp"
 #include "tcf/builder.hpp"
 #include "tcf/kernels.hpp"
 
@@ -204,8 +205,9 @@ TEST_P(TelemetryTest, MetricsDocumentIsValid) {
   const RunResult run = m.run();
   EXPECT_TRUE(run.completed);
   const std::string doc = metrics_json_document(m, run, {{"tool", "test"}});
+  obs::JsonValue parsed;
   std::string err;
-  EXPECT_TRUE(metrics::json_valid(doc, &err)) << err;
+  EXPECT_TRUE(obs::parse_json(doc, &parsed, &err)) << err;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -233,8 +235,9 @@ TEST(TelemetryTest, TraceJsonIsValidAndCoversEverySubsystem) {
   ASSERT_TRUE(run.completed);
 
   const std::string doc = trace_json_document(m, {{"tool", "test"}});
+  obs::JsonValue v;
   std::string err;
-  ASSERT_TRUE(metrics::json_valid(doc, &err)) << err;
+  ASSERT_TRUE(obs::parse_json(doc, &v, &err)) << err;
   // At least one host-side span per instrumented subsystem, named with the
   // subsystem prefix, must appear in the trace.
   for (const char* span : {"\"machine/group_phase\"", "\"mem/commit_step\"",

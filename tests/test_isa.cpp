@@ -160,6 +160,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         BadSource{"unknown_mnemonic", "FROB r1, r2"},
         BadSource{"bad_register", "LDI r99, 1"},
+        BadSource{"register_past_int", "LDI r99999999999, 1"},
         BadSource{"missing_operand", "ADD r1, r2"},
         BadSource{"extra_operand", "HALT r1"},
         BadSource{"unknown_symbol", "LDI r1, NOPE"},

@@ -142,7 +142,9 @@ INSTANTIATE_TEST_SUITE_P(
                           " prefix(s, MPFOO, &c, d);"},
         BadSrc{"numa_zero", "#1/0;"},
         BadSrc{"array_size_var", "var n = 4; array a[n];"},
-        BadSrc{"stray_rbrace", "}"}),
+        BadSrc{"stray_rbrace", "}"},
+        BadSrc{"literal_past_int64", "array a[9223372036854775808];"},
+        BadSrc{"hex_literal_past_int64", "array a[0x8000000000000000];"}),
     [](const auto& inf) { return std::string(inf.param.name); });
 
 // ---- compiled execution: the paper's own snippets ----
@@ -551,7 +553,10 @@ INSTANTIATE_TEST_SUITE_P(
         BadSrc{"min_over_minus_one_array",
                "array a[(0 - 9223372036854775807 - 1) / (0 - 1)];"},
         BadSrc{"triple_thick_nest",
-               "cell c; #2: { #3: { #4: c = 1; } }"}),
+               "cell c; #2: { #3: { #4: c = 1; } }"},
+        BadSrc{"layout_past_int64",
+               "array a[9223372036854775807]; array b[9223372036854775807];"
+               " array c[4]; #4; c.[id] = 7;"}),
     [](const auto& inf) { return std::string(inf.param.name); });
 
 TEST(CompiledApi, BufferLookup) {

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "baseline/frontends.hpp"
 #include "common/check.hpp"
 #include "conformance/oracle.hpp"
 #include "debug/recorder.hpp"

@@ -14,6 +14,7 @@
 
 #include "common/check.hpp"
 #include "common/metrics.hpp"
+#include "obs/njson.hpp"
 
 namespace tcfpn::metrics {
 namespace {
@@ -169,7 +170,7 @@ TEST(MetricsRegistryTest, MergeKindMismatchFaults) {
   EXPECT_THROW(a.merge(b), SimError);
 }
 
-// ---- JSON emitter & validator --------------------------------------------
+// ---- JSON emitter --------------------------------------------------------
 
 // Both exports write doubles with std::to_chars; the bytes must stay those
 // of printf's "%.17g", and a non-finite value writes null.
@@ -221,9 +222,11 @@ TEST(MetricsJsonTest, EscapeNeverLeaksControlBytesIntoFraming) {
       EXPECT_GE(c, 0x20u) << "byte " << b << " escaped to control byte";
       EXPECT_NE(c, static_cast<unsigned char>('\n')) << "byte " << b;
     }
+    obs::JsonValue v;
     std::string err;
-    EXPECT_TRUE(json_valid("\"" + esc + "\"", &err))
+    EXPECT_TRUE(obs::parse_json("\"" + esc + "\"", &v, &err))
         << "byte " << b << ": " << err;
+    EXPECT_EQ(v.str(), std::string(1, static_cast<char>(b))) << "byte " << b;
   }
   // Pseudo-random byte soup, worst-case-heavy: quotes, backslashes, every
   // control character, multi-byte runs. xorshift keeps it deterministic.
@@ -244,20 +247,11 @@ TEST(MetricsJsonTest, EscapeNeverLeaksControlBytesIntoFraming) {
     for (unsigned char c : esc) EXPECT_GE(c, 0x20u);
     EXPECT_EQ(esc.find('\n'), std::string::npos);
     EXPECT_EQ(esc.find('\r'), std::string::npos);
+    obs::JsonValue v;
     std::string err;
-    EXPECT_TRUE(json_valid("\"" + esc + "\"", &err)) << err;
+    EXPECT_TRUE(obs::parse_json("\"" + esc + "\"", &v, &err)) << err;
+    EXPECT_EQ(v.str(), raw);
   }
-}
-
-TEST(MetricsJsonTest, ValidatorAcceptsAndRejects) {
-  EXPECT_TRUE(json_valid("{}"));
-  EXPECT_TRUE(json_valid(R"({"a": [1, -2.5e3, true, null, "s\n"]})"));
-  std::string err;
-  EXPECT_FALSE(json_valid("{", &err));
-  EXPECT_FALSE(json_valid("{} trailing", &err));
-  EXPECT_FALSE(json_valid(R"({"a": 01})", &err));
-  EXPECT_FALSE(json_valid(R"({"a": [1,]})", &err));
-  EXPECT_FALSE(json_valid("", &err));
 }
 
 TEST(MetricsJsonTest, SnapshotToJsonIsValidAndNested) {
@@ -269,8 +263,9 @@ TEST(MetricsJsonTest, SnapshotToJsonIsValidAndNested) {
   reg.accumulator("mem/depth");  // empty accumulator must still emit
 
   const std::string j = reg.snapshot().to_json();
+  obs::JsonValue v;
   std::string err;
-  EXPECT_TRUE(json_valid(j, &err)) << err << "\n" << j;
+  EXPECT_TRUE(obs::parse_json(j, &v, &err)) << err << "\n" << j;
   // Path segments become nested objects.
   EXPECT_NE(j.find("\"net\""), std::string::npos);
   EXPECT_NE(j.find("\"packets\""), std::string::npos);
@@ -278,7 +273,7 @@ TEST(MetricsJsonTest, SnapshotToJsonIsValidAndNested) {
   EXPECT_NE(j.find("\"histogram\""), std::string::npos);
   // Embedding after a key (the --metrics-json composition) stays valid.
   const std::string doc = "{\"metrics\": " + reg.snapshot().to_json(2) + "}";
-  EXPECT_TRUE(json_valid(doc, &err)) << err;
+  EXPECT_TRUE(obs::parse_json(doc, &v, &err)) << err;
 }
 
 }  // namespace

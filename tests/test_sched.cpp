@@ -1,5 +1,5 @@
-// Tests for the scheduler layer: LPT balancing, thickness splitting,
-// horizontal vs vertical allocation on the machine, multitasking costs.
+// Tests for the scheduler layer: thickness splitting, horizontal vs
+// vertical allocation on the machine, multitasking costs.
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
@@ -25,28 +25,6 @@ machine::MachineConfig cfg_groups(std::uint32_t groups,
 }
 
 // ---- pure balancing algorithms ----
-
-TEST(Balancer, LptBeatsNaiveOnSkewedLoads) {
-  const std::vector<Word> thick{100, 1, 1, 1, 1, 1, 1, 97};
-  const auto lpt = lpt_assign(thick, 2);
-  EXPECT_LE(assignment_makespan(thick, lpt, 2), 104);
-  // Naive round-robin puts 100 and 1,1,1 on one side and 97 wins nothing.
-  std::vector<GroupId> rr(thick.size());
-  for (std::size_t i = 0; i < rr.size(); ++i) rr[i] = i % 2;
-  EXPECT_GE(assignment_makespan(thick, rr, 2),
-            assignment_makespan(thick, lpt, 2));
-}
-
-TEST(Balancer, LptHandlesEmptyAndSingle) {
-  EXPECT_TRUE(lpt_assign({}, 4).empty());
-  const auto one = lpt_assign({42}, 4);
-  ASSERT_EQ(one.size(), 1u);
-  EXPECT_EQ(assignment_makespan({42}, one, 4), 42);
-}
-
-TEST(Balancer, MakespanValidatesArity) {
-  EXPECT_THROW(assignment_makespan({1, 2}, {0}, 2), SimError);
-}
 
 TEST(Balancer, SplitThicknessPartitions) {
   const auto frags = split_thickness(100, 32);
@@ -167,7 +145,9 @@ TEST(Allocation, HooksControlSpawnPlacement) {
              HALT
   )");
   machine::Machine m(cfg_groups(4));
-  install_first_group_hook(m);
+  m.set_allocation_hook([](const machine::TcfDescriptor&) {
+    return GroupId{0};
+  });
   m.load(prog);
   m.boot(1);
   EXPECT_TRUE(m.run().completed);

@@ -155,8 +155,33 @@ for fold in min_div negative min_mod; do
   run "lang_fold_$fold" tcfrun ../programs/$fold.tcf
 done
 
+# Numbers too large for their field: each reader's one-line error. A
+# layout past INT64_MAX is a compile error naming the array.
+program literal_past_int64.tcf "array a[9223372036854775808];"
+program hex_literal_past_int64.tcf "array a[0x8000000000000000];"
+program layout_past_int64.tcf "array a[9223372036854775807]; \
+array b[9223372036854775807]; array c[4]; #4; c.[id] = 7;"
+for prog in literal_past_int64 hex_literal_past_int64 layout_past_int64; do
+  run "lang_$prog" tcfrun ../programs/$prog.tcf
+done
+program register_past_int.s "LDI r99999999999, 1"
+run asm_register_past_int tcfasm ../programs/register_past_int.s
+corpus_header() {
+  printf '; tcffuzz corpus v1\n; policy: arbitrary\n%b\n  HALT\n' "$2" \
+      > "$OUT/programs/$1.s"
+}
+corpus_header balanced_abc "; lanes: balanced:abc"
+corpus_header balanced_zero "; lanes: balanced:0"
+corpus_header balanced_past_uint32 "; lanes: balanced:99999999999"
+corpus_header thickness_zz \
+    "; boot: thickness=zz flows=1 esm=0\n; lanes: single-instruction/aligned"
+for entry in balanced_abc balanced_zero balanced_past_uint32 thickness_zz; do
+  run "fuzz_replay_$entry" tcffuzz --replay=../programs/$entry.s
+  run "tcfprof_corpus_$entry" tcfprof ../programs/$entry.s
+done
+
 run fuzz_shapes tcffuzz --seed=1 --runs=500 --shape-seed=7
 run fuzz_faults tcffuzz --seed=9001 --runs=200 --fault-seed=1
-run fuzz_no_frontends tcffuzz --seed=20001 --runs=2000 --no-frontends
+run fuzz_oracle_soak tcffuzz --seed=20001 --runs=2000
 
 echo "captured $(ls "$OUT" | grep -cvx programs) runs into $OUT"

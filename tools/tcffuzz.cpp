@@ -1,9 +1,9 @@
 // tcffuzz — differential conformance fuzzer for the PRAM-NUMA simulator.
 //
 // Generates seeded random TCF programs, runs each through the sequential
-// reference oracle and every applicable machine variant and frontend, and
-// reports the first divergence as a delta-debugged minimal reproducer in
-// the corpus format (tests/corpus/*.s).
+// reference oracle and every applicable machine variant, and reports the
+// first divergence as a delta-debugged minimal reproducer in the corpus
+// format (tests/corpus/*.s).
 //
 // Exit codes: 0 all runs agree, 1 divergence found, 2 usage error.
 
@@ -42,12 +42,12 @@ void usage() {
   std::printf(
       "usage: tcffuzz [options]\n"
       "  differential conformance fuzzer: random TCF programs through the\n"
-      "  sequential oracle and all applicable machine variants/frontends\n\n"
+      "  sequential oracle and all applicable machine variants\n\n"
       "options:\n"
       "  --runs=N          programs to generate (default 500)\n"
       "  --seed=S          first seed; run i uses seed S+i (default 1)\n"
       "  --max-stmts=N     statement budget per generated body (default 18)\n"
-      "  --variants=CSV    restrict machine lanes to these variants\n"
+      "  --variants=CSV    run only these variants' lanes\n"
       "  --fault-seed=S    also run every machine lane under the deterministic\n"
       "                    fault schedule for seed S+i with rollback recovery;\n"
       "                    recovered runs must match the fault-free oracle\n"
@@ -58,8 +58,6 @@ void usage() {
       "                    and checks that a declared-but-default shape stays\n"
       "                    bit-identical to the uniform machine (0 = off)\n"
       "  --no-errors       skip expected-SimError programs\n"
-      "  --no-frontends    skip the baseline:: frontend lanes\n"
-      "  --no-perturb      skip the perturbed-cost-knob lane\n"
       "  --save=DIR        write each minimized reproducer to DIR\n"
       "  --replay=PATH     replay a corpus file or directory instead of\n"
       "                    generating (oracle re-judges every entry)\n"
@@ -91,10 +89,6 @@ bool parse(int argc, char** argv, FuzzOptions* o) {
       o->verbose = true;
     } else if (arg == "--no-errors") {
       o->allow_errors = false;
-    } else if (arg == "--no-frontends") {
-      o->diff.frontends = false;
-    } else if (arg == "--no-perturb") {
-      o->diff.perturb_costs = false;
     } else if (cli::parse_flag(arg, "runs", &v)) {
       if (!cli::parse_uint(v, "runs", 1, 1u << 24, &o->runs)) return false;
     } else if (cli::parse_flag(arg, "seed", &v)) {

@@ -210,7 +210,7 @@ void paint(const MonState& st) {
 }
 
 /// The --json one-shot summary: hand-built like every exporter in the repo,
-/// so it round-trips through metrics::json_valid and python -m json.
+/// so it round-trips through obs::parse_json and python -m json.
 void print_json_summary(const MonState& st) {
   std::string out = "{\n";
   out += "  \"schema\": \"" + std::string(obs::kStreamSchema) + "\",\n";
